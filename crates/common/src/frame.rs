@@ -960,19 +960,37 @@ pub enum NbRead {
     Closed,
 }
 
+/// Size of [`NbFrameReader`]'s staging buffer: one `read` drains every
+/// small frame a peer has queued (a GET's whole fan-in of control frames
+/// is a few hundred bytes), while chunk-scale bodies bypass the stage.
+const STAGE_LEN: usize = 16 * 1024;
+
 /// Incremental (resumable) frame decoder for nonblocking streams.
 ///
 /// The blocking [`FrameReader`] loops inside `read_frame` until a frame
 /// completes; an event loop cannot block, so this decoder instead
-/// *persists* its progress — header bytes received so far, then the
-/// partially-filled body — across `WouldBlock`, and resumes on the next
-/// readiness event. Framing semantics are identical to [`read_frame`]:
-/// clean EOF only at a frame boundary, version skew diagnosed before
-/// truncation, the [`MAX_FRAME_LEN`] guard applied to the length prefix.
+/// *persists* its progress across `WouldBlock` and resumes on the next
+/// readiness event. Bytes are pulled through a fixed staging buffer, so
+/// a burst of small frames costs one `read`, not two or three each: a
+/// frame that is complete in the stage is copied out into its own
+/// right-sized allocation; a frame whose body is not (a body larger than
+/// the stage, or one straddling its end) gets its allocation up front,
+/// takes the staged prefix, and has the remainder read straight into it —
+/// so chunk-scale payloads are still written once, by the kernel, into
+/// the buffer the decoded [`Payload`] aliases. Framing semantics are
+/// identical to [`read_frame`]: clean EOF only at a frame boundary,
+/// version skew diagnosed before truncation, the [`MAX_FRAME_LEN`] guard
+/// applied to the length prefix before anything is allocated.
 pub struct NbFrameReader {
-    header: [u8; HEADER_LEN],
-    got: usize,
+    /// `stage[start..end]` holds bytes read but not yet returned.
+    stage: Box<[u8]>,
+    start: usize,
+    end: usize,
+    /// A frame whose body outgrew the stage, partially filled.
     body: Option<NbBody>,
+    /// The previous `read` came back short: the stream is drained, so
+    /// the next need for bytes reports `WouldBlock` without a syscall.
+    drained: bool,
 }
 
 struct NbBody {
@@ -990,22 +1008,43 @@ impl NbFrameReader {
     /// A decoder positioned at a frame boundary.
     pub fn new() -> NbFrameReader {
         NbFrameReader {
-            header: [0u8; HEADER_LEN],
-            got: 0,
+            stage: vec![0u8; STAGE_LEN].into_boxed_slice(),
+            start: 0,
+            end: 0,
             body: None,
+            drained: false,
         }
     }
 
-    /// `true` while a frame is partially received — EOF now would be
+    /// `true` while bytes have been received that no returned frame
+    /// accounts for. Once [`NbFrameReader::read`] has reported
+    /// `WouldBlock` that is a partial frame — EOF now would be
     /// truncation, not a clean close.
     pub fn mid_frame(&self) -> bool {
-        self.got != 0 || self.body.is_some()
+        self.start != self.end || self.body.is_some()
+    }
+
+    /// `true` while a whole envelope is staged: the next
+    /// [`NbFrameReader::read`] makes progress before touching the
+    /// stream. A loop that stops reading early (a fairness bound) must
+    /// keep going while this holds — staged frames raise no further
+    /// readiness event.
+    pub fn has_staged(&self) -> bool {
+        self.end - self.start >= HEADER_LEN
     }
 
     /// Pulls bytes from `r` until one frame completes, the stream would
-    /// block, or it ends. At most one frame is returned per call; when a
-    /// level-triggered event loop gets [`NbRead::Frame`] it should call
-    /// again (more frames may already be buffered) until `WouldBlock`.
+    /// block, or it ends. At most one frame is returned per call; on
+    /// [`NbRead::Frame`] call again (more frames may already be staged)
+    /// until `WouldBlock`.
+    ///
+    /// A `read` that returns fewer bytes than asked is taken to have
+    /// drained the stream, and the next need for bytes reports
+    /// `WouldBlock` without the confirming `EAGAIN` syscall. This relies
+    /// on **level-triggered** registration (`Mode::Level`, which every
+    /// loop in `ic-net` uses): bytes that arrived meanwhile re-raise
+    /// readiness. It also means EOF is reported one call later than it
+    /// could be — by the call after that `WouldBlock`.
     ///
     /// # Errors
     ///
@@ -1013,50 +1052,77 @@ impl NbFrameReader {
     /// variants here. After an error the decoder state is unspecified;
     /// callers must discard the connection.
     pub fn read<R: Read>(&mut self, r: &mut R) -> FrameResult<NbRead> {
-        while self.body.is_none() {
-            match r.read(&mut self.header[self.got..]) {
-                Ok(0) => {
-                    if self.got == 0 {
-                        return Ok(NbRead::Closed);
-                    }
-                    if self.header[0] != FRAME_VERSION {
-                        return Err(FrameError::Version(self.header[0]));
-                    }
-                    return Err(FrameError::Malformed("truncated length prefix"));
+        loop {
+            if let Some(body) = self.body.as_mut() {
+                if body.got == body.buf.len() {
+                    let body = self.body.take().expect("complete body");
+                    return Ok(NbRead::Frame(Bytes::from(body.buf)));
                 }
-                Ok(n) => self.got += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(NbRead::WouldBlock),
-                Err(e) => return Err(FrameError::Io(e)),
-            }
-            if self.got < HEADER_LEN {
+                if std::mem::take(&mut self.drained) {
+                    return Ok(NbRead::WouldBlock);
+                }
+                let want = body.buf.len() - body.got;
+                match r.read(&mut body.buf[body.got..]) {
+                    Ok(0) => return Err(FrameError::Malformed("truncated frame body")),
+                    Ok(n) => {
+                        body.got += n;
+                        self.drained = n < want;
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(NbRead::WouldBlock),
+                    Err(e) => return Err(FrameError::Io(e)),
+                }
                 continue;
             }
-            if self.header[0] != FRAME_VERSION {
-                return Err(FrameError::Version(self.header[0]));
+
+            let staged = &self.stage[self.start..self.end];
+            if staged.first().is_some_and(|v| *v != FRAME_VERSION) {
+                return Err(FrameError::Version(staged[0]));
             }
-            let len = u32::from_le_bytes(self.header[1..].try_into().expect("4 bytes"));
-            if len > MAX_FRAME_LEN {
-                return Err(FrameError::TooLarge(len as u64));
+            if staged.len() >= HEADER_LEN {
+                let len = u32::from_le_bytes(staged[1..HEADER_LEN].try_into().expect("4 bytes"));
+                if len > MAX_FRAME_LEN {
+                    return Err(FrameError::TooLarge(len as u64));
+                }
+                let len = len as usize;
+                let body = &staged[HEADER_LEN..];
+                if body.len() >= len {
+                    let frame = Bytes::copy_from_slice(&body[..len]);
+                    self.start += HEADER_LEN + len;
+                    return Ok(NbRead::Frame(frame));
+                }
+                // The stage holds only a prefix of the body: the rest
+                // goes straight into the frame's own allocation.
+                let mut buf = vec![0u8; len];
+                buf[..body.len()].copy_from_slice(body);
+                self.body = Some(NbBody {
+                    buf,
+                    got: body.len(),
+                });
+                self.start = self.end;
+                continue;
             }
-            self.body = Some(NbBody {
-                buf: vec![0u8; len as usize],
-                got: 0,
-            });
-        }
-        let body = self.body.as_mut().expect("body in progress");
-        while body.got < body.buf.len() {
-            match r.read(&mut body.buf[body.got..]) {
-                Ok(0) => return Err(FrameError::Malformed("truncated frame body")),
-                Ok(n) => body.got += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+
+            // Fewer than an envelope's bytes staged: refill.
+            if std::mem::take(&mut self.drained) {
+                return Ok(NbRead::WouldBlock);
+            }
+            self.stage.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            let want = self.stage.len() - self.end;
+            match r.read(&mut self.stage[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(NbRead::Closed),
+                Ok(0) => return Err(FrameError::Malformed("truncated length prefix")),
+                Ok(n) => {
+                    self.end += n;
+                    self.drained = n < want;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(NbRead::WouldBlock),
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }
-        let body = self.body.take().expect("complete body");
-        self.got = 0;
-        Ok(NbRead::Frame(Bytes::from(body.buf)))
     }
 }
 
@@ -1074,10 +1140,12 @@ pub struct Flush {
     pub frames: u64,
 }
 
-/// How many queued frames one vectored write may carry. Linux caps an
-/// `iovec` array at 1024 entries (`UIO_MAXIOV`); 64 frames × a few
-/// segments each stays far under that while still amortizing syscalls.
-const WRITE_BATCH_FRAMES: usize = 64;
+/// How many slices (envelopes and body segments) one vectored write may
+/// carry: a frame is 2–4 of them, so a burst of a few dozen frames still
+/// leaves in one syscall. Far below Linux's `UIO_MAXIOV` of 1024, and
+/// small enough that the slice array lives on the stack — no allocation
+/// per write.
+const WRITE_BATCH_SLICES: usize = 128;
 
 /// Per-connection outbound frame queue for nonblocking sinks: the
 /// `WouldBlock`-safe counterpart of [`write_frame_batch`].
@@ -1148,38 +1216,27 @@ impl FrameWriteQueue {
         };
         while !self.frames.is_empty() {
             let wrote = {
-                let mut slices: Vec<IoSlice<'_>> = Vec::new();
+                // The unwritten bytes as one flat slice sequence; `skip`
+                // steps over what earlier calls already wrote (it can
+                // end mid-envelope or mid-segment).
+                let mut slices = [IoSlice::new(&[]); WRITE_BATCH_SLICES];
+                let mut filled = 0;
                 let mut skip = self.front_written;
-                for (i, (header, parts)) in self.frames.iter().take(WRITE_BATCH_FRAMES).enumerate()
-                {
-                    if i == 0 && skip > 0 {
-                        if skip < HEADER_LEN {
-                            slices.push(IoSlice::new(&header[skip..]));
-                            skip = 0;
-                        } else {
-                            skip -= HEADER_LEN;
+                'fill: for (header, parts) in &self.frames {
+                    for s in std::iter::once(&header[..]).chain(parts.as_slices()) {
+                        if skip >= s.len() {
+                            skip -= s.len();
+                            continue;
                         }
-                        for s in parts.as_slices() {
-                            if skip >= s.len() {
-                                skip -= s.len();
-                                continue;
-                            }
-                            let rest = &s[skip..];
-                            skip = 0;
-                            if !rest.is_empty() {
-                                slices.push(IoSlice::new(rest));
-                            }
+                        if filled == slices.len() {
+                            break 'fill;
                         }
-                    } else {
-                        slices.push(IoSlice::new(header));
-                        for s in parts.as_slices() {
-                            if !s.is_empty() {
-                                slices.push(IoSlice::new(s));
-                            }
-                        }
+                        slices[filled] = IoSlice::new(&s[skip..]);
+                        filled += 1;
+                        skip = 0;
                     }
                 }
-                match w.write_vectored(&slices) {
+                match w.write_vectored(&slices[..filled]) {
                     Ok(0) => {
                         return Err(std::io::Error::new(
                             ErrorKind::WriteZero,
@@ -1802,72 +1859,290 @@ mod tests {
         }
     }
 
+    /// A nonblocking-socket stand-in: serves `data` in reads of at most
+    /// `max_read` bytes, then `WouldBlock` (or EOF once `eof` is set),
+    /// logging every call's destination address and byte count.
+    struct MockSocket {
+        data: Vec<u8>,
+        pos: usize,
+        max_read: usize,
+        eof: bool,
+        /// `(destination address, bytes returned)` per `read` call.
+        reads: Vec<(usize, usize)>,
+    }
+
+    impl MockSocket {
+        fn new(data: Vec<u8>) -> MockSocket {
+            MockSocket {
+                data,
+                pos: 0,
+                max_read: usize::MAX,
+                eof: false,
+                reads: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for MockSocket {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = (self.data.len() - self.pos)
+                .min(buf.len())
+                .min(self.max_read);
+            if n == 0 && !self.eof {
+                return Err(std::io::Error::from(ErrorKind::WouldBlock));
+            }
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            self.reads.push((buf.as_ptr() as usize, n));
+            Ok(n)
+        }
+    }
+
+    /// Decodes until the reader reports `WouldBlock`, `Closed` or an
+    /// error, returning the frames and that terminal result.
+    fn drain<R: Read>(
+        reader: &mut NbFrameReader,
+        src: &mut R,
+    ) -> (Vec<Bytes>, FrameResult<NbRead>) {
+        let mut frames = Vec::new();
+        loop {
+            match reader.read(src) {
+                Ok(NbRead::Frame(body)) => frames.push(body),
+                end => return (frames, end),
+            }
+        }
+    }
+
+    fn decode_all(frames: &[Bytes]) -> Vec<Msg> {
+        frames
+            .iter()
+            .map(|f| decode_msg_shared(f).expect("decodes"))
+            .collect()
+    }
+
+    /// The first non-`WouldBlock` result over an at-EOF source: the
+    /// short-read shortcut may defer the verdict by one call.
+    fn verdict(wire: &[u8]) -> FrameResult<NbRead> {
+        let mut reader = NbFrameReader::new();
+        let mut src = wire;
+        for _ in 0..3 {
+            match reader.read(&mut src) {
+                Ok(NbRead::WouldBlock) => continue,
+                other => return other,
+            }
+        }
+        panic!("reader never settled on {wire:?}");
+    }
+
     #[test]
     fn nb_reader_maps_boundary_cases_like_the_blocking_reader() {
-        // Clean close at a frame boundary.
+        // Clean close at a frame boundary — also after whole frames.
+        assert!(matches!(verdict(&[]).unwrap(), NbRead::Closed));
+        let mut ping = Vec::new();
+        write_msg(&mut ping, &Msg::Ping).unwrap();
         let mut reader = NbFrameReader::new();
-        assert!(matches!(reader.read(&mut &[][..]).unwrap(), NbRead::Closed));
+        let mut src = &ping[..];
+        let (frames, end) = drain(&mut reader, &mut src);
+        assert_eq!(frames.len(), 1);
+        assert!(matches!(end.unwrap(), NbRead::WouldBlock));
+        assert!(matches!(reader.read(&mut src).unwrap(), NbRead::Closed));
         // EOF inside the envelope: version skew wins, else truncation.
-        let mut reader = NbFrameReader::new();
         assert!(matches!(
-            reader.read(&mut &[FRAME_VERSION + 1][..]),
+            verdict(&[FRAME_VERSION + 1]),
             Err(FrameError::Version(_))
         ));
-        let mut reader = NbFrameReader::new();
         assert!(matches!(
-            reader.read(&mut &[FRAME_VERSION, 9][..]),
-            Err(FrameError::Malformed(_))
+            verdict(&[FRAME_VERSION, 9]),
+            Err(FrameError::Malformed("truncated length prefix"))
         ));
         // EOF inside the body is truncation.
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::Ping).unwrap();
-        wire.truncate(wire.len() - 1);
-        let mut reader = NbFrameReader::new();
         assert!(matches!(
-            reader.read(&mut &wire[..]),
-            Err(FrameError::Malformed(_))
+            verdict(&ping[..ping.len() - 1]),
+            Err(FrameError::Malformed("truncated frame body"))
         ));
         // Oversized length prefix rejected before allocating.
         let mut wire = vec![FRAME_VERSION];
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut reader = NbFrameReader::new();
-        assert!(matches!(
-            reader.read(&mut &wire[..]),
-            Err(FrameError::TooLarge(_))
-        ));
+        assert!(matches!(verdict(&wire), Err(FrameError::TooLarge(_))));
         // mid_frame flips while a frame is in flight and the decoder
         // resumes across the WouldBlock.
-        struct BlocksWhenDry {
-            data: Vec<u8>,
-            pos: usize,
-        }
-        impl Read for BlocksWhenDry {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.pos >= self.data.len() {
-                    return Err(std::io::Error::from(ErrorKind::WouldBlock));
-                }
-                let n = (self.data.len() - self.pos).min(buf.len());
-                buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-                self.pos += n;
-                Ok(n)
-            }
-        }
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::Ping).unwrap();
         let mut reader = NbFrameReader::new();
         assert!(!reader.mid_frame());
         let split = 3; // inside the 5-byte envelope
-        let mut src = BlocksWhenDry {
-            data: wire[..split].to_vec(),
-            pos: 0,
-        };
+        let mut src = MockSocket::new(ping[..split].to_vec());
         assert!(matches!(reader.read(&mut src).unwrap(), NbRead::WouldBlock));
         assert!(reader.mid_frame());
-        let mut rest = &wire[split..];
-        match reader.read(&mut rest).unwrap() {
+        src.data.extend_from_slice(&ping[split..]);
+        match reader.read(&mut src).unwrap() {
             NbRead::Frame(body) => assert_eq!(decode_msg_shared(&body).unwrap(), Msg::Ping),
             other => panic!("expected resumed frame, got {other:?}"),
         }
         assert!(!reader.mid_frame());
+    }
+
+    /// The short-read shortcut skips the `EAGAIN` probe, never the EOF:
+    /// a stream that ends mid-frame answers `WouldBlock` once (no
+    /// syscall), then truncation — not a clean close, not a hang.
+    #[test]
+    fn nb_reader_reports_eof_after_a_partial_frame_on_the_next_call() {
+        let mut wire = Vec::new();
+        write_msg(&mut wire, &Msg::Ping).unwrap();
+        write_msg(
+            &mut wire,
+            &Msg::GetObject {
+                key: ObjectKey::new("cut-short"),
+            },
+        )
+        .unwrap();
+        wire.truncate(wire.len() - 4);
+        let mut src = MockSocket::new(wire);
+        src.eof = true;
+        let mut reader = NbFrameReader::new();
+        let (frames, end) = drain(&mut reader, &mut src);
+        assert_eq!(frames.len(), 1, "the whole frame before the cut decodes");
+        assert!(matches!(end.unwrap(), NbRead::WouldBlock));
+        assert_eq!(src.reads.len(), 1, "the WouldBlock cost no syscall");
+        assert!(reader.mid_frame());
+        assert!(matches!(
+            reader.read(&mut src),
+            Err(FrameError::Malformed("truncated frame body"))
+        ));
+    }
+
+    #[test]
+    fn nb_reader_decodes_byte_at_a_time_delivery_identically() {
+        let msgs = sample_msgs(&mut Lcg(31), 25);
+        let mut wire = Vec::new();
+        for m in &msgs {
+            write_msg(&mut wire, m).unwrap();
+        }
+        let mut src = MockSocket::new(wire);
+        src.max_read = 1;
+        src.eof = true;
+        let mut reader = NbFrameReader::new();
+        let mut decoded = Vec::new();
+        loop {
+            match reader.read(&mut src).unwrap() {
+                NbRead::Frame(body) => decoded.push(decode_msg_shared(&body).unwrap()),
+                NbRead::WouldBlock => {}
+                NbRead::Closed => break,
+            }
+        }
+        assert_eq!(decoded, msgs);
+    }
+
+    #[test]
+    fn nb_reader_takes_a_burst_of_small_frames_in_one_read() {
+        let msgs: Vec<Msg> = (0..200)
+            .map(|i| Msg::GetObject {
+                key: ObjectKey::new(format!("key-{i}")),
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for m in &msgs {
+            write_msg(&mut wire, m).unwrap();
+        }
+        assert!(wire.len() < STAGE_LEN, "the burst must fit the stage");
+        let mut src = MockSocket::new(wire);
+        let mut reader = NbFrameReader::new();
+        let (frames, end) = drain(&mut reader, &mut src);
+        assert!(matches!(end.unwrap(), NbRead::WouldBlock));
+        let decoded = decode_all(&frames);
+        assert_eq!(decoded, msgs);
+        assert_eq!(
+            src.reads.len(),
+            1,
+            "200 frames, one read — and no EAGAIN probe after the short read"
+        );
+        assert!(!reader.mid_frame());
+    }
+
+    #[test]
+    fn nb_reader_reassembles_a_frame_straddling_the_stage_end() {
+        // Small frames up to just short of the stage's end, then one
+        // whose envelope — or body — is cut by it, at every offset.
+        let filler = Msg::GetObject {
+            key: ObjectKey::new("filler-filler-filler"),
+        };
+        let straddler = Msg::ChunkToClient {
+            id: ChunkId::new(ObjectKey::new("straddler"), 3),
+            payload: Payload::bytes((0..=255u8).cycle().take(700).collect::<Vec<u8>>()),
+        };
+        let filler_len = HEADER_LEN + encode_msg(&filler).len();
+        for pad in 0..filler_len {
+            let mut msgs = vec![Msg::ChunkToClient {
+                id: ChunkId::new(ObjectKey::new("pad"), 0),
+                payload: Payload::bytes(vec![9u8; pad]),
+            }];
+            msgs.extend(std::iter::repeat_n(filler.clone(), STAGE_LEN / filler_len));
+            msgs.push(straddler.clone());
+            msgs.push(Msg::Ping);
+            let mut wire = Vec::new();
+            for m in &msgs {
+                write_msg(&mut wire, m).unwrap();
+            }
+            let mut src = MockSocket::new(wire);
+            let mut reader = NbFrameReader::new();
+            let (frames, end) = drain(&mut reader, &mut src);
+            assert!(matches!(end.unwrap(), NbRead::WouldBlock));
+            let decoded = decode_all(&frames);
+            assert_eq!(decoded, msgs, "pad {pad}");
+        }
+    }
+
+    /// A chunk-scale body is one allocation, filled by the stream: only
+    /// the prefix that shared the stage with the envelope is copied, the
+    /// remainder is read straight into the buffer the decoded payload
+    /// aliases.
+    #[test]
+    fn nb_reader_reads_large_bodies_directly_into_the_aliased_allocation() {
+        let payload: Vec<u8> = (0..256 * 1024).map(|i| (i * 31 % 251) as u8).collect();
+        let msg = Msg::ChunkData {
+            id: ChunkId::new(ObjectKey::new("big"), 1),
+            payload: Payload::bytes(payload.clone()),
+        };
+        let mut wire = Vec::new();
+        write_msg(&mut wire, &Msg::Ping).unwrap();
+        let big_at = wire.len();
+        write_msg(&mut wire, &msg).unwrap();
+        let body_len = wire.len() - big_at - HEADER_LEN;
+        let mut src = MockSocket::new(wire);
+        src.max_read = 100_000; // the body arrives over several wake-ups
+        let mut reader = NbFrameReader::new();
+        let mut frames = Vec::new();
+        while frames.len() < 2 {
+            let (more, end) = drain(&mut reader, &mut src);
+            assert!(matches!(end.unwrap(), NbRead::WouldBlock));
+            frames.extend(more);
+        }
+        let frame = &frames[1];
+        assert_eq!(frame.len(), body_len);
+        let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+
+        // Read 1 filled the stage (Ping + envelope + body prefix); every
+        // later read landed inside the frame's own allocation, back to
+        // back, and together they carried exactly the unstaged remainder.
+        let staged_prefix = STAGE_LEN - big_at - HEADER_LEN;
+        assert_eq!(src.reads[0].1, STAGE_LEN);
+        let mut expect_at = frame_range.start + staged_prefix;
+        for &(at, n) in &src.reads[1..] {
+            assert_eq!(at, expect_at, "direct reads fill the body in place");
+            expect_at += n;
+        }
+        assert_eq!(expect_at, frame_range.end);
+
+        let Msg::ChunkData {
+            payload: Payload::Bytes(got),
+            ..
+        } = decode_msg_shared(frame).unwrap()
+        else {
+            panic!("wrong message decoded");
+        };
+        assert!(
+            frame_range.contains(&(got.as_ptr() as usize))
+                && got.as_ptr() as usize + got.len() <= frame_range.end,
+            "decoded payload must alias the frame allocation"
+        );
+        assert_eq!(&got[..], &payload[..]);
     }
 }

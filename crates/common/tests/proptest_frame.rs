@@ -4,7 +4,7 @@
 
 use ic_common::frame::{
     decode_msg, decode_msg_shared, encode_msg, encode_msg_parts, read_frame, read_msg, write_msg,
-    FrameError, FRAME_VERSION, INLINE_PAYLOAD_MAX,
+    FrameError, NbFrameReader, NbRead, FRAME_VERSION, INLINE_PAYLOAD_MAX,
 };
 use ic_common::msg::{BackupKey, Msg};
 use ic_common::{ChunkId, InstanceId, LambdaId, ObjectKey, Payload, RelayId};
@@ -133,8 +133,62 @@ fn aliases(outer: &[u8], inner: &[u8]) -> bool {
     o <= i && i + inner.len() <= o + outer.len()
 }
 
+/// A nonblocking stream delivering `data` in pieces of the given sizes
+/// (cycled), `WouldBlock` between pieces, EOF after the last byte.
+struct Pieces<'a> {
+    data: &'a [u8],
+    sizes: &'a [usize],
+    next: usize,
+    /// Bytes left in the current piece; 0 = the next read blocks first.
+    piece_left: usize,
+}
+
+impl std::io::Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.data.is_empty() {
+            return Ok(0);
+        }
+        if self.piece_left == 0 {
+            self.piece_left = self.sizes[self.next % self.sizes.len()];
+            self.next += 1;
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let n = self.piece_left.min(self.data.len()).min(buf.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        self.piece_left -= n;
+        Ok(n)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// However the byte stream is cut into deliveries, the staged
+    /// nonblocking reader yields exactly the frames the blocking reader
+    /// sees in the whole stream, then a clean close.
+    #[test]
+    fn nb_reader_is_insensitive_to_delivery_splits(
+        msgs in vec(arb_msg(), 1..12),
+        sizes in vec(1usize..6000, 1..24),
+    ) {
+        let mut wire = Vec::new();
+        for m in &msgs {
+            write_msg(&mut wire, m).expect("frame fits");
+        }
+        let mut src = Pieces { data: &wire, sizes: &sizes, next: 0, piece_left: 0 };
+        let mut reader = NbFrameReader::new();
+        let mut decoded = Vec::new();
+        loop {
+            match reader.read(&mut src).expect("well-formed stream") {
+                NbRead::Frame(body) => decoded.push(decode_msg_shared(&body).expect("decodes")),
+                NbRead::WouldBlock => {}
+                NbRead::Closed => break,
+            }
+        }
+        prop_assert_eq!(decoded, msgs);
+        prop_assert!(!reader.mid_frame());
+    }
 
     /// Encode → decode is the identity on every message variant.
     #[test]

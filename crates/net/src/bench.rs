@@ -213,11 +213,11 @@ pub fn scaled_for_clients(base: &BenchConfig, clients: usize) -> BenchConfig {
 }
 
 /// Counts this process's proxy substrate threads (names starting with
-/// `ic-proxy`, i.e. the per-proxy protocol thread plus its I/O shards)
-/// by reading `/proc/self/task/*/comm`. `None` off Linux or when procfs
-/// is unavailable. Used by the connection-scaling sweep to demonstrate
-/// the event-loop property: thread count stays O(workers) while
-/// connections grow into the thousands.
+/// `ic-proxy`, i.e. each running proxy's one event-loop thread) by
+/// reading `/proc/self/task/*/comm`. `None` off Linux or when procfs is
+/// unavailable. Used by the connection-scaling sweep to demonstrate the
+/// event-loop property: one thread per proxy while connections grow
+/// into the thousands.
 pub fn proxy_thread_count() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     let mut count = 0;

@@ -8,7 +8,6 @@
 //! ic-proxy [--clients ADDR] [--nodes ADDR] [--pool N]
 //!          [--proxy-id I] [--proxies N]
 //!          [--memory-mb N] [--warmup-secs N] [--backup-secs N]
-//!          [--io-workers N]
 //! ```
 //!
 //! A deployment may run several instances: start each with the same
@@ -36,7 +35,6 @@ fn run() -> Result<()> {
     let memory_mb: u32 = args.num("memory-mb", 1536)?;
     let warmup_secs: u64 = args.num("warmup-secs", 60)?;
     let backup_secs: u64 = args.num("backup-secs", 0)?;
-    let io_workers: usize = args.num("io-workers", 0)?;
 
     // The erasure code is a client-side choice; the proxy only needs a
     // shape that validates against its own pool.
@@ -60,7 +58,6 @@ fn run() -> Result<()> {
             .map_err(|e| ic_common::Error::Config(format!("--nodes: {e}")))?,
         warmup: (warmup_secs > 0).then(|| Duration::from_secs(warmup_secs)),
         max_peer_backlog: ic_net::proxy::DEFAULT_PEER_BACKLOG,
-        io_workers: (io_workers > 0).then_some(io_workers),
     };
 
     let pool_range = cfg.deployment.proxy_pool(cfg.proxy).collect::<Vec<_>>();
@@ -73,7 +70,7 @@ fn run() -> Result<()> {
         pool_range.last().expect("non-empty pool").0,
     );
 
-    // Serve until killed; the threads own all the work.
+    // Serve until killed; the event-loop thread owns all the work.
     loop {
         std::thread::park();
     }

@@ -42,8 +42,9 @@
 //! (per-client ops and keys scaled down so every point does comparable
 //! work — see [`bench::scaled_for_clients`]). Each point records the
 //! proxy substrate's thread count alongside throughput, demonstrating
-//! the readiness event loop's O(workers) threading while connections
-//! grow into the thousands; results land in the `"clients_sweep"` array.
+//! the readiness event loop's one-thread-per-proxy threading while
+//! connections grow into the thousands; results land in the
+//! `"clients_sweep"` array.
 //! Loopback runs also embed a `"wire"` block: how many vectored write
 //! syscalls the proxies issued and how many frames they coalesced into
 //! them.
@@ -205,7 +206,7 @@ fn run() -> Result<()> {
 
     // Connection-scaling sweep: the same cluster, re-driven at growing
     // client counts; each point also snapshots the proxy substrate's
-    // thread count (loopback runs — the event loop keeps it O(workers)).
+    // thread count (loopback runs — one event-loop thread per proxy).
     let mut clients_sweep = Vec::new();
     for n in client_counts {
         let point = bench::scaled_for_clients(&cfg, n);

@@ -95,6 +95,8 @@ pub struct NetClient {
     /// Indexed by `ProxyId.0`; the poller token is the index.
     conns: Vec<Conn>,
     poller: Poller,
+    /// Readiness buffer reused by every [`NetClient::poll_io`] pass.
+    events: Events,
     /// Events decoded by [`NetClient::poll_io`] ahead of consumption.
     pending: VecDeque<ClientEvent>,
     client: ClientId,
@@ -205,6 +207,7 @@ impl NetClient {
             lib,
             conns,
             poller,
+            events: Events::with_capacity(64),
             pending: VecDeque::new(),
             client,
             epoch: Instant::now(),
@@ -460,22 +463,20 @@ impl NetClient {
     /// services readiness — decoding inbound frames into `pending`,
     /// flushing outbound queues, arming/disarming writable interest.
     fn poll_io(&mut self, timeout: Option<Duration>) {
-        let mut events = Events::with_capacity(64);
-        if self.poller.poll(&mut events, timeout).is_err() {
-            return;
-        }
-        let ready: Vec<(usize, bool, bool)> = events
-            .iter()
-            .map(|e| (e.token().0, e.is_readable(), e.is_writable()))
-            .collect();
-        for (i, readable, writable) in ready {
-            if readable {
-                self.read_conn(i);
-            }
-            if writable {
-                self.flush_conn(i);
+        // Borrowed out of `self` for the pass: servicing an event needs
+        // `&mut self`.
+        let mut events = std::mem::replace(&mut self.events, Events::with_capacity(0));
+        if self.poller.poll(&mut events, timeout).is_ok() {
+            for ev in &events {
+                if ev.is_readable() {
+                    self.read_conn(ev.token().0);
+                }
+                if ev.is_writable() {
+                    self.flush_conn(ev.token().0);
+                }
             }
         }
+        self.events = events;
     }
 
     /// Decodes every buffered inbound frame on one connection.

@@ -133,7 +133,7 @@ impl LoopbackCluster {
     }
 
     /// Aggregated socket-write coalescing counters across every live
-    /// proxy's I/O shards (see [`crate::proxy::WireSnapshot`]): how many
+    /// proxy's event loop (see [`crate::proxy::WireSnapshot`]): how many
     /// vectored write syscalls the fleet issued and how many frames they
     /// carried.
     pub fn wire_stats(&self) -> crate::proxy::WireSnapshot {

@@ -13,13 +13,14 @@
 //!   process per logical node, hosting its [`ic_lambda::Runtime`]
 //!   instances on real 100 ms billing cycles; killing the process is a
 //!   provider reclaim;
-//! * [`proxy`] — the socket-backed proxy: a readiness event loop (a
-//!   small pool of I/O shard threads over the workspace [`polling`]
-//!   shim, **O(workers), never O(connections)**) owning all client and
-//!   node sockets nonblocking, plus one protocol thread running the same
-//!   [`ic_proxy::Proxy`] state machine the other substrates drive; a
-//!   deployment runs one instance per [`ic_common::ProxyId`], each
-//!   owning its disjoint slice of the node-id space;
+//! * [`proxy`] — the socket-backed proxy: one run-to-completion
+//!   readiness loop (a single thread over the workspace [`polling`]
+//!   shim, however many connections) owning all client and node sockets
+//!   nonblocking *and* the same [`ic_proxy::Proxy`] state machine the
+//!   other substrates drive, so a frame is decoded, dispatched and
+//!   answered without leaving the thread; a deployment runs one
+//!   instance per [`ic_common::ProxyId`], each owning its disjoint
+//!   slice of the node-id space;
 //! * [`client`] — [`client::NetClient`], a synchronous client facade
 //!   (erasure coding on the client, §3.1) over one TCP connection per
 //!   proxy — all multiplexed on a single poller inside the calling

@@ -49,12 +49,9 @@ const TOKEN_WAKER: usize = 0;
 /// Poller token of the proxy connection.
 const TOKEN_SOCKET: usize = 1;
 
-/// Events driving the daemon's protocol loop.
+/// In-process control events for a running daemon (sent through
+/// [`NodeHandle`]; socket traffic never takes this path).
 pub enum NodeEvent {
-    /// A frame arrived from the proxy.
-    Frame(Frame),
-    /// The proxy connection closed or failed.
-    Disconnected,
     /// In-process control: provider-style reclaim (all instances and
     /// their cached chunks vanish; the daemon stays connected).
     Reclaim,
@@ -244,8 +241,8 @@ impl NetNode {
     /// Runs the daemon until the proxy connection closes, a
     /// [`NodeEvent::Stop`] arrives, or the proxy announces shutdown.
     /// On exit the socket is shut down on both halves, so the proxy
-    /// observes the death immediately (`NodeGone` →
-    /// [`ic_proxy::Proxy::on_connection_lost`]) instead of discovering
+    /// observes the death on its next poll
+    /// ([`ic_proxy::Proxy::on_connection_lost`]) instead of discovering
     /// it on its next write.
     pub fn run(mut self) {
         self.run_loop();
@@ -257,10 +254,7 @@ impl NetNode {
         loop {
             match self.events.try_recv() {
                 Ok(NodeEvent::Reclaim) => self.host.reclaim(),
-                Ok(NodeEvent::Stop) | Ok(NodeEvent::Disconnected) => return false,
-                // `Frame` never arrives via the channel anymore; ignore
-                // for compatibility with external senders.
-                Ok(NodeEvent::Frame(_)) => {}
+                Ok(NodeEvent::Stop) => return false,
                 Err(TryRecvError::Empty) => return true,
                 Err(TryRecvError::Disconnected) => return false,
             }

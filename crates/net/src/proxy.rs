@@ -1,32 +1,40 @@
 //! The socket-backed proxy: real TCP listeners in front of the same
 //! [`Proxy`] state machine the simulator and live mode drive.
 //!
-//! Thread structure (all plain `std::net`/`std::thread` over the
-//! [`polling`] readiness shim, no async runtime) — **O(workers), never
-//! O(connections)**:
+//! **One thread, run to completion** (plain `std::net` over the
+//! [`polling`] readiness shim, no async runtime). The proxy's single
+//! `ic-proxy-io-N` thread owns the [`Poller`], both listeners, every
+//! client and node socket (nonblocking) *and* the [`Proxy`] state
+//! machine. One loop iteration is:
 //!
-//! * a small pool of **I/O shard threads** (sized to cores, capped —
-//!   [`NetProxyConfig::io_workers`]), each running a readiness event
-//!   loop that owns a share of the client/node sockets in nonblocking
-//!   mode. Shard 0 also owns both listeners and deals fresh connections
-//!   round-robin across the pool. Per connection, a shard keeps an
-//!   incremental [`NbFrameReader`] decode state machine driven by
-//!   readable events and a [`FrameWriteQueue`] drained by writable
-//!   events — vectored, batch-coalesced writes with byte-precise
-//!   `WouldBlock` resumption;
-//! * one **protocol thread** owning the [`Proxy`] state machine,
-//!   executing its actions through the shared [`infinicache::dispatch`]
-//!   engine with this module's [`ProxyTransport`] implementation.
-//!   Outbound frames are encoded here (scatter/gather, payloads
-//!   uncopied) and handed to the owning shard through a per-connection
-//!   outbox + waker.
+//! 1. **poll** — block until a socket is ready, the warm-up tick is due
+//!    (the poll timeout), or the handle asks the loop to stop (the only
+//!    cross-thread signal there is);
+//! 2. **read and dispatch** — each readable connection's
+//!    [`NbFrameReader`] yields the frames one `read` staged; each frame
+//!    is decoded and handed *inline* to the state machine, whose actions
+//!    run through the shared [`infinicache::dispatch`] engine with this
+//!    module's [`ProxyTransport`]. A send is a push onto the target
+//!    connection's [`FrameWriteQueue`] — scatter/gather parts, payloads
+//!    uncopied — and nothing else: no socket is written and no
+//!    connection is torn down inside dispatch;
+//! 3. **flush** — every connection that gained frames is written with
+//!    one vectored write (byte-precise `WouldBlock` resumption, WRITABLE
+//!    interest armed exactly while a backlog remains). A connection
+//!    found dead while reading or flushing is removed and its
+//!    `on_client_disconnected` / `on_connection_lost` actions go back
+//!    through dispatch; the pass repeats until no connection is dirty.
+//!
+//! A message therefore crosses no thread, channel, mutex or waker on its
+//! way through the proxy. More cores are used the way the paper uses
+//! them: more proxies ([`DeploymentConfig::proxies`]), each with its own
+//! loop and its own slice of the node-id space.
 //!
 //! Backpressure: a peer that stops reading accumulates bytes in its own
-//! write queue only — never stalling a shard (writes are nonblocking)
-//! nor the protocol thread (sends are queue pushes). When a
-//! connection's queued bytes exceed [`NetProxyConfig::max_peer_backlog`]
-//! the proxy closes it as a slow consumer; every other connection is
-//! unaffected.
+//! write queue only (writes are nonblocking, sends are queue pushes).
+//! When what the socket would not take exceeds
+//! [`NetProxyConfig::max_peer_backlog`] the flush pass closes the
+//! connection as a slow consumer; every other connection is unaffected.
 //!
 //! The per-node connection lifecycle maps onto real socket events:
 //! *invoke-on-demand* becomes a [`Frame::Invoke`] to the node's daemon
@@ -41,17 +49,15 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ic_common::frame::{FrameParts, FrameWriteQueue, NbFrameReader, NbRead};
+use ic_common::frame::{FrameWriteQueue, NbFrameReader, NbRead};
 use ic_common::msg::{InvokePayload, Msg};
-use ic_common::{
-    ClientId, DeploymentConfig, Error, InstanceId, LambdaId, ProxyId, RelayId, Result, SimTime,
-};
+use ic_common::{ClientId, DeploymentConfig, Error, LambdaId, ProxyId, RelayId, Result, SimTime};
 use ic_proxy::{Proxy, ProxyAction, ProxyConfig};
 use infinicache::dispatch::{self, LambdaCtx, ProxyTransport};
 use polling::{Events, Interest, Mode, Poller, Token, Waker};
@@ -78,20 +84,12 @@ pub struct NetProxyConfig {
     /// Per-connection outbound buffering bound in bytes: a peer whose
     /// unwritten queue exceeds this is closed as a slow consumer.
     pub max_peer_backlog: usize,
-    /// I/O shard thread count; `None` sizes to the host's cores (capped
-    /// at [`MAX_IO_WORKERS`]).
-    pub io_workers: Option<usize>,
 }
 
 /// Default [`NetProxyConfig::max_peer_backlog`]: a few hundred chunk
 /// frames — bursts of streamed chunks at one client ride it out, a
 /// genuinely stalled reader trips it quickly.
 pub const DEFAULT_PEER_BACKLOG: usize = 64 * 1024 * 1024;
-
-/// Cap on auto-sized I/O shard threads: loopback benches show the event
-/// loop saturates well before this many shards, and the token space
-/// stays easy to reason about.
-pub const MAX_IO_WORKERS: usize = 8;
 
 impl NetProxyConfig {
     /// Loopback config for proxy 0 on ephemeral ports with warm-ups off.
@@ -108,21 +106,12 @@ impl NetProxyConfig {
             node_addr: "127.0.0.1:0".parse().expect("static addr"),
             warmup: None,
             max_peer_backlog: DEFAULT_PEER_BACKLOG,
-            io_workers: None,
         }
-    }
-
-    fn resolved_io_workers(&self) -> usize {
-        self.io_workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(MAX_IO_WORKERS)
-        })
     }
 }
 
-/// Aggregate socket-write telemetry across all I/O shards.
+/// Socket-write telemetry, written by the loop thread and read through
+/// [`NetProxyHandle::wire_stats`].
 #[derive(Default)]
 struct WireStats {
     vectored_writes: AtomicU64,
@@ -132,7 +121,7 @@ struct WireStats {
 /// Snapshot of the proxy's socket-write coalescing counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WireSnapshot {
-    /// Vectored writes (syscalls) the shards issued.
+    /// Vectored writes (syscalls) the event loop issued.
     pub vectored_writes: u64,
     /// Frames those writes carried; the ratio is the coalescing factor.
     pub frames_written: u64,
@@ -149,129 +138,48 @@ impl WireSnapshot {
     }
 }
 
-/// Events feeding the proxy's protocol loop.
-enum Ev {
-    ClientJoin(ClientId, PeerHandle),
-    ClientMsg(ClientId, Msg),
-    ClientGone(ClientId),
-    /// A node daemon connected; the `u64` is the connection generation,
-    /// so a stale `NodeGone` from a previous connection of the same node
-    /// cannot clobber a fresh one.
-    NodeJoin(LambdaId, u64, PeerHandle),
-    NodeMsg(LambdaId, InstanceId, Msg),
-    NodeUnreachable(LambdaId, Msg),
-    NodeGone(LambdaId, u64),
-    /// Orderly shutdown: peers are notified with [`Frame::Shutdown`].
-    Quit,
-    /// Abrupt death: sockets drop without notice — the test harness's
-    /// `kill -9` equivalent.
-    Die,
-}
+/// [`Control::stop`] values: keep running; stop after notifying peers
+/// with [`Frame::Shutdown`]; stop with sockets dropping unannounced (the
+/// test harness's `kill -9` equivalent).
+const RUN: u8 = 0;
+const QUIT: u8 = 1;
+const DIE: u8 = 2;
 
-/// Control messages posted to an I/O shard (paired with a waker nudge).
-enum ShardCtl {
-    /// Take ownership of a freshly accepted, not-yet-handshaken socket.
-    Adopt(TcpStream, Port),
-    /// A connection's outbox gained frames; transfer and flush them.
-    Flush(usize),
-    /// Exit; `drain` gives queued frames one best-effort flush first.
-    Stop { drain: bool },
-}
-
-/// Which listener a connection arrived on (fixes the expected hello).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Port {
-    Client,
-    Node,
-}
-
-/// Handshake / identity state of one shard-owned connection.
-#[derive(Clone, Copy)]
-enum PeerState {
-    /// Waiting for the hello frame appropriate to the arrival port.
-    AwaitHello(Port),
-    Client(ClientId),
-    Node(LambdaId, u64),
-}
-
-/// One shard's cross-thread mailbox: lock-protected control queue plus
-/// the waker that interrupts its poll.
-struct ShardShared {
-    inbox: Mutex<Vec<ShardCtl>>,
+/// The handle's stop request — the only cross-thread signal the loop
+/// receives.
+struct Control {
+    stop: AtomicU8,
     waker: Waker,
 }
 
-impl ShardShared {
-    fn post(&self, ctl: ShardCtl) {
-        self.inbox.lock().expect("shard inbox").push(ctl);
-        self.waker.wake();
-    }
-}
-
-/// Protocol-thread side of one connection's outbound path: encoded
-/// frames pile into the outbox; the owning shard transfers them into its
-/// privately-owned write queue on the next wake (so no lock is ever held
-/// across a socket write).
-struct Outbox {
-    frames: Mutex<Vec<FrameParts>>,
-    /// Set by the shard when the connection dies: sends fail fast.
-    closed: AtomicBool,
-}
-
-/// The protocol loop's handle to one peer connection.
-struct PeerHandle {
-    shard: Arc<ShardShared>,
-    token: usize,
-    outbox: Arc<Outbox>,
-}
-
-impl PeerHandle {
-    /// Queues a frame for the peer; `Err` returns it when the connection
-    /// is already gone (the delivery-failure path).
-    fn send(&self, frame: Frame) -> std::result::Result<(), Frame> {
-        if self.outbox.closed.load(Ordering::Acquire) {
-            return Err(frame);
-        }
-        let parts = frame.encode_parts();
-        let was_empty = {
-            let mut frames = self.outbox.frames.lock().expect("peer outbox");
-            let was_empty = frames.is_empty();
-            frames.push(parts);
-            was_empty
-        };
-        if was_empty {
-            // The shard drains the whole outbox per wake; only the
-            // empty→nonempty transition needs a nudge.
-            self.shard.post(ShardCtl::Flush(self.token));
-        }
-        Ok(())
-    }
-}
-
-/// A running socket-backed proxy.
+/// A running socket-backed proxy. Dropping the handle kills the proxy.
 pub struct NetProxyHandle {
     /// Address clients connect to.
     pub client_addr: SocketAddr,
     /// Address node daemons connect to.
     pub node_addr: SocketAddr,
-    events: Sender<Ev>,
-    shards: Vec<Arc<ShardShared>>,
+    control: Arc<Control>,
     wire: Arc<WireStats>,
-    joins: Vec<JoinHandle<()>>,
+    join: Option<JoinHandle<()>>,
 }
 
 impl NetProxyHandle {
     /// Stops the proxy: notifies peers, flushes what it can, and joins
-    /// every thread.
-    pub fn shutdown(self) {
-        self.stop_with(Ev::Quit);
+    /// the loop thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the loop thread (a debug-build invariant
+    /// audit that failed), here and in [`NetProxyHandle::kill`].
+    pub fn shutdown(mut self) {
+        self.stop(QUIT);
     }
 
     /// Kills the proxy abruptly: no [`Frame::Shutdown`] notices — every
     /// peer observes its socket dropping, exactly as if the `ic-proxy`
     /// process had been `kill -9`ed. Used by the multi-proxy fault tests.
-    pub fn kill(self) {
-        self.stop_with(Ev::Die);
+    pub fn kill(mut self) {
+        self.stop(DIE);
     }
 
     /// Socket-write coalescing counters accumulated so far.
@@ -282,21 +190,27 @@ impl NetProxyHandle {
         }
     }
 
-    fn stop_with(mut self, ev: Ev) {
-        // The protocol thread broadcasts Shutdown frames (for Quit) and
-        // then stops the shards; if it is already gone, stop them here.
-        if self.events.send(ev).is_err() {
-            for shard in &self.shards {
-                shard.post(ShardCtl::Stop { drain: false });
+    fn stop(&mut self, how: u8) {
+        let Some(join) = self.join.take() else {
+            return;
+        };
+        self.control.stop.store(how, Ordering::SeqCst);
+        self.control.waker.wake();
+        if let Err(panic) = join.join() {
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(panic);
             }
-        }
-        for j in self.joins.drain(..) {
-            let _ = j.join();
         }
     }
 }
 
-/// Starts a proxy: binds both listeners and spawns the thread ensemble.
+impl Drop for NetProxyHandle {
+    fn drop(&mut self) {
+        self.stop(DIE);
+    }
+}
+
+/// Starts a proxy: binds both listeners and spawns its event loop.
 ///
 /// In a multi-proxy deployment each instance serves the disjoint slice of
 /// the global node-id space that [`DeploymentConfig::proxy_pool`] derives
@@ -307,138 +221,24 @@ impl NetProxyHandle {
 ///
 /// [`Error::Config`] for invalid deployments (including a `proxy` id
 /// outside the deployment) and [`Error::Transport`] when a listener
-/// cannot bind or a thread/poller cannot start.
+/// cannot bind or the thread/poller cannot start.
 pub fn start(cfg: NetProxyConfig) -> Result<NetProxyHandle> {
-    cfg.deployment.validate()?;
-    if cfg.proxy.0 >= cfg.deployment.proxies {
-        return Err(Error::Config(format!(
-            "proxy id {} outside the deployment's {} proxies",
-            cfg.proxy.0, cfg.deployment.proxies
-        )));
-    }
     let transport = |e: std::io::Error| Error::Transport(e.to_string());
-    let client_listener = TcpListener::bind(cfg.client_addr).map_err(transport)?;
-    let node_listener = TcpListener::bind(cfg.node_addr).map_err(transport)?;
-    client_listener.set_nonblocking(true).map_err(transport)?;
-    node_listener.set_nonblocking(true).map_err(transport)?;
-    let client_addr = client_listener.local_addr().map_err(transport)?;
-    let node_addr = node_listener.local_addr().map_err(transport)?;
-
-    let proxy_id = cfg.proxy;
-    let pool: Arc<Vec<LambdaId>> = Arc::new(cfg.deployment.proxy_pool(proxy_id).collect());
-    let (events_tx, events_rx) = channel::<Ev>();
-    let wire = Arc::new(WireStats::default());
-    let client_ids = Arc::new(ClientIds::default());
-    let next_generation = Arc::new(AtomicU64::new(0));
-    let workers = cfg.resolved_io_workers().max(1);
-
-    let mut shards: Vec<Arc<ShardShared>> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        shards.push(Arc::new(ShardShared {
-            inbox: Mutex::new(Vec::new()),
-            waker: Waker::new().map_err(transport)?,
-        }));
-    }
-
-    let mut joins = Vec::new();
-    for (index, shared) in shards.iter().enumerate() {
-        let poller = Poller::new().map_err(transport)?;
-        poller
-            .register(
-                &shared.waker,
-                Token(TOKEN_WAKER),
-                Interest::READABLE,
-                Mode::Level,
-            )
-            .map_err(transport)?;
-        let listeners = if index == 0 {
-            poller
-                .register(
-                    &client_listener,
-                    Token(TOKEN_CLIENT_LISTENER),
-                    Interest::READABLE,
-                    Mode::Level,
-                )
-                .map_err(transport)?;
-            poller
-                .register(
-                    &node_listener,
-                    Token(TOKEN_NODE_LISTENER),
-                    Interest::READABLE,
-                    Mode::Level,
-                )
-                .map_err(transport)?;
-            Some((
-                client_listener.try_clone().map_err(transport)?,
-                node_listener.try_clone().map_err(transport)?,
-            ))
-        } else {
-            None
-        };
-        let mut shard = Shard {
-            poller,
-            shared: shared.clone(),
-            siblings: shards.clone(),
-            next_sibling: AtomicUsize::new(1),
-            listeners,
-            conns: HashMap::new(),
-            next_token: TOKEN_FIRST_CONN,
-            events: events_tx.clone(),
-            proxy_id,
-            pool: pool.clone(),
-            client_ids: client_ids.clone(),
-            next_generation: next_generation.clone(),
-            wire: wire.clone(),
-            max_backlog: cfg.max_peer_backlog,
-        };
-        joins.push(
-            std::thread::Builder::new()
-                .name(format!("ic-proxy-io-{index}"))
-                .spawn(move || shard.run())
-                .map_err(|e| Error::Transport(e.to_string()))?,
-        );
-    }
-
-    // Protocol thread.
-    {
-        let proxy = Proxy::new(
-            ProxyConfig {
-                id: proxy_id,
-                capacity_bytes: cfg.deployment.pool_capacity(),
-            },
-            pool.iter().copied(),
-        );
-        let warmup = cfg.warmup;
-        let shards = shards.clone();
-        let wire = wire.clone();
-        joins.push(
-            std::thread::Builder::new()
-                .name("ic-proxy-events".into())
-                .spawn(move || {
-                    ProxyLoop {
-                        proxy,
-                        client_ids,
-                        clients: HashMap::new(),
-                        nodes: HashMap::new(),
-                        pending_invokes: HashMap::new(),
-                        epoch: Instant::now(),
-                        events_seen: 0,
-                        shards,
-                        wire,
-                    }
-                    .run(events_rx, warmup)
-                })
-                .map_err(|e| Error::Transport(e.to_string()))?,
-        );
-    }
-
+    let event_loop = EventLoop::bind(&cfg)?;
+    let client_addr = event_loop.client_listener.local_addr().map_err(transport)?;
+    let node_addr = event_loop.node_listener.local_addr().map_err(transport)?;
+    let control = event_loop.control.clone();
+    let wire = event_loop.wire.clone();
+    let join = std::thread::Builder::new()
+        .name(format!("ic-proxy-io-{}", cfg.proxy.0))
+        .spawn(move || event_loop.run(cfg.warmup))
+        .map_err(transport)?;
     Ok(NetProxyHandle {
         client_addr,
         node_addr,
-        events: events_tx,
-        shards,
+        control,
         wire,
-        joins,
+        join: Some(join),
     })
 }
 
@@ -448,11 +248,6 @@ pub fn start(cfg: NetProxyConfig) -> Result<NetProxyHandle> {
 /// a newcomer and cross-wire their replies.
 #[derive(Default)]
 struct ClientIds {
-    inner: Mutex<ClientIdsInner>,
-}
-
-#[derive(Default)]
-struct ClientIdsInner {
     /// Ids returned by disconnected clients, reused first.
     free: Vec<u16>,
     /// Next never-used id; `u16::MAX + 1` means the space is exhausted.
@@ -460,209 +255,270 @@ struct ClientIdsInner {
 }
 
 impl ClientIds {
-    fn alloc(&self) -> Option<ClientId> {
-        let mut inner = self.inner.lock().expect("id allocator lock");
-        if let Some(id) = inner.free.pop() {
+    fn alloc(&mut self) -> Option<ClientId> {
+        if let Some(id) = self.free.pop() {
             return Some(ClientId(id));
         }
-        if inner.next > u16::MAX as u32 {
+        if self.next > u16::MAX as u32 {
             return None; // 65,536 concurrent clients: refuse, never reuse
         }
-        let id = inner.next as u16;
-        inner.next += 1;
+        let id = self.next as u16;
+        self.next += 1;
         Some(ClientId(id))
     }
 
-    fn release(&self, id: ClientId) {
-        self.inner
-            .lock()
-            .expect("id allocator lock")
-            .free
-            .push(id.0);
+    fn release(&mut self, id: ClientId) {
+        self.free.push(id.0);
     }
 }
 
-/// Reserved shard tokens: the waker and (on shard 0) the listeners.
+/// Reserved poller tokens; connections count up from
+/// [`TOKEN_FIRST_CONN`] and a token is never reused, so it doubles as the
+/// connection's *generation*.
 const TOKEN_WAKER: usize = 0;
 const TOKEN_CLIENT_LISTENER: usize = 1;
 const TOKEN_NODE_LISTENER: usize = 2;
 const TOKEN_FIRST_CONN: usize = 3;
 
-/// Frames decoded per connection per readable event before yielding to
+/// Frames dispatched per connection per readable event before yielding to
 /// the other connections; level-triggered readiness re-fires, so a
-/// firehose peer cannot monopolize its shard.
+/// firehose peer cannot monopolize the loop.
 const READ_FAIRNESS_FRAMES: usize = 1024;
 
 /// How long an orderly shutdown keeps retrying a not-yet-drained write
 /// queue before dropping the socket anyway.
 const DRAIN_GRACE: Duration = Duration::from_millis(100);
 
-/// One nonblocking connection owned by an I/O shard.
+/// Which listener a connection arrived on (fixes the expected hello).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Port {
+    Client,
+    Node,
+}
+
+/// Handshake / identity state of one connection.
+#[derive(Clone, Copy)]
+enum PeerState {
+    /// Waiting for the hello frame appropriate to the arrival port.
+    AwaitHello(Port),
+    Client(ClientId),
+    Node(LambdaId),
+}
+
+/// One nonblocking peer connection.
 struct PeerConn {
     stream: TcpStream,
     reader: NbFrameReader,
     queue: FrameWriteQueue,
-    outbox: Arc<Outbox>,
     state: PeerState,
     /// Whether the poller registration currently includes WRITABLE.
     want_write: bool,
+    /// A frame could not be queued (it exceeds the wire's frame bound):
+    /// the peer's stream would be missing a message, so the flush pass
+    /// closes the connection.
+    broken: bool,
 }
 
-/// One I/O shard: a readiness loop owning a share of the connections.
-struct Shard {
+/// The proxy's event loop: every socket and the state machine, on one
+/// thread.
+struct EventLoop {
+    proxy: Proxy,
+    pool: Vec<LambdaId>,
     poller: Poller,
-    shared: Arc<ShardShared>,
-    /// All shards (self included) for round-robin connection dealing;
-    /// only shard 0 (the listener owner) uses it.
-    siblings: Vec<Arc<ShardShared>>,
-    next_sibling: AtomicUsize,
-    /// Shard 0 keeps the listeners; other shards have `None`.
-    listeners: Option<(TcpListener, TcpListener)>,
+    control: Arc<Control>,
+    client_listener: TcpListener,
+    node_listener: TcpListener,
+    /// Every open connection, by poller token.
     conns: HashMap<usize, PeerConn>,
     next_token: usize,
-    events: Sender<Ev>,
-    proxy_id: ProxyId,
-    pool: Arc<Vec<LambdaId>>,
-    client_ids: Arc<ClientIds>,
-    next_generation: Arc<AtomicU64>,
+    /// Connections awaiting the flush pass: their queue went from empty
+    /// to nonempty, broke or outgrew the backlog bound, or their socket
+    /// reported writable. Duplicates are harmless.
+    dirty: Vec<usize>,
+    client_ids: ClientIds,
+    /// Handshaken clients' connections.
+    clients: HashMap<ClientId, usize>,
+    /// Each node's *current* connection. A daemon that reconnects
+    /// replaces the entry, so the old connection's eventual death — its
+    /// token no longer matches — cannot clobber the fresh one.
+    nodes: HashMap<LambdaId, usize>,
+    /// Invocations requested while a node's daemon was unreachable,
+    /// delivered the moment it (re)connects — the socket equivalent of
+    /// the provider queueing an invoke.
+    pending_invokes: HashMap<LambdaId, InvokePayload>,
+    epoch: Instant,
+    /// Action batches dispatched so far; drives the periodic debug-build
+    /// audit.
+    events_seen: u64,
     wire: Arc<WireStats>,
     max_backlog: usize,
 }
 
-impl Shard {
-    fn run(&mut self) {
-        let mut events = Events::with_capacity(256);
-        loop {
-            let _ = self.poller.poll(&mut events, None);
-            // Drain cross-thread controls first: adoption registers new
-            // sockets, Stop must win over pending I/O. Ack strictly
-            // before taking the inbox: a post() landing between the two
-            // then leaves the waker readable and the next poll returns
-            // immediately, whereas the reverse order would drain the
-            // wake signal of a control we haven't taken — a lost wakeup
-            // stalling that peer until unrelated traffic arrives.
-            self.shared.waker.ack();
-            let ctls: Vec<ShardCtl> =
-                std::mem::take(&mut *self.shared.inbox.lock().expect("shard inbox"));
-            for ctl in ctls {
-                match ctl {
-                    ShardCtl::Adopt(stream, port) => self.adopt(stream, port),
-                    ShardCtl::Flush(token) => {
-                        self.transfer_outbox(token);
-                        self.flush_conn(token);
-                    }
-                    ShardCtl::Stop { drain } => {
-                        self.stop(drain);
-                        return;
-                    }
-                }
-            }
-            let mut accepted = false;
-            let mut ready: Vec<(usize, bool, bool)> = Vec::new();
-            for ev in &events {
-                match ev.token().0 {
-                    TOKEN_WAKER => {} // acked above
-                    TOKEN_CLIENT_LISTENER | TOKEN_NODE_LISTENER => accepted = true,
-                    token => ready.push((token, ev.is_readable(), ev.is_writable())),
-                }
-            }
-            if accepted {
-                self.accept_ready();
-            }
-            for (token, readable, writable) in ready {
-                if readable {
-                    self.read_conn(token);
-                }
-                if writable {
-                    self.flush_conn(token);
-                }
-            }
+impl EventLoop {
+    /// Binds both listeners and registers them, and the stop waker, with
+    /// a fresh poller; the loop is ready to [`EventLoop::run`].
+    fn bind(cfg: &NetProxyConfig) -> Result<EventLoop> {
+        cfg.deployment.validate()?;
+        if cfg.proxy.0 >= cfg.deployment.proxies {
+            return Err(Error::Config(format!(
+                "proxy id {} outside the deployment's {} proxies",
+                cfg.proxy.0, cfg.deployment.proxies
+            )));
         }
-    }
-
-    /// Accepts every pending connection on both listeners and deals each
-    /// to a shard round-robin.
-    fn accept_ready(&mut self) {
-        let Some((client_listener, node_listener)) = self.listeners.take() else {
-            return;
-        };
-        for (listener, port) in [
-            (&client_listener, Port::Client),
-            (&node_listener, Port::Node),
+        let transport = |e: std::io::Error| Error::Transport(e.to_string());
+        let client_listener = TcpListener::bind(cfg.client_addr).map_err(transport)?;
+        let node_listener = TcpListener::bind(cfg.node_addr).map_err(transport)?;
+        client_listener.set_nonblocking(true).map_err(transport)?;
+        node_listener.set_nonblocking(true).map_err(transport)?;
+        let control = Arc::new(Control {
+            stop: AtomicU8::new(RUN),
+            waker: Waker::new().map_err(transport)?,
+        });
+        let poller = Poller::new().map_err(transport)?;
+        for (fd, token) in [
+            (control.waker.as_raw_fd(), TOKEN_WAKER),
+            (client_listener.as_raw_fd(), TOKEN_CLIENT_LISTENER),
+            (node_listener.as_raw_fd(), TOKEN_NODE_LISTENER),
         ] {
-            // On error (WouldBlock or transient) stop and retry next poll.
-            while let Ok((stream, _)) = listener.accept() {
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let target =
-                    self.next_sibling.fetch_add(1, Ordering::Relaxed) % self.siblings.len();
-                if target == 0 {
-                    self.adopt(stream, port);
-                } else {
-                    self.siblings[target].post(ShardCtl::Adopt(stream, port));
-                }
+            poller
+                .register(&fd, Token(token), Interest::READABLE, Mode::Level)
+                .map_err(transport)?;
+        }
+        let pool: Vec<LambdaId> = cfg.deployment.proxy_pool(cfg.proxy).collect();
+        Ok(EventLoop {
+            proxy: Proxy::new(
+                ProxyConfig {
+                    id: cfg.proxy,
+                    capacity_bytes: cfg.deployment.pool_capacity(),
+                },
+                pool.iter().copied(),
+            ),
+            pool,
+            poller,
+            control,
+            client_listener,
+            node_listener,
+            conns: HashMap::new(),
+            next_token: TOKEN_FIRST_CONN,
+            dirty: Vec::new(),
+            client_ids: ClientIds::default(),
+            clients: HashMap::new(),
+            nodes: HashMap::new(),
+            pending_invokes: HashMap::new(),
+            epoch: Instant::now(),
+            events_seen: 0,
+            wire: Arc::new(WireStats::default()),
+            max_backlog: cfg.max_peer_backlog,
+        })
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    fn run(mut self, warmup: Option<Duration>) {
+        let mut events = Events::with_capacity(256);
+        let mut next_tick = warmup.map(|w| Instant::now() + w);
+        loop {
+            let timeout = next_tick.map(|at| at.saturating_duration_since(Instant::now()));
+            let _ = self.poller.poll(&mut events, timeout);
+            // A stop request wins over pending I/O.
+            match self.control.stop.load(Ordering::SeqCst) {
+                RUN => {}
+                how => return self.stop(how == QUIT),
             }
+            self.read_ready(&events);
+            if next_tick.is_some_and(|at| Instant::now() >= at) {
+                next_tick = warmup.map(|w| Instant::now() + w);
+                let actions = self.proxy.on_warmup_tick();
+                self.dispatch(actions);
+            }
+            self.flush_dirty();
         }
-        self.listeners = Some((client_listener, node_listener));
     }
 
-    /// Registers a fresh connection and starts its handshake state.
-    fn adopt(&mut self, stream: TcpStream, port: Port) {
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .poller
-            .register(&stream, Token(token), Interest::READABLE, Mode::Level)
-            .is_err()
-        {
-            return; // dead socket: drop it
-        }
-        self.conns.insert(
-            token,
-            PeerConn {
-                stream,
-                reader: NbFrameReader::new(),
-                queue: FrameWriteQueue::new(),
-                outbox: Arc::new(Outbox {
-                    frames: Mutex::new(Vec::new()),
-                    closed: AtomicBool::new(false),
-                }),
-                state: PeerState::AwaitHello(port),
-                want_write: false,
-            },
-        );
-    }
-
-    /// Drains readable frames from one connection (bounded per event for
-    /// fairness; level-triggered readiness re-fires for the rest).
-    fn read_conn(&mut self, token: usize) {
-        for _ in 0..READ_FAIRNESS_FRAMES {
-            let step = match self.conns.get_mut(&token) {
-                Some(conn) => conn.reader.read(&mut conn.stream),
-                None => return,
-            };
-            match step {
-                Ok(NbRead::Frame(body)) => {
-                    let Ok(frame) = Frame::decode_shared(&body) else {
-                        self.close_conn(token);
-                        return;
-                    };
-                    if !self.on_frame(token, frame) {
-                        self.close_conn(token);
-                        return;
+    /// The read pass: accepts, reads and dispatches whatever the poll
+    /// reported; sockets reported writable join the flush pass.
+    fn read_ready(&mut self, events: &Events) {
+        for ev in events {
+            match ev.token().0 {
+                TOKEN_WAKER => {} // only ever a stop request, taken by `run`
+                TOKEN_CLIENT_LISTENER => self.accept_ready(Port::Client),
+                TOKEN_NODE_LISTENER => self.accept_ready(Port::Node),
+                token => {
+                    if ev.is_readable() {
+                        self.read_conn(token);
+                    }
+                    if ev.is_writable() {
+                        self.dirty.push(token);
                     }
                 }
-                Ok(NbRead::WouldBlock) => break,
-                Ok(NbRead::Closed) | Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
             }
         }
-        // A handshake reply (Welcome) may have been queued: push it out.
-        self.flush_conn(token);
+    }
+
+    /// Accepts every pending connection on one listener and starts its
+    /// handshake state.
+    fn accept_ready(&mut self, port: Port) {
+        loop {
+            let listener = match port {
+                Port::Client => &self.client_listener,
+                Port::Node => &self.node_listener,
+            };
+            // On error (WouldBlock or transient) stop and retry next poll.
+            let Ok((stream, _)) = listener.accept() else {
+                return;
+            };
+            let _ = stream.set_nodelay(true);
+            let token = self.next_token;
+            if stream.set_nonblocking(true).is_err()
+                || self
+                    .poller
+                    .register(&stream, Token(token), Interest::READABLE, Mode::Level)
+                    .is_err()
+            {
+                continue; // dead socket: drop it
+            }
+            self.next_token += 1;
+            self.conns.insert(
+                token,
+                PeerConn {
+                    stream,
+                    reader: NbFrameReader::new(),
+                    queue: FrameWriteQueue::new(),
+                    state: PeerState::AwaitHello(port),
+                    want_write: false,
+                    broken: false,
+                },
+            );
+        }
+    }
+
+    /// Decodes and dispatches the frames a readable connection holds —
+    /// bounded per event for fairness: level-triggered readiness re-fires
+    /// for bytes still in the socket. Frames the reader has already
+    /// staged raise no event, so those are finished past the bound.
+    fn read_conn(&mut self, token: usize) {
+        let mut frames = 0;
+        loop {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            if frames >= READ_FAIRNESS_FRAMES && !conn.reader.has_staged() {
+                return;
+            }
+            frames += 1;
+            let keep = match conn.reader.read(&mut conn.stream) {
+                Ok(NbRead::Frame(body)) => {
+                    Frame::decode_shared(&body).is_ok_and(|frame| self.on_frame(token, frame))
+                }
+                Ok(NbRead::WouldBlock) => return,
+                Ok(NbRead::Closed) | Err(_) => false,
+            };
+            if !keep {
+                return self.close_conn(token);
+            }
+        }
     }
 
     /// Reacts to one inbound frame; `false` means drop the connection.
@@ -670,167 +526,184 @@ impl Shard {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        match (conn.state, frame) {
+        let actions = match (conn.state, frame) {
             (PeerState::AwaitHello(Port::Client), Frame::HelloClient) => {
                 let Some(client) = self.client_ids.alloc() else {
                     return false; // id space exhausted: refuse
                 };
+                conn.state = PeerState::Client(client);
+                self.clients.insert(client, token);
                 let welcome = Frame::Welcome {
                     client,
-                    proxy: self.proxy_id,
-                    pool: self.pool.to_vec(),
+                    proxy: self.proxy.id(),
+                    pool: self.pool.clone(),
                 };
-                if conn.queue.push(welcome.encode_parts()).is_err() {
-                    self.client_ids.release(client);
-                    return false;
-                }
-                conn.state = PeerState::Client(client);
-                let handle = PeerHandle {
-                    shard: self.shared.clone(),
-                    token,
-                    outbox: conn.outbox.clone(),
-                };
-                // After ClientJoin the protocol thread owns the id: it
-                // releases it on ClientGone, so a recycled id can never
-                // race its predecessor's teardown.
-                self.events.send(Ev::ClientJoin(client, handle)).is_ok()
+                self.send(token, welcome);
+                return true;
             }
             (PeerState::AwaitHello(Port::Node), Frame::HelloNode { lambda })
                 if self.pool.contains(&lambda) =>
             {
-                let generation = self.next_generation.fetch_add(1, Ordering::SeqCst);
-                conn.state = PeerState::Node(lambda, generation);
-                let handle = PeerHandle {
-                    shard: self.shared.clone(),
-                    token,
-                    outbox: conn.outbox.clone(),
-                };
-                self.events
-                    .send(Ev::NodeJoin(lambda, generation, handle))
-                    .is_ok()
+                conn.state = PeerState::Node(lambda);
+                self.nodes.insert(lambda, token);
+                if let Some(payload) = self.pending_invokes.remove(&lambda) {
+                    // The queued invoke fires now that the daemon is
+                    // reachable.
+                    self.send(token, Frame::Invoke { payload });
+                }
+                return true;
             }
-            (PeerState::AwaitHello(_), _) => false, // wrong hello: drop
-            (PeerState::Client(client), Frame::App { msg }) => {
-                self.events.send(Ev::ClientMsg(client, msg)).is_ok()
+            (PeerState::AwaitHello(_), _) => return false, // wrong hello: drop
+            (PeerState::Client(client), Frame::App { msg }) => self.proxy.on_client(client, msg),
+            (PeerState::Node(lambda), Frame::FromInstance { msg, .. }) => {
+                self.proxy.on_lambda(lambda, msg)
             }
-            (PeerState::Node(lambda, _), Frame::FromInstance { instance, msg }) => {
-                self.events.send(Ev::NodeMsg(lambda, instance, msg)).is_ok()
-            }
-            (PeerState::Node(lambda, _), Frame::Unreachable { msg }) => {
-                self.events.send(Ev::NodeUnreachable(lambda, msg)).is_ok()
+            (PeerState::Node(lambda), Frame::Unreachable { msg }) => {
+                self.proxy.on_delivery_failed(lambda, msg)
             }
             // Peers send nothing else; ignore strays (forward compat).
-            _ => true,
+            _ => return true,
+        };
+        self.dispatch(actions);
+        true
+    }
+
+    /// Runs one batch of state-machine actions; every send it makes is a
+    /// queue push (see [`EventLoop::send`]).
+    fn dispatch(&mut self, actions: Vec<ProxyAction>) {
+        let now = self.now();
+        let proxy = self.proxy.id();
+        dispatch::run_proxy_actions(self, now, proxy, actions, None);
+        self.events_seen += 1;
+        if self.events_seen.is_multiple_of(64) {
+            self.audit();
         }
     }
 
-    /// Moves protocol-thread frames from a connection's outbox into its
-    /// write queue, enforcing the slow-consumer bound.
-    fn transfer_outbox(&mut self, token: usize) {
-        let mut kill = false;
+    /// Queues a frame on a live connection for the flush pass. Never
+    /// writes and never tears down: dispatch may be running on behalf of
+    /// any connection, including this one.
+    fn send(&mut self, token: usize, frame: Frame) {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return; // `clients`/`nodes` only name open connections
         };
-        let frames = std::mem::take(&mut *conn.outbox.frames.lock().expect("peer outbox"));
-        for parts in frames {
-            if conn.queue.push(parts).is_err() {
-                kill = true;
-                break;
+        let was_empty = conn.queue.is_empty();
+        conn.broken |= conn.queue.push(frame.encode_parts()).is_err();
+        // A nonempty queue is already in `dirty` or waiting on WRITABLE —
+        // unless it has outgrown the backlog bound, which only the flush
+        // pass (one more write attempt, then the cut) may act on.
+        if was_empty || conn.broken || conn.queue.queued_bytes() > self.max_backlog {
+            self.dirty.push(token);
+        }
+    }
+
+    /// The flush pass: one vectored write per dirty connection. Closing a
+    /// dead one dispatches its disconnect actions, which may dirty
+    /// others; the pass ends when none is left.
+    fn flush_dirty(&mut self) {
+        while let Some(token) = self.dirty.pop() {
+            if !self.flush_conn(token) {
+                self.close_conn(token);
             }
-        }
-        if conn.queue.queued_bytes() > self.max_backlog {
-            // The peer stopped reading: cut it loose rather than buffer
-            // without bound. Only this connection pays.
-            kill = true;
-        }
-        if kill {
-            self.close_conn(token);
         }
     }
 
     /// Writes as much of a connection's queue as the socket accepts and
     /// keeps WRITABLE interest armed exactly while a backlog remains.
-    fn flush_conn(&mut self, token: usize) {
-        let mut kill = false;
+    /// `false` means the connection must go: the write failed, a frame
+    /// was unqueueable, or the peer is a slow consumer.
+    fn flush_conn(&mut self, token: usize) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return true; // closed earlier in this iteration
         };
-        match conn.queue.write_to(&mut conn.stream) {
-            Ok(flush) => {
-                if flush.vectored_writes > 0 {
-                    self.wire
-                        .vectored_writes
-                        .fetch_add(flush.vectored_writes, Ordering::Relaxed);
-                    self.wire
-                        .frames_written
-                        .fetch_add(flush.frames, Ordering::Relaxed);
-                }
-                let want_write = !flush.drained;
-                if want_write != conn.want_write {
-                    let interest = if want_write {
-                        Interest::READABLE | Interest::WRITABLE
-                    } else {
-                        Interest::READABLE
-                    };
-                    if self
-                        .poller
-                        .reregister(&conn.stream, Token(token), interest, Mode::Level)
-                        .is_ok()
-                    {
-                        conn.want_write = want_write;
-                    } else {
-                        kill = true;
-                    }
-                }
-            }
-            Err(_) => {
-                kill = true;
-            }
+        if conn.broken {
+            return false;
         }
-        if kill {
-            self.close_conn(token);
+        let Ok(flush) = conn.queue.write_to(&mut conn.stream) else {
+            return false;
+        };
+        if flush.vectored_writes > 0 {
+            self.proxy.stats.vectored_writes += flush.vectored_writes;
+            self.proxy.stats.frames_written += flush.frames;
+            self.wire
+                .vectored_writes
+                .fetch_add(flush.vectored_writes, Ordering::Relaxed);
+            self.wire
+                .frames_written
+                .fetch_add(flush.frames, Ordering::Relaxed);
         }
+        if conn.queue.queued_bytes() > self.max_backlog {
+            // The peer stopped reading: cut it loose rather than buffer
+            // without bound. Only this connection pays.
+            return false;
+        }
+        let want_write = !flush.drained;
+        if want_write != conn.want_write {
+            let interest = if want_write {
+                Interest::READABLE | Interest::WRITABLE
+            } else {
+                Interest::READABLE
+            };
+            if self
+                .poller
+                .reregister(&conn.stream, Token(token), interest, Mode::Level)
+                .is_err()
+            {
+                return false;
+            }
+            conn.want_write = want_write;
+        }
+        true
     }
 
-    /// Tears one connection down and tells the protocol thread (join
-    /// events for a connection always precede its gone event, since the
-    /// same shard thread emits both in order).
+    /// Removes one connection and runs what its death means to the state
+    /// machine. Called from the read and flush passes only, never from
+    /// inside dispatch.
     fn close_conn(&mut self, token: usize) {
         let Some(conn) = self.conns.remove(&token) else {
             return;
         };
-        conn.outbox.closed.store(true, Ordering::Release);
-        conn.outbox.frames.lock().expect("peer outbox").clear();
         let _ = self.poller.deregister(&conn.stream);
         match conn.state {
             PeerState::AwaitHello(_) => {}
             PeerState::Client(client) => {
-                let _ = self.events.send(Ev::ClientGone(client));
+                self.clients.remove(&client);
+                // The id goes back only after the session's writer
+                // affinity is forgotten and its aborts are on their way:
+                // a recycled id restarts its PUT epochs and must not
+                // look like a reordered older writer.
+                let actions = self.proxy.on_client_disconnected(client);
+                self.dispatch(actions);
+                self.client_ids.release(client);
             }
-            PeerState::Node(lambda, generation) => {
-                let _ = self.events.send(Ev::NodeGone(lambda, generation));
+            PeerState::Node(lambda) => {
+                // Only the node's current connection counts; a replaced
+                // one dying must not reset the fresh daemon's member.
+                if self.nodes.get(&lambda) == Some(&token) {
+                    self.nodes.remove(&lambda);
+                    let actions = self.proxy.on_connection_lost(lambda);
+                    self.dispatch(actions);
+                }
             }
         }
     }
 
-    /// Final teardown; with `drain`, queued frames (Shutdown notices)
-    /// get a brief best-effort flush before the sockets drop.
-    fn stop(&mut self, drain: bool) {
-        if drain {
-            let tokens: Vec<usize> = self.conns.keys().copied().collect();
-            for token in &tokens {
-                self.transfer_outbox(*token);
+    /// Final teardown. With `notify`, every handshaken peer is sent
+    /// [`Frame::Shutdown`] and the queues get a brief best-effort flush;
+    /// then (either way) the sockets drop with the loop.
+    fn stop(mut self, notify: bool) {
+        if notify {
+            for conn in self.conns.values_mut() {
+                if !matches!(conn.state, PeerState::AwaitHello(_)) {
+                    let _ = conn.queue.push(Frame::Shutdown.encode_parts());
+                }
             }
             let deadline = Instant::now() + DRAIN_GRACE;
             loop {
                 let mut pending = false;
-                for (_, conn) in self.conns.iter_mut() {
-                    if conn.queue.is_empty() {
-                        continue;
-                    }
-                    match conn.queue.write_to(&mut conn.stream) {
-                        Ok(flush) if !flush.drained => pending = true,
-                        _ => {}
+                for conn in self.conns.values_mut() {
+                    if let Ok(flush) = conn.queue.write_to(&mut conn.stream) {
+                        pending |= !flush.drained;
                     }
                 }
                 if !pending || Instant::now() >= deadline {
@@ -839,155 +712,30 @@ impl Shard {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        for (_, conn) in self.conns.drain() {
-            conn.outbox.closed.store(true, Ordering::Release);
+        self.audit();
+    }
+
+    /// Debug-build invariant audit — every 64 dispatches and once at
+    /// exit, the same structural checks the chaos harness runs against
+    /// the simulator are asserted against this live state machine (byte
+    /// accounting, mapping consistency, PUT progress bounds). A failure
+    /// panics the loop thread; the handle re-raises it when it joins.
+    /// Release builds skip it.
+    fn audit(&self) {
+        if cfg!(debug_assertions) {
+            let violations = self.proxy.check_invariants();
+            assert!(
+                violations.is_empty(),
+                "proxy invariant violation on the socket substrate: {violations:?}"
+            );
         }
     }
 }
 
-/// The protocol loop: owns the state machine and all peer handles.
-struct ProxyLoop {
-    proxy: Proxy,
-    /// Returns disconnected clients' ids to the allocator (in event
-    /// order, so a recycled id cannot overtake its predecessor's
-    /// teardown).
-    client_ids: Arc<ClientIds>,
-    clients: HashMap<ClientId, PeerHandle>,
-    /// Live node connections: `(connection generation, peer handle)`.
-    nodes: HashMap<LambdaId, (u64, PeerHandle)>,
-    /// Invocations requested while a node's daemon was unreachable,
-    /// delivered the moment it (re)connects — the socket equivalent of
-    /// the provider queueing an invoke.
-    pending_invokes: HashMap<LambdaId, InvokePayload>,
-    epoch: Instant,
-    /// Events processed so far; drives the periodic debug-build audit.
-    events_seen: u64,
-    shards: Vec<Arc<ShardShared>>,
-    wire: Arc<WireStats>,
-}
-
-impl ProxyLoop {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn run(mut self, events: Receiver<Ev>, warmup: Option<Duration>) {
-        let mut next_tick = warmup.map(|w| Instant::now() + w);
-        loop {
-            let ev = match next_tick {
-                Some(at) => {
-                    let timeout = at.saturating_duration_since(Instant::now());
-                    match events.recv_timeout(timeout) {
-                        Ok(e) => Some(e),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => return self.stop_shards(false),
-                    }
-                }
-                None => match events.recv() {
-                    Ok(e) => Some(e),
-                    Err(_) => return self.stop_shards(false),
-                },
-            };
-            let actions: Vec<ProxyAction> = match ev {
-                None => {
-                    next_tick = warmup.map(|w| Instant::now() + w);
-                    self.proxy.on_warmup_tick()
-                }
-                Some(Ev::ClientJoin(c, handle)) => {
-                    self.clients.insert(c, handle);
-                    Vec::new()
-                }
-                Some(Ev::ClientMsg(c, msg)) => self.proxy.on_client(c, msg),
-                Some(Ev::ClientGone(c)) => {
-                    self.clients.remove(&c);
-                    // Forget the session's writer affinity *before*
-                    // releasing the id: a recycled id restarts its PUT
-                    // epochs and must not look like a reordered older
-                    // writer.
-                    let actions = self.proxy.on_client_disconnected(c);
-                    self.client_ids.release(c);
-                    actions
-                }
-                Some(Ev::NodeJoin(l, generation, handle)) => {
-                    // A newer connection replaces any older one; the old
-                    // connection's eventual NodeGone is ignored below.
-                    self.nodes.insert(l, (generation, handle));
-                    if let Some(payload) = self.pending_invokes.remove(&l) {
-                        // The queued invoke fires now that the daemon is
-                        // reachable.
-                        let _ = self.nodes[&l].1.send(Frame::Invoke { payload });
-                    }
-                    Vec::new()
-                }
-                Some(Ev::NodeMsg(l, _instance, msg)) => self.proxy.on_lambda(l, msg),
-                Some(Ev::NodeUnreachable(l, msg)) => self.proxy.on_delivery_failed(l, msg),
-                Some(Ev::NodeGone(l, generation)) => {
-                    // Only the currently registered connection's death
-                    // counts; a stale disconnect from a replaced
-                    // connection must not clobber a fresh daemon.
-                    if self.nodes.get(&l).is_some_and(|(g, _)| *g == generation) {
-                        self.nodes.remove(&l);
-                        self.proxy.on_connection_lost(l)
-                    } else {
-                        Vec::new()
-                    }
-                }
-                Some(Ev::Quit) => {
-                    for handle in self
-                        .nodes
-                        .values()
-                        .map(|(_, h)| h)
-                        .chain(self.clients.values())
-                    {
-                        let _ = handle.send(Frame::Shutdown);
-                    }
-                    return self.stop_shards(true);
-                }
-                Some(Ev::Die) => return self.stop_shards(false),
-            };
-            let now = self.now();
-            let proxy = self.proxy.id();
-            dispatch::run_proxy_actions(&mut self, now, proxy, actions, None);
-            self.proxy.stats.vectored_writes = self.wire.vectored_writes.load(Ordering::Relaxed);
-            self.proxy.stats.frames_written = self.wire.frames_written.load(Ordering::Relaxed);
-            self.audit();
-        }
-    }
-
-    fn stop_shards(&self, drain: bool) {
-        for shard in &self.shards {
-            shard.post(ShardCtl::Stop { drain });
-        }
-    }
-
-    /// Debug-build invariant audit: every few events, the same structural
-    /// checks the chaos harness runs against the simulator are asserted
-    /// against this live state machine (byte accounting, mapping
-    /// consistency, PUT progress bounds). Release builds skip it.
-    fn audit(&mut self) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        self.events_seen += 1;
-        if !self.events_seen.is_multiple_of(64) {
-            return;
-        }
-        let violations = self.proxy.check_invariants();
-        assert!(
-            violations.is_empty(),
-            "proxy invariant violation on the socket substrate: {violations:?}"
-        );
-    }
-}
-
-impl ProxyTransport for ProxyLoop {
+impl ProxyTransport for EventLoop {
     fn invoke(&mut self, _now: SimTime, _proxy: ProxyId, lambda: LambdaId, payload: InvokePayload) {
         match self.nodes.get(&lambda) {
-            Some((_, handle)) => {
-                if let Err(Frame::Invoke { payload }) = handle.send(Frame::Invoke { payload }) {
-                    self.pending_invokes.insert(lambda, payload);
-                }
-            }
+            Some(&token) => self.send(token, Frame::Invoke { payload }),
             None => {
                 self.pending_invokes.insert(lambda, payload);
             }
@@ -1003,14 +751,11 @@ impl ProxyTransport for ProxyLoop {
     ) -> std::result::Result<(), Msg> {
         let instance = self.proxy.member(lambda).and_then(|m| m.instance());
         match (instance, self.nodes.get(&lambda)) {
-            (Some(instance), Some((_, handle))) => {
-                match handle.send(Frame::ToInstance { instance, msg }) {
-                    Ok(()) => Ok(()),
-                    Err(Frame::ToInstance { msg, .. }) => Err(msg),
-                    Err(_) => unreachable!("send returns the frame it was given"),
-                }
+            (Some(instance), Some(&token)) => {
+                self.send(token, Frame::ToInstance { instance, msg });
+                Ok(())
             }
-            (_, _) => Err(msg),
+            _ => Err(msg),
         }
     }
 
@@ -1025,23 +770,21 @@ impl ProxyTransport for ProxyLoop {
     }
 
     fn proxy_reply(&mut self, _now: SimTime, _proxy: ProxyId, client: ClientId, msg: Msg) {
-        if let Some(handle) = self.clients.get(&client) {
-            let _ = handle.send(Frame::App { msg });
+        if let Some(&token) = self.clients.get(&client) {
+            self.send(token, Frame::App { msg });
         }
     }
 
     fn proxy_stream(
         &mut self,
-        _now: SimTime,
-        _proxy: ProxyId,
+        now: SimTime,
+        proxy: ProxyId,
         client: ClientId,
         msg: Msg,
         _ctx: LambdaCtx,
     ) {
         // TCP is the bandwidth model: streamed chunks are plain frames.
-        if let Some(handle) = self.clients.get(&client) {
-            let _ = handle.send(Frame::App { msg });
-        }
+        self.proxy_reply(now, proxy, client, msg);
     }
 
     fn spawn_relay(
@@ -1055,5 +798,194 @@ impl ProxyTransport for ProxyLoop {
         // Relay traffic short-circuits inside the node daemon (the
         // NodeHost tracks each round's endpoint pair); the proxy-side
         // protocol state machine already records what it needs.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicBool;
+
+    use bytes::Bytes;
+    use ic_common::{ChunkId, EcConfig, InstanceId, ObjectKey, Payload};
+    use ic_lambda::runtime::RuntimeConfig;
+
+    use super::*;
+    use crate::client::NetClient;
+    use crate::node::NetNode;
+
+    /// Cranks the loop by hand — poll, read pass, flush pass — until a
+    /// read pass leaves `cond` true, and returns *before* that
+    /// iteration's flush pass: the window in which the tests below make
+    /// a peer die.
+    fn read_until(
+        lp: &mut EventLoop,
+        events: &mut Events,
+        what: &str,
+        cond: impl Fn(&EventLoop) -> bool,
+    ) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let _ = lp.poller.poll(events, Some(Duration::from_millis(5)));
+            lp.read_ready(events);
+            if cond(lp) {
+                return;
+            }
+            lp.flush_dirty();
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        }
+    }
+
+    /// Closing a socket that holds unread bytes sends a RST, so the
+    /// proxy's *next write* to it fails — the one teardown no read pass
+    /// announces first.
+    fn die_with_unread_bytes(peer: TcpStream) {
+        drop(peer);
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    /// A client that dies mid-PUT and a node connection that dies mid-GET,
+    /// both between a read pass and its flush pass, are torn down *by the
+    /// flush pass*: their disconnect actions run, a bystander's reads stay
+    /// byte-identical throughout, and the state machine's invariants hold.
+    #[test]
+    fn peers_dying_before_the_flush_pass_are_torn_down_by_it() {
+        let dep = DeploymentConfig {
+            backup_enabled: false,
+            ..DeploymentConfig::small(6, EcConfig::new(4, 2).unwrap())
+        };
+        let mut lp = EventLoop::bind(&NetProxyConfig::loopback(dep.clone())).unwrap();
+        let client_addr = lp.client_listener.local_addr().unwrap();
+        let node_addr = lp.node_listener.local_addr().unwrap();
+        let mut events = Events::with_capacity(64);
+        let _daemons: Vec<_> = dep
+            .proxy_pool(ProxyId(0))
+            .map(|l| {
+                let rt = RuntimeConfig::for_deployment(&dep);
+                NetNode::spawn(l, node_addr, rt, Duration::from_secs(5)).unwrap()
+            })
+            .collect();
+
+        // The bystander: one PUT, then verified GETs until told to stop.
+        let stored = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        let verified = Arc::new(AtomicU64::new(0));
+        let bystander = {
+            let (stored, done, verified) = (stored.clone(), done.clone(), verified.clone());
+            std::thread::spawn(move || {
+                let object =
+                    Bytes::from((0..256 * 1024).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+                let mut client = NetClient::connect(client_addr, dep.ec, 7).unwrap();
+                client.put("kept", object.clone()).unwrap();
+                client.put("for-x", object.clone()).unwrap();
+                stored.store(true, Ordering::SeqCst);
+                while !done.load(Ordering::SeqCst) {
+                    assert_eq!(client.get("kept").unwrap().expect("cached"), object);
+                    verified.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+        read_until(&mut lp, &mut events, "the bystander's PUTs", |_| {
+            stored.load(Ordering::SeqCst)
+        });
+
+        // --- A client dies mid-PUT -----------------------------------
+        let mut x = TcpStream::connect(client_addr).unwrap();
+        Frame::HelloClient.write_to(&mut x).unwrap();
+        read_until(&mut lp, &mut events, "X's Welcome", |lp| {
+            lp.clients.len() == 2
+        });
+        lp.flush_dirty();
+        let Frame::Welcome { client: x_id, .. } = Frame::read_from(&mut x).unwrap() else {
+            panic!("expected Welcome");
+        };
+        let x_token = lp.clients[&x_id];
+        // A GET whose answer X never reads (of an object nobody else is
+        // fetching: X must not ride another GET's in-flight chunks), and
+        // a third of a PUT stripe.
+        let get = Msg::GetObject {
+            key: ObjectKey::new("for-x"),
+        };
+        Frame::App { msg: get }.write_to(&mut x).unwrap();
+        for seq in 0..2 {
+            let msg = Msg::PutChunk {
+                id: ChunkId::new(ObjectKey::new("doomed"), seq),
+                lambda: LambdaId(seq),
+                payload: Payload::bytes(vec![seq as u8; 4096]),
+                object_size: 4 * 4096,
+                total_chunks: 6,
+                repair: false,
+                put_epoch: 1,
+            };
+            Frame::App { msg }.write_to(&mut x).unwrap();
+        }
+        let x_has_frames = |lp: &EventLoop| !lp.conns[&x_token].queue.is_empty();
+        read_until(&mut lp, &mut events, "X's GetAccepted", x_has_frames);
+        lp.flush_dirty(); // GetAccepted now sits unread in X's socket
+        read_until(&mut lp, &mut events, "X's chunks", x_has_frames);
+        die_with_unread_bytes(x);
+        lp.flush_dirty();
+        assert!(!lp.conns.contains_key(&x_token), "the flush pass closes X");
+        assert!(!lp.clients.contains_key(&x_id));
+        assert!(lp.client_ids.free.contains(&x_id.0), "X's id is recycled");
+        assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
+
+        // --- A node connection dies mid-GET --------------------------
+        // A second connection claiming λ2 replaces the daemon's (newest
+        // wins). It never reads; it answers the first preflight with a
+        // hand-written PONG so the bystander's GETs keep reaching it.
+        let victim = LambdaId(2);
+        let daemon_token = lp.nodes[&victim];
+        let mut fake = TcpStream::connect(node_addr).unwrap();
+        Frame::HelloNode { lambda: victim }
+            .write_to(&mut fake)
+            .unwrap();
+        read_until(&mut lp, &mut events, "the replacement's hello", |lp| {
+            lp.nodes[&victim] != daemon_token
+        });
+        lp.flush_dirty();
+        let fake_token = lp.nodes[&victim];
+        let fake_has_frames = |lp: &EventLoop| !lp.conns[&fake_token].queue.is_empty();
+        read_until(&mut lp, &mut events, "a frame for λ2", fake_has_frames);
+        lp.flush_dirty(); // it now sits unread in the fake's socket
+        let instance = lp
+            .proxy
+            .member(victim)
+            .and_then(|m| m.instance())
+            .unwrap_or(InstanceId(77));
+        let pong = Msg::Pong {
+            instance,
+            stored_bytes: 0,
+        };
+        Frame::FromInstance {
+            instance,
+            msg: pong,
+        }
+        .write_to(&mut fake)
+        .unwrap();
+        read_until(&mut lp, &mut events, "more frames for λ2", fake_has_frames);
+        die_with_unread_bytes(fake);
+        lp.flush_dirty();
+        assert!(
+            !lp.conns.contains_key(&fake_token),
+            "the flush pass closes λ2"
+        );
+        assert!(!lp.nodes.contains_key(&victim), "λ2's connection is reset");
+        // The replaced daemon connection is still open, and its death
+        // later must not count: λ2 has no current connection to lose.
+        assert!(lp.conns.contains_key(&daemon_token));
+        assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
+
+        // The bystander never noticed: first-d masks the silent λ2.
+        let so_far = verified.load(Ordering::SeqCst);
+        read_until(&mut lp, &mut events, "20 more verified GETs", |_| {
+            verified.load(Ordering::SeqCst) >= so_far + 20
+        });
+        done.store(true, Ordering::SeqCst);
+        while !bystander.is_finished() {
+            read_until(&mut lp, &mut events, "one more turn", |_| true);
+            lp.flush_dirty();
+        }
+        bystander.join().expect("every bystander GET verified");
+        assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
     }
 }

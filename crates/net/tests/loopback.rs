@@ -2,12 +2,15 @@
 //! cluster: every byte crosses real TCP, every protocol step runs the
 //! shared dispatch engines.
 
+use std::net::TcpStream;
 use std::time::Duration;
 
 use bytes::Bytes;
-use ic_common::{DeploymentConfig, EcConfig, Error, LambdaId};
+use ic_common::msg::Msg;
+use ic_common::{ChunkId, DeploymentConfig, EcConfig, Error, LambdaId, ObjectKey, Payload};
 use ic_net::bench::{self, BenchConfig};
-use ic_net::LoopbackCluster;
+use ic_net::proxy::{self, NetProxyConfig};
+use ic_net::{Frame, LoopbackCluster};
 
 fn cluster(nodes: u32, d: usize, p: usize) -> LoopbackCluster {
     let cfg = DeploymentConfig {
@@ -412,4 +415,134 @@ fn net_two_proxies_reclaim_repairs_within_the_owning_pool() {
         std::thread::sleep(Duration::from_millis(100));
     }
     c.shutdown();
+}
+
+// ----------------------------------------------------------------------
+// The proxy event loop against rude peers, and its two ways of stopping
+// ----------------------------------------------------------------------
+
+/// A hand-driven client connection, handshake done, reads bounded so a
+/// failing test cannot hang.
+fn raw_client(addr: std::net::SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    Frame::HelloClient.write_to(&mut stream).expect("hello");
+    match Frame::read_from(&mut stream).expect("welcome") {
+        Frame::Welcome { .. } => stream,
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+}
+
+/// One chunk of a six-chunk PUT of `key`, addressed to `lambda`.
+fn put_chunk(key: &str, seq: u32, lambda: LambdaId) -> Frame {
+    Frame::App {
+        msg: Msg::PutChunk {
+            id: ChunkId::new(ObjectKey::new(key), seq),
+            lambda,
+            payload: Payload::bytes(vec![seq as u8; 8192]),
+            object_size: 4 * 8192,
+            total_chunks: 6,
+            repair: false,
+            put_epoch: 1,
+        },
+    }
+}
+
+/// Clients that vanish mid-PUT with a GET's answer unread, and a daemon
+/// killed while GETs are in flight, cost a well-behaved client nothing:
+/// every read stays byte-identical, and the orderly shutdown's invariant
+/// audit (debug builds; a failure re-raises from `shutdown`) is clean.
+#[test]
+fn net_rude_peers_leave_a_bystanders_reads_byte_identical() {
+    let mut c = cluster(6, 4, 2);
+    let mut client = c.client().unwrap();
+    let data = pattern(300_000);
+    client.put("kept", data.clone()).unwrap();
+    for round in 0..20u32 {
+        let mut rude = raw_client(c.client_addr());
+        let get = Msg::GetObject {
+            key: ObjectKey::new("kept"),
+        };
+        Frame::App { msg: get }.write_to(&mut rude).unwrap();
+        for seq in 0..2 {
+            let key = format!("doomed-{round}");
+            put_chunk(&key, seq, LambdaId(seq))
+                .write_to(&mut rude)
+                .unwrap();
+        }
+        drop(rude);
+        assert_eq!(client.get("kept").unwrap().unwrap(), data, "round {round}");
+    }
+    // The daemon dies once the reader is demonstrably mid-stream.
+    let (first_get_done, wait_first_get) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            for i in 0..60 {
+                assert_eq!(client.get("kept").unwrap().unwrap(), data, "get {i}");
+                if i == 0 {
+                    first_get_done.send(()).unwrap();
+                }
+            }
+        });
+        wait_first_get.recv().unwrap();
+        c.kill_node(LambdaId(1));
+        reader.join().expect("every GET verified");
+    });
+    c.shutdown();
+}
+
+/// Starts a one-node proxy and returns a client and a node connection
+/// that are both demonstrably past their handshakes: the chunk the client
+/// sends makes the proxy invoke λ0, and the node reads that invoke.
+fn handshaken_peers(handle: &proxy::NetProxyHandle) -> (TcpStream, TcpStream) {
+    let mut node = TcpStream::connect(handle.node_addr).expect("connect");
+    node.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    Frame::HelloNode {
+        lambda: LambdaId(0),
+    }
+    .write_to(&mut node)
+    .unwrap();
+    let mut client = raw_client(handle.client_addr);
+    put_chunk("k", 0, LambdaId(0))
+        .write_to(&mut client)
+        .unwrap();
+    match Frame::read_from(&mut node).expect("the invoke") {
+        Frame::Invoke { .. } => (client, node),
+        other => panic!("expected Invoke, got {other:?}"),
+    }
+}
+
+/// Reads a peer's stream to its end; `true` if a `Shutdown` notice came
+/// before the socket dropped.
+fn saw_shutdown_notice(mut peer: TcpStream) -> bool {
+    loop {
+        match Frame::read_from(&mut peer) {
+            Ok(Frame::Shutdown) => return true,
+            Ok(_) => {}
+            Err(_) => return false,
+        }
+    }
+}
+
+/// `shutdown()` tells every handshaken peer; `kill()` tells nobody — the
+/// sockets just drop, as when the process is `kill -9`ed.
+#[test]
+fn net_shutdown_notifies_peers_and_kill_does_not() {
+    let dep = DeploymentConfig {
+        backup_enabled: false,
+        ..DeploymentConfig::small(1, EcConfig::new(1, 0).unwrap())
+    };
+    let handle = proxy::start(NetProxyConfig::loopback(dep.clone())).unwrap();
+    let (client, node) = handshaken_peers(&handle);
+    handle.shutdown();
+    assert!(saw_shutdown_notice(client), "client misses the notice");
+    assert!(saw_shutdown_notice(node), "node misses the notice");
+
+    let handle = proxy::start(NetProxyConfig::loopback(dep)).unwrap();
+    let (client, node) = handshaken_peers(&handle);
+    handle.kill();
+    assert!(!saw_shutdown_notice(client), "a killed proxy says nothing");
+    assert!(!saw_shutdown_notice(node), "a killed proxy says nothing");
 }

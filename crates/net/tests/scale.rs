@@ -1,8 +1,9 @@
-//! Connection-scaling properties of the readiness event loop: thread
-//! count stays O(workers) under thousands of idle connections, and a
-//! slow reader is closed (backpressure) without harming its neighbours.
+//! Connection-scaling properties of the readiness event loop: a proxy
+//! is exactly one thread however many connections it holds, and a slow
+//! reader is closed (backpressure) without harming its neighbours.
 
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -13,6 +14,17 @@ use ic_net::bench;
 use ic_net::node::NetNode;
 use ic_net::proxy::{self, NetProxyConfig};
 use ic_net::{Frame, NetClient};
+
+/// The thread-count test counts `ic-proxy*` threads process-wide, so the
+/// tests of this binary (each runs a proxy) take turns.
+static ONE_PROXY_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_proxy_at_a_time() -> MutexGuard<'static, ()> {
+    // A poisoned lock only means the other test failed; this one can run.
+    ONE_PROXY_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn deployment(nodes: u32) -> DeploymentConfig {
     DeploymentConfig {
@@ -49,6 +61,7 @@ fn max_open_files() -> usize {
 /// every other connection keeps working.
 #[test]
 fn slow_reader_is_closed_without_harming_neighbours() {
+    let _turn = one_proxy_at_a_time();
     let dep = deployment(4);
     let rt_cfg = RuntimeConfig::for_deployment(&dep);
     let cfg = NetProxyConfig {
@@ -106,11 +119,13 @@ fn slow_reader_is_closed_without_harming_neighbours() {
     handle.shutdown();
 }
 
-/// A thousand idle client connections must not grow the proxy's thread
-/// count at all — readiness multiplexing, not thread-per-connection —
-/// and a live operation must still work with the horde attached.
+/// A proxy is one thread — the event loop — and a thousand idle client
+/// connections must leave it at one: readiness multiplexing, not
+/// thread-per-connection. A live operation must still work with the
+/// horde attached.
 #[test]
-fn idle_connection_horde_leaves_thread_count_flat() {
+fn idle_connection_horde_leaves_the_proxy_at_one_thread() {
+    let _turn = one_proxy_at_a_time();
     let dep = deployment(4);
     let rt_cfg = RuntimeConfig::for_deployment(&dep);
     let handle = proxy::start(NetProxyConfig::loopback(dep.clone())).expect("proxy starts");
@@ -126,10 +141,7 @@ fn idle_connection_horde_leaves_thread_count_flat() {
         .unwrap();
 
     let before = bench::proxy_thread_count().expect("procfs thread count");
-    assert!(
-        before <= 1 + proxy::MAX_IO_WORKERS,
-        "proxy runs {before} threads before any load"
-    );
+    assert_eq!(before, 1, "one running proxy is one thread");
 
     // Each idle connection costs two fds (one per side) plus headroom
     // for the cluster itself; cap the horde to what the fd limit holds.
@@ -139,9 +151,9 @@ fn idle_connection_horde_leaves_thread_count_flat() {
 
     let after = bench::proxy_thread_count().expect("procfs thread count");
     assert_eq!(
-        before,
         after,
-        "{} idle connections changed the proxy thread count {before} -> {after}",
+        1,
+        "{} idle connections changed the proxy thread count 1 -> {after}",
         horde.len()
     );
 
