@@ -1,7 +1,8 @@
 //! Criterion: Reed–Solomon encode/decode/reconstruct throughput of the
 //! from-scratch `ic-ec` codec — these measurements calibrate the
 //! `encode_bps`/`decode_bps` constants the simulator uses (the paper's Go
-//! library is AVX-accelerated and faster; see EXPERIMENTS.md).
+//! library is AVX-accelerated and faster; `BENCH_ec.json` holds this
+//! codec's committed figures).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ic_ec::ReedSolomon;

@@ -49,8 +49,7 @@ fn main() {
         .unwrap();
     println!(
         "sensitivity: with the paper's literal $0.02/1M request fee the crossover \
-         moves to {:.0} req/hour — further evidence the intended constant is $0.20/1M \
-         (see EXPERIMENTS.md)",
+         moves to {:.0} req/hour — further evidence the intended constant is $0.20/1M",
         alt
     );
 }

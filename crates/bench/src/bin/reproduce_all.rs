@@ -1,6 +1,7 @@
 //! Runs every experiment binary in sequence (same process, shared trace
 //! cache). `IC_SCALE=quick` makes this a minutes-scale smoke pass; the
-//! default full scale regenerates every number in EXPERIMENTS.md.
+//! default full scale regenerates every figure and table (README,
+//! "Reproducing the paper").
 
 use std::process::Command;
 

@@ -56,8 +56,9 @@ use crate::payload::Payload;
 
 /// Current wire-format version; bump on any incompatible encoding change.
 /// (v2: `GetAccepted` carries the stored object's proxy-assigned
-/// version, guarding read-repair against overwrites.)
-pub const FRAME_VERSION: u8 = 2;
+/// version, guarding read-repair against overwrites. v3: message tag 7,
+/// the preflight `Ping`, is retired — a v2 peer would still send it.)
+pub const FRAME_VERSION: u8 = 3;
 
 /// Upper bound on one frame's body. A frame carries at most one chunk
 /// payload; 64 MiB comfortably covers the largest chunk of the paper's
@@ -346,7 +347,6 @@ impl Enc {
                 self.chunk(id);
                 self.payload(payload);
             }
-            Msg::Ping => self.u8(7),
             Msg::Pong {
                 instance,
                 stored_bytes,
@@ -693,7 +693,6 @@ impl<'a> Dec<'a> {
                 id: self.chunk()?,
                 payload: self.payload()?,
             },
-            7 => Msg::Ping,
             8 => Msg::Pong {
                 instance: InstanceId(self.u64()?),
                 stored_bytes: self.u64()?,
@@ -1343,7 +1342,7 @@ mod tests {
 
     #[test]
     fn representative_messages_roundtrip() {
-        roundtrip(Msg::Ping);
+        roundtrip(Msg::InitBackup);
         roundtrip(Msg::GetObject {
             key: ObjectKey::new("sha256:deadbeef"),
         });
@@ -1385,7 +1384,7 @@ mod tests {
     #[test]
     fn framed_io_roundtrips_through_a_buffer() {
         let msgs = [
-            Msg::Ping,
+            Msg::InitBackup,
             Msg::Pong {
                 instance: InstanceId(5),
                 stored_bytes: 1 << 40,
@@ -1459,7 +1458,7 @@ mod tests {
     #[test]
     fn frame_batches_concatenate_cleanly() {
         let msgs = [
-            Msg::Ping,
+            Msg::InitBackup,
             Msg::ChunkData {
                 id: ChunkId::new(ObjectKey::new("b"), 1),
                 payload: Payload::bytes(vec![3u8; 4096]),
@@ -1606,7 +1605,7 @@ mod tests {
     #[test]
     fn version_skew_is_rejected() {
         let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::Ping).unwrap();
+        write_msg(&mut wire, &Msg::InitBackup).unwrap();
         wire[0] = FRAME_VERSION + 1;
         assert!(matches!(
             read_msg(&mut &wire[..]),
@@ -1653,7 +1652,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut body = encode_msg(&Msg::Ping);
+        let mut body = encode_msg(&Msg::InitBackup);
         body.push(0);
         assert!(matches!(decode_msg(&body), Err(FrameError::Malformed(_))));
     }
@@ -1661,6 +1660,8 @@ mod tests {
     #[test]
     fn unknown_tags_are_rejected() {
         assert!(matches!(decode_msg(&[200]), Err(FrameError::Malformed(_))));
+        // Tag 7 was the preflight `Ping`, retired in v3 and never reused.
+        assert!(matches!(decode_msg(&[7]), Err(FrameError::Malformed(_))));
         assert!(decode_msg(&[]).is_err());
     }
 
@@ -1708,7 +1709,7 @@ mod tests {
     fn sample_msgs(rng: &mut Lcg, n: usize) -> Vec<Msg> {
         (0..n)
             .map(|i| match rng.next() % 3 {
-                0 => Msg::Ping,
+                0 => Msg::InitBackup,
                 1 => Msg::GetObject {
                     key: ObjectKey::new(format!("key-{i}")),
                 },
@@ -1938,10 +1939,10 @@ mod tests {
     fn nb_reader_maps_boundary_cases_like_the_blocking_reader() {
         // Clean close at a frame boundary — also after whole frames.
         assert!(matches!(verdict(&[]).unwrap(), NbRead::Closed));
-        let mut ping = Vec::new();
-        write_msg(&mut ping, &Msg::Ping).unwrap();
+        let mut unit = Vec::new();
+        write_msg(&mut unit, &Msg::InitBackup).unwrap();
         let mut reader = NbFrameReader::new();
-        let mut src = &ping[..];
+        let mut src = &unit[..];
         let (frames, end) = drain(&mut reader, &mut src);
         assert_eq!(frames.len(), 1);
         assert!(matches!(end.unwrap(), NbRead::WouldBlock));
@@ -1957,7 +1958,7 @@ mod tests {
         ));
         // EOF inside the body is truncation.
         assert!(matches!(
-            verdict(&ping[..ping.len() - 1]),
+            verdict(&unit[..unit.len() - 1]),
             Err(FrameError::Malformed("truncated frame body"))
         ));
         // Oversized length prefix rejected before allocating.
@@ -1969,12 +1970,12 @@ mod tests {
         let mut reader = NbFrameReader::new();
         assert!(!reader.mid_frame());
         let split = 3; // inside the 5-byte envelope
-        let mut src = MockSocket::new(ping[..split].to_vec());
+        let mut src = MockSocket::new(unit[..split].to_vec());
         assert!(matches!(reader.read(&mut src).unwrap(), NbRead::WouldBlock));
         assert!(reader.mid_frame());
-        src.data.extend_from_slice(&ping[split..]);
+        src.data.extend_from_slice(&unit[split..]);
         match reader.read(&mut src).unwrap() {
-            NbRead::Frame(body) => assert_eq!(decode_msg_shared(&body).unwrap(), Msg::Ping),
+            NbRead::Frame(body) => assert_eq!(decode_msg_shared(&body).unwrap(), Msg::InitBackup),
             other => panic!("expected resumed frame, got {other:?}"),
         }
         assert!(!reader.mid_frame());
@@ -1986,7 +1987,7 @@ mod tests {
     #[test]
     fn nb_reader_reports_eof_after_a_partial_frame_on_the_next_call() {
         let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::Ping).unwrap();
+        write_msg(&mut wire, &Msg::InitBackup).unwrap();
         write_msg(
             &mut wire,
             &Msg::GetObject {
@@ -2076,7 +2077,7 @@ mod tests {
             }];
             msgs.extend(std::iter::repeat_n(filler.clone(), STAGE_LEN / filler_len));
             msgs.push(straddler.clone());
-            msgs.push(Msg::Ping);
+            msgs.push(Msg::InitBackup);
             let mut wire = Vec::new();
             for m in &msgs {
                 write_msg(&mut wire, m).unwrap();
@@ -2102,7 +2103,7 @@ mod tests {
             payload: Payload::bytes(payload.clone()),
         };
         let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::Ping).unwrap();
+        write_msg(&mut wire, &Msg::InitBackup).unwrap();
         let big_at = wire.len();
         write_msg(&mut wire, &msg).unwrap();
         let body_len = wire.len() - big_at - HEADER_LEN;
@@ -2119,7 +2120,7 @@ mod tests {
         assert_eq!(frame.len(), body_len);
         let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
 
-        // Read 1 filled the stage (Ping + envelope + body prefix); every
+        // Read 1 filled the stage (InitBackup + envelope + body prefix); every
         // later read landed inside the frame's own allocation, back to
         // back, and together they carried exactly the unstaged remainder.
         let staged_prefix = STAGE_LEN - big_at - HEADER_LEN;

@@ -2,10 +2,11 @@
 //!
 //! One message enum covers the whole deployment so that the discrete-event
 //! simulator and the live threaded runtime can share a single routing layer.
-//! The variants follow the paper's protocol vocabulary: preflight
-//! `PING`/`PONG` (§3.3), chunk requests and streamed chunk data (§3.2),
-//! `BYE` on voluntary return (Fig 6/7), and the eleven-step delta-sync
-//! backup protocol of Fig 10.
+//! The variants follow the paper's protocol vocabulary: the wake-up
+//! `PONG` (§3.3; the per-request preflight `PING` is not reproduced, see
+//! ARCHITECTURE.md), chunk requests and streamed chunk data (§3.2), `BYE`
+//! on voluntary return (Fig 6/7), and the eleven-step delta-sync backup
+//! protocol of Fig 10.
 
 use serde::{Deserialize, Serialize};
 
@@ -68,8 +69,8 @@ pub struct InvokePayload {
     /// Proxy the function must dial back to (functions cannot accept inbound
     /// connections, §2.2).
     pub proxy: ProxyId,
-    /// `true` when the invocation itself carries the preflight PING so the
-    /// runtime answers PONG immediately on wake-up (§3.3).
+    /// `true` when the invocation itself carries the PING, so the runtime
+    /// answers PONG immediately on wake-up (§3.3).
     pub piggyback_ping: bool,
     /// Present when this invocation asks the instance to act as the backup
     /// *destination* (λd) of its peer replica (Fig 10 step 6).
@@ -179,9 +180,7 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Proxy ↔ Lambda node (control plane).
     // ------------------------------------------------------------------
-    /// Preflight message: "are you still alive, and hold your timer" (§3.3).
-    Ping,
-    /// Runtime's answer to a PING or to a fresh invocation; carries the
+    /// Runtime's answer to an invocation's piggybacked PING; carries the
     /// instance id so the proxy (and our experiments) can detect reclaims.
     Pong {
         /// Identity of the physical instance answering.
@@ -322,7 +321,6 @@ impl Msg {
             Msg::PutDone { .. } => "PutDone",
             Msg::PutFailed { .. } => "PutFailed",
             Msg::ChunkToClient { .. } => "ChunkToClient",
-            Msg::Ping => "Ping",
             Msg::Pong { .. } => "Pong",
             Msg::Bye { .. } => "Bye",
             Msg::ChunkGet { .. } => "ChunkGet",
@@ -350,7 +348,6 @@ mod tests {
 
     #[test]
     fn data_len_distinguishes_bulk_from_control() {
-        assert_eq!(Msg::Ping.data_len(), 0);
         assert_eq!(Msg::InitBackup.data_len(), 0);
         let chunk = Msg::ChunkData {
             id: ChunkId::new(ObjectKey::new("k"), 0),
@@ -361,7 +358,7 @@ mod tests {
 
     #[test]
     fn kind_tags_are_stable() {
-        assert_eq!(Msg::Ping.kind(), "Ping");
+        assert_eq!(Msg::InitBackup.kind(), "InitBackup");
         assert_eq!(
             Msg::GetObject {
                 key: ObjectKey::new("x")

@@ -67,7 +67,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         (arb_key(), 0u64..1 << 32).prop_map(|(key, put_epoch)| Msg::PutDone { key, put_epoch }),
         (arb_key(), 0u64..1 << 32).prop_map(|(key, put_epoch)| Msg::PutFailed { key, put_epoch }),
         (arb_chunk(), arb_payload()).prop_map(|(id, payload)| Msg::ChunkToClient { id, payload }),
-        Just(Msg::Ping),
         (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(i, b)| Msg::Pong {
             instance: InstanceId(i),
             stored_bytes: b

@@ -15,9 +15,9 @@
 //! into two execution modes:
 //!
 //! * **Simulation** ([`world::SimWorld`]): a deterministic discrete-event
-//!   deployment used by every experiment in EXPERIMENTS.md — latency
-//!   microbenchmarks, the 50-hour production-trace replay, cost and
-//!   fault-tolerance studies;
+//!   deployment used by every experiment binary (README, "Reproducing
+//!   the paper") — latency microbenchmarks, the 50-hour
+//!   production-trace replay, cost and fault-tolerance studies;
 //! * **Live mode** ([`live::LiveCluster`]): the same protocol state
 //!   machines on OS threads with real bytes through the real
 //!   Reed–Solomon codec — a functional in-process cache with simulated

@@ -249,6 +249,15 @@ impl LiveCluster {
     /// Returns [`Error::Config`] for invalid deployments (live mode
     /// supports exactly one proxy).
     pub fn start(cfg: DeploymentConfig) -> Result<LiveCluster> {
+        LiveCluster::start_with(cfg, NodeThread::run)
+    }
+
+    /// [`LiveCluster::start`] with the body of the node threads supplied
+    /// by the caller (the tests script one node's returns).
+    fn start_with(
+        cfg: DeploymentConfig,
+        run_node: impl Fn(NodeThread) + Clone + Send + 'static,
+    ) -> Result<LiveCluster> {
         cfg.validate()?;
         if cfg.proxies != 1 {
             return Err(Error::Config("live mode runs a single proxy".into()));
@@ -274,10 +283,11 @@ impl LiveCluster {
                 epoch,
                 host: NodeHost::new(lambda, rt_cfg, io),
             };
+            let run_node = run_node.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ic-node-{l}"))
-                    .spawn(move || nt.run())
+                    .spawn(move || run_node(nt))
                     .expect("spawn node thread"),
             );
         }
@@ -513,6 +523,8 @@ impl std::fmt::Debug for LiveCluster {
 mod tests {
     use super::*;
     use ic_common::EcConfig;
+    use std::sync::atomic::{AtomicU8, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn cluster(nodes: u32, d: usize, p: usize) -> LiveCluster {
         let cfg = DeploymentConfig {
@@ -599,5 +611,96 @@ mod tests {
             assert_eq!(c.get(k).unwrap().unwrap(), *v, "{k}");
         }
         c.shutdown();
+    }
+
+    /// No request is armed to race the instance's return.
+    const UNARMED: u8 = 0;
+    const ARM_GET: u8 = 1;
+    const ARM_PUT: u8 = 2;
+
+    /// A node thread that never returns on its own; when the next
+    /// `ChunkGet` (or `ChunkPut`) is armed, the instance's billing cycle
+    /// ends — BYE — just before that request is delivered, so from the
+    /// proxy's side the request was in flight when the instance returned.
+    /// Logs `"Invoke"` and the kinds of the requests it bounced.
+    fn scripted_node(mut nt: NodeThread, arm: &AtomicU8, log: &Mutex<Vec<&'static str>>) {
+        while let Ok(cmd) = nt.rx.recv() {
+            let now = nt.now();
+            match cmd {
+                NodeCmd::Invoke(payload) => {
+                    log.lock().expect("log").push("Invoke");
+                    nt.host.invoke(now, &payload);
+                }
+                NodeCmd::ToInstance(instance, msg) => {
+                    let armed = match msg {
+                        Msg::ChunkGet { .. } => ARM_GET,
+                        Msg::ChunkPut { .. } => ARM_PUT,
+                        _ => u8::MAX,
+                    };
+                    if arm
+                        .compare_exchange(armed, UNARMED, Ordering::SeqCst, Ordering::SeqCst)
+                        .is_ok()
+                    {
+                        // A busy cycle rides one more; an idle one
+                        // returns and disarms the timer.
+                        while let Some(cycle_end) = nt.host.next_timer_at() {
+                            nt.host.fire_due_timers(cycle_end);
+                        }
+                        log.lock().expect("log").push(msg.kind());
+                    }
+                    if let Err(msg) = nt.host.deliver(now, instance, msg) {
+                        let unreachable = Wire::LambdaUnreachable(nt.host.lambda, msg);
+                        let _ = nt.host.io.proxy_tx.send(unreachable);
+                    }
+                }
+                NodeCmd::Reclaim => nt.host.reclaim(),
+                NodeCmd::Quit => return,
+            }
+        }
+    }
+
+    /// The live leg of `tests/bye_race.rs`: with no preflight PING, a
+    /// request that crosses the instance's BYE comes back through
+    /// `Wire::LambdaUnreachable`, and the proxy re-invokes once and
+    /// re-sends it. One synchronous client, so the `ChunkGet` and the
+    /// `ChunkPut` race a return each.
+    #[test]
+    fn request_racing_a_bye_bounces_and_reinvokes_once() {
+        let arm = Arc::new(AtomicU8::new(UNARMED));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let run_node = {
+            let (arm, log) = (arm.clone(), log.clone());
+            move |nt: NodeThread| match nt.host.lambda {
+                LambdaId(0) => scripted_node(nt, &arm, &log),
+                _ => nt.run(),
+            }
+        };
+        // 4+2 over six nodes: node 0 holds a chunk of every object.
+        let cfg = DeploymentConfig {
+            backup_enabled: false,
+            ..DeploymentConfig::small(6, EcConfig::new(4, 2).unwrap())
+        };
+        let mut c = LiveCluster::start_with(cfg, run_node).expect("cluster starts");
+        let (r, v2) = (pattern(300_000), pattern(250_000));
+        c.put("r", r.clone()).unwrap();
+        c.put("w", pattern(200_000)).unwrap();
+
+        arm.store(ARM_GET, Ordering::SeqCst);
+        assert_eq!(c.get("r").unwrap().expect("cached"), r);
+        arm.store(ARM_PUT, Ordering::SeqCst);
+        c.put("w", v2.clone()).expect("a PUT needs node 0's ack");
+
+        // Lose two other nodes' chunks: both objects now decode only
+        // with node 0's chunk, which must be the overwrite's.
+        c.reclaim_node(LambdaId(1));
+        c.reclaim_node(LambdaId(2));
+        assert_eq!(c.get("w").unwrap().expect("cached"), v2);
+        assert_eq!(c.get("r").unwrap().expect("cached"), r);
+        c.shutdown();
+        assert_eq!(
+            *log.lock().unwrap(),
+            ["Invoke", "ChunkGet", "Invoke", "ChunkPut", "Invoke"],
+            "each bounce re-invokes exactly once"
+        );
     }
 }

@@ -347,13 +347,16 @@ mod tests {
     fn deliver_to_sleeping_or_unknown_instance_bounces() {
         let mut h = host();
         let t = SimTime::from_secs(1);
-        assert!(h.deliver(t, InstanceId(99), Msg::Ping).is_err());
+        let get = || Msg::ChunkGet {
+            id: ChunkId::new(ObjectKey::new("k"), 0),
+        };
+        assert!(h.deliver(t, InstanceId(99), get()).is_err());
         h.invoke(t, &InvokePayload::ping(ProxyId(0)));
         let instance = h.io.0.last().expect("ponged").0;
         // Fire the return timer: the instance goes back to sleeping.
         let at = h.next_timer_at().expect("armed");
         h.fire_due_timers(at);
-        assert!(h.deliver(at, instance, Msg::Ping).is_err());
+        assert!(h.deliver(at, instance, get()).is_err());
     }
 
     /// The regression the relay map exists for: with a *third* instance

@@ -152,7 +152,6 @@ impl SimWorld {
 
         let rt_cfg = RuntimeConfig {
             billing_buffer: cfg.billing_buffer,
-            ping_grace: SimDuration::from_millis(20),
             backup_interval: cfg.backup_interval,
             backup_enabled: cfg.backup_enabled,
             max_execution: SimDuration::from_secs(900),

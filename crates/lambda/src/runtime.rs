@@ -38,8 +38,6 @@ pub enum RunState {
 pub struct RuntimeConfig {
     /// Return-buffer before a billing-cycle boundary (§3.3: 2–10 ms).
     pub billing_buffer: SimDuration,
-    /// Timer extension granted on a preflight PING.
-    pub ping_grace: SimDuration,
     /// Backup interval `Tbak`.
     pub backup_interval: SimDuration,
     /// Whether this node initiates delta-sync backups.
@@ -54,7 +52,6 @@ impl RuntimeConfig {
     pub fn paper() -> Self {
         RuntimeConfig {
             billing_buffer: SimDuration::from_millis(5),
-            ping_grace: SimDuration::from_millis(20),
             backup_interval: SimDuration::from_mins(5),
             backup_enabled: true,
             max_execution: SimDuration::from_secs(900),
@@ -68,7 +65,6 @@ impl RuntimeConfig {
     pub fn for_deployment(cfg: &ic_common::DeploymentConfig) -> Self {
         RuntimeConfig {
             billing_buffer: cfg.billing_buffer,
-            ping_grace: SimDuration::from_millis(20),
             backup_interval: cfg.backup_interval,
             backup_enabled: cfg.backup_enabled,
             max_execution: SimDuration::from_secs(900),
@@ -259,16 +255,6 @@ impl Runtime {
     /// A message arrived (from the proxy, or via the backup relay).
     pub fn on_message(&mut self, now: SimTime, msg: Msg) -> Vec<Action> {
         match msg {
-            Msg::Ping => {
-                let mut acts = vec![Action::ToProxy(Msg::Pong {
-                    instance: self.instance,
-                    stored_bytes: self.store.used_bytes(),
-                })];
-                if self.executing {
-                    acts.push(self.hold_timer(now));
-                }
-                acts
-            }
             Msg::ChunkGet { id } => {
                 self.requests_in_cycle += 1;
                 if let Some(chunk) = self.store.get(&id) {
@@ -549,22 +535,6 @@ impl Runtime {
         }
     }
 
-    /// Extends the timer for an incoming request after a PING.
-    fn hold_timer(&mut self, now: SimTime) -> Action {
-        let cycle_end = {
-            let cycle = SimDuration::BILLING_CYCLE.as_micros();
-            let elapsed = now.since(self.exec_start).as_micros();
-            let k = elapsed / cycle + 1;
-            self.exec_start + SimDuration::from_micros(k * cycle) - self.cfg.billing_buffer
-        };
-        let at = (now + self.cfg.ping_grace).max(cycle_end);
-        self.timer_token += 1;
-        Action::SetTimer {
-            token: self.timer_token,
-            at,
-        }
-    }
-
     fn finish_dest(&mut self, now: SimTime) -> Vec<Action> {
         let BackupRole::Dest(d) = std::mem::take(&mut self.role) else {
             return Vec::new();
@@ -765,16 +735,37 @@ mod tests {
         );
     }
 
+    /// A request is its own preflight, so the runtime owes it this: one
+    /// that lands inside the return buffer, with the return timer due but
+    /// not yet run, is served and the return deferred to the next cycle.
+    /// (One that lands after the return bounces at the transport and is
+    /// re-sent behind a fresh invoke.)
     #[test]
-    fn ping_pongs_and_extends() {
+    fn request_inside_the_billing_buffer_is_served_before_the_return() {
         let t0 = SimTime::ZERO;
-        let mut rt = fresh(t0);
-        rt.on_invoke(t0, &invoke_payload());
-        let t1 = t0 + SimDuration::from_millis(90);
-        let acts = rt.on_message(t1, Msg::Ping);
-        assert!(matches!(acts[0], Action::ToProxy(Msg::Pong { .. })));
-        let (_, at) = timer_of(&acts);
-        assert!(at >= t1 + RuntimeConfig::paper().ping_grace);
+        let put = Msg::ChunkPut {
+            id: cid("k", 0),
+            payload: Payload::synthetic(64),
+            epoch: 1,
+        };
+        for request in [Msg::ChunkGet { id: cid("k", 0) }, put] {
+            let mut rt = fresh(t0);
+            let (due_token, due) = timer_of(&rt.on_invoke(t0, &invoke_payload()));
+            rt.store_mut()
+                .insert(t0, cid("k", 0), Payload::synthetic(64));
+            let late = due + SimDuration::from_millis(1); // 4 ms before the cycle ends
+            let acts = rt.on_message(late, request);
+            assert!(matches!(acts[0], Action::DataToProxy(_)));
+            // The overdue timer runs mid-transfer: held, not a return.
+            let (_, held) = timer_of(&rt.on_timer(late, due_token));
+            assert_eq!(held, due + SimDuration::BILLING_CYCLE);
+            // The transfer ends still inside the buffer: the realigned
+            // timer lands in the next cycle too, and only that one returns.
+            let (token, at) = timer_of(&rt.on_served(late));
+            assert_eq!(at, held);
+            let out = rt.on_timer(at, token);
+            assert!(out.iter().any(|a| matches!(a, Action::Return { .. })));
+        }
     }
 
     #[test]
@@ -783,7 +774,8 @@ mod tests {
         let mut rt = fresh(t0);
         let acts = rt.on_invoke(t0, &invoke_payload());
         let (old_token, _) = timer_of(&acts);
-        rt.on_message(t0 + SimDuration::from_millis(50), Msg::Ping); // re-arms
+        rt.on_message(t0, Msg::ChunkGet { id: cid("k", 0) });
+        rt.on_served(t0 + SimDuration::from_millis(50)); // re-arms
         assert!(rt
             .on_timer(t0 + SimDuration::from_millis(95), old_token)
             .is_empty());

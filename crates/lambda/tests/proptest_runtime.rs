@@ -15,7 +15,6 @@ enum Stim {
     Get(u8),
     Put(u8, u16),
     Delete(u8),
-    Ping,
     AdvanceMs(u16),
 }
 
@@ -24,7 +23,6 @@ fn stim() -> impl Strategy<Value = Stim> {
         (0u8..16).prop_map(Stim::Get),
         ((0u8..16), (1u16..5000)).prop_map(|(k, len)| Stim::Put(k, len)),
         (0u8..16).prop_map(Stim::Delete),
-        Just(Stim::Ping),
         (1u16..150).prop_map(Stim::AdvanceMs),
     ]
 }
@@ -118,12 +116,6 @@ proptest! {
                 Stim::Delete(k) => {
                     rt.on_message(now, Msg::ChunkDelete { ids: vec![cid(k)] });
                     model.remove(&k);
-                }
-                Stim::Ping => {
-                    let acts = rt.on_message(now, Msg::Ping);
-                    let ponged = matches!(acts[0], Action::ToProxy(Msg::Pong { .. }));
-                    prop_assert!(ponged, "ping must pong");
-                    apply(&mut rt, now, acts, &mut timer, &mut returned);
                 }
                 Stim::AdvanceMs(ms) => {
                     now += SimDuration::from_millis(ms as u64);

@@ -1,7 +1,7 @@
 //! `mc` — run the protocol model checker from the command line.
 //!
 //! ```text
-//! mc explore [--preset tiny|small|race] [--seed N] [--depth N] [--bfs]
+//! mc explore [--preset tiny|small|race|put] [--seed N] [--depth N] [--bfs]
 //!            [--reclaims N] [--disconnects N] [--settle N] [--prune]
 //!            [--timers] [--all-violations] [--max-states N]
 //!            [--bug early|stale] [--trace-out PATH]
@@ -20,7 +20,7 @@ use ic_mc::{explore, load_trace, replay_violates, McConfig, SearchMode};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mc explore [--preset tiny|small|race] [--seed N] [--depth N] [--bfs]\n             \
+        "usage:\n  mc explore [--preset tiny|small|race|put] [--seed N] [--depth N] [--bfs]\n             \
          [--reclaims N] [--disconnects N] [--settle N] [--prune] [--timers]\n             \
          [--all-violations] [--max-states N] [--bug early|stale]\n             \
          [--trace-out PATH]\n  mc replay --trace PATH"
@@ -69,6 +69,7 @@ fn cmd_explore(args: &[String]) -> ExitCode {
         "tiny" => McConfig::tiny(seed),
         "small" => McConfig::small(seed),
         "race" => McConfig::race(seed),
+        "put" => McConfig::put(seed),
         _ => usage(),
     };
     for (flag, v) in overrides {

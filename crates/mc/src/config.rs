@@ -193,6 +193,19 @@ impl McConfig {
         }
     }
 
+    /// The write path on its own: one client's PUT onto a cold 3-node
+    /// pool under a 2+1 code, with *nothing* settled — invokes, PONG
+    /// flushes, chunk stores and acks all interleave freely. Every
+    /// latent bug so far lived in PUT interleavings the settled presets
+    /// skip; this is the smallest space that contains a whole one.
+    pub fn put(seed: u64) -> Self {
+        McConfig {
+            ops: vec![McOp::put(0, "k0", 6_000)],
+            settle_prefix: 0,
+            ..McConfig::tiny(seed)
+        }
+    }
+
     /// The object size a GET of `key` should expect: the size of the
     /// last PUT of that key in program order (0 when never written —
     /// the GET will miss).

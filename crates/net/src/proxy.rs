@@ -39,8 +39,9 @@
 //! The per-node connection lifecycle maps onto real socket events:
 //! *invoke-on-demand* becomes a [`Frame::Invoke`] to the node's daemon
 //! (parked until the daemon connects, mirroring the provider's queueing);
-//! *PING/PONG validation* rides [`Frame::ToInstance`]/
-//! [`Frame::FromInstance`]; *connection replacement during backup* is the
+//! *validation* is the answer to the request itself, or its bounce,
+//! riding [`Frame::ToInstance`]/[`Frame::FromInstance`]/
+//! [`Frame::Unreachable`]; *connection replacement during backup* is the
 //! ordinary `HelloProxy` flow, since every instance of a node shares the
 //! daemon's socket; and a daemon's socket dropping (its process was
 //! killed — a reclaim) resets the member connection via
@@ -931,8 +932,9 @@ mod tests {
 
         // --- A node connection dies mid-GET --------------------------
         // A second connection claiming λ2 replaces the daemon's (newest
-        // wins). It never reads; it answers the first preflight with a
-        // hand-written PONG so the bystander's GETs keep reaching it.
+        // wins). It never reads; it answers its first frame with a
+        // hand-written PONG, so the bystander's GETs keep reaching it
+        // even if that frame was the invoke of a λ2 gone to sleep.
         let victim = LambdaId(2);
         let daemon_token = lp.nodes[&victim];
         let mut fake = TcpStream::connect(node_addr).unwrap();

@@ -271,7 +271,7 @@ mod tests {
             },
             Frame::ToInstance {
                 instance: InstanceId(9),
-                msg: Msg::Ping,
+                msg: Msg::ChunkDelete { ids: Vec::new() },
             },
             Frame::FromInstance {
                 instance: InstanceId(9),

@@ -2,8 +2,9 @@
 //!
 //! A proxy manages a pool of Lambda cache nodes: it keeps the chunk→node
 //! mapping table, evicts objects with a CLOCK-based LRU when the pool
-//! fills, validates node connections lazily with preflight PINGs (the
-//! Fig 6 state machine in [`conn`]), streams chunks between clients and
+//! fills, tracks which nodes are awake and lets each request validate its
+//! own connection (the Fig 6 state machine in [`conn`], without the
+//! preflight PING), streams chunks between clients and
 //! nodes, and coordinates the delta-sync backup protocol (spawning relays,
 //! switching connections to the backup destination).
 //!
@@ -15,5 +16,5 @@
 pub mod conn;
 pub mod proxy;
 
-pub use conn::{ConnEffect, LambdaConn, Liveness, Validity};
+pub use conn::{ConnEffect, LambdaConn, Liveness};
 pub use proxy::{Proxy, ProxyAction, ProxyConfig, ProxyStats};

@@ -498,12 +498,10 @@ impl Proxy {
                 self.apply_effects(lambda, effects)
             }
             Msg::Bye { instance } => {
-                let effects = self
-                    .members
-                    .get_mut(&lambda)
-                    .map(|m| m.on_bye(instance))
-                    .unwrap_or_default();
-                self.apply_effects(lambda, effects)
+                if let Some(m) = self.members.get_mut(&lambda) {
+                    m.on_bye(instance);
+                }
+                Vec::new()
             }
             Msg::ChunkData { id, payload } => match self.mapping.get(&id).copied() {
                 Some(home) if home == lambda => {
@@ -714,10 +712,6 @@ impl Proxy {
                 ConnEffect::Invoke => ProxyAction::Invoke {
                     lambda,
                     payload: InvokePayload::ping(self.cfg.id),
-                },
-                ConnEffect::Ping => ProxyAction::ToLambda {
-                    lambda,
-                    msg: Msg::Ping,
                 },
                 ConnEffect::Emit(msg) => {
                     if msg.data_len() > 0 {
@@ -1412,7 +1406,7 @@ mod tests {
         let acts = p.on_warmup_tick();
         assert_eq!(acts.len(), 3);
         assert!(acts.iter().all(|a| matches!(a, ProxyAction::Invoke { .. })));
-        // While validating, another tick is a no-op.
+        // While the invokes are in flight, another tick is a no-op.
         assert!(p.on_warmup_tick().is_empty());
         // After PONG + BYE they are warm again -> sleeping -> re-invoked.
         pong_all(&mut p, 1);
@@ -1455,8 +1449,8 @@ mod tests {
         assert_eq!(p.relay_source(relay), Some(LambdaId(0)));
         assert_eq!(p.stats.backup_rounds, 1);
 
-        // λd announces itself: the connection flips to Maybe/Validated with
-        // the new instance.
+        // λd announces itself: the connection flips to Maybe with the new
+        // instance.
         p.on_lambda(
             LambdaId(0),
             Msg::HelloProxy {
@@ -1466,13 +1460,7 @@ mod tests {
         );
         let conn = p.member(LambdaId(0)).unwrap();
         assert_eq!(conn.instance(), Some(InstanceId(9)));
-        assert_eq!(
-            conn.state(),
-            (
-                crate::conn::Liveness::Maybe,
-                crate::conn::Validity::Validated
-            )
-        );
+        assert_eq!(conn.liveness(), crate::conn::Liveness::Maybe);
     }
 
     #[test]

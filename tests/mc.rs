@@ -75,6 +75,23 @@ fn small_preset_with_injected_reclaim_is_clean_and_exhaustive() {
     );
 }
 
+/// The write path with nothing settled away: a whole PUT onto a cold
+/// pool — invokes, PONG flushes, chunk stores, acks — is exhaustively
+/// explorable and clean.
+#[test]
+fn unsettled_put_preset_is_clean_and_exhaustive() {
+    let report = explore(&uncapped(McConfig::put(1)));
+    assert!(report.ok(), "violations: {:#?}", report.violations);
+    assert!(!report.capped, "put must be exhaustible");
+    assert_eq!(report.depth_cutoffs, 0, "put must terminate within depth");
+    assert!(
+        report.states > 1000,
+        "state space too small: {}",
+        report.states
+    );
+    assert!(report.terminals >= 1, "no terminal state audited");
+}
+
 /// DFS and BFS visit the same deduped state space (they disagree only
 /// on order), so the two searches cross-check each other's frontier
 /// bookkeeping.
