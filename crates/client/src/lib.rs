@@ -5,6 +5,8 @@
 //!
 //! 1. **Erasure coding** — objects are split into `d` data chunks plus `p`
 //!    parity chunks on PUT and decoded from the first `d` arrivals on GET
+//!    — the `d` data chunks alone while the stripe's nodes are healthy,
+//!    parity as soon as the proxy has reason to ask for it
 //!    (the computation-heavy EC work was deliberately moved out of the
 //!    proxy and into the client);
 //! 2. **Proxy selection** — a consistent-hash ring spreads objects over
@@ -130,13 +132,21 @@ struct GetState {
     /// drop repairs of a version that was overwritten meanwhile.
     version: u64,
     total: u32,
+    /// How many leading chunks the proxy asked for at admission (from
+    /// `GetAccepted`): all of them on a degraded stripe, only the data
+    /// chunks on a healthy one. Each of these is answered; the state
+    /// closes once they all are. Later chunks arrive only if the proxy
+    /// released its held parity requests — they count toward first-*d*
+    /// but nothing waits for them, because a stray answer from an
+    /// earlier GET of the key looks exactly the same.
+    requested: usize,
     arrivals: Vec<Option<Payload>>,
     missing: Vec<bool>,
     arrived: usize,
     lost: usize,
     /// Delivered to the application (first-*d* reached); the state stays
-    /// open until every chunk is accounted for, so that a miss report
-    /// racing the delivery still triggers read repair.
+    /// open until every requested chunk is accounted for, so that a miss
+    /// report racing the delivery still triggers read repair.
     done: bool,
     /// The reassembled object, kept after delivery for late repairs.
     object: Option<Payload>,
@@ -144,6 +154,13 @@ struct GetState {
     /// transports); replayed once the stripe shape is known so the GET
     /// still terminates — the proxy answers each chunk exactly once.
     early_answers: Vec<(ChunkId, Option<Payload>)>,
+}
+
+impl GetState {
+    /// Every chunk the proxy asked for has been answered.
+    fn settled(&self) -> bool {
+        (0..self.requested).all(|i| self.arrivals[i].is_some() || self.missing[i])
+    }
 }
 
 #[derive(Debug)]
@@ -333,6 +350,7 @@ impl ClientLib {
                 object_size: 0,
                 version: 0,
                 total: 0,
+                requested: 0,
                 arrivals: Vec::new(),
                 missing: Vec::new(),
                 arrived: 0,
@@ -344,7 +362,10 @@ impl ClientLib {
         );
         actions.push(ClientAction::ToProxy {
             proxy,
-            msg: Msg::GetObject { key },
+            msg: Msg::GetObject {
+                key,
+                data_chunks: self.ec.data as u32,
+            },
         });
         actions
     }
@@ -356,6 +377,7 @@ impl ClientLib {
                 key,
                 object_size,
                 version,
+                requested,
                 chunks,
             } => {
                 let Some(st) = self.gets.get_mut(&key) else {
@@ -369,6 +391,10 @@ impl ClientLib {
                 st.object_size = object_size;
                 st.version = version;
                 st.total = chunks.len() as u32;
+                st.requested = match requested as usize {
+                    r if (1..=chunks.len()).contains(&r) => r,
+                    _ => chunks.len(),
+                };
                 st.arrivals = vec![None; chunks.len()];
                 st.missing = vec![false; chunks.len()];
                 // Answers that overtook this accept are applied now
@@ -474,7 +500,12 @@ impl ClientLib {
         }
         match payload {
             Some(p) => {
-                if st.arrivals[seq].is_none() && !st.missing[seq] {
+                if st.arrivals[seq].is_none() {
+                    // Bytes in hand beat an earlier loss report (which
+                    // may have been a stray from a previous GET).
+                    if std::mem::take(&mut st.missing[seq]) {
+                        st.lost -= 1;
+                    }
                     st.arrivals[seq] = Some(p);
                     st.arrived += 1;
                 }
@@ -490,10 +521,11 @@ impl ClientLib {
         let d = self.ec.data;
         let n = st.total as usize;
         if st.done {
-            // Post-delivery accounting: once every chunk is either here or
-            // reported lost, repair the losses (a miss racing the first-d
-            // delivery must not silently erode redundancy).
-            if st.arrived + st.lost >= n {
+            // Post-delivery accounting: once every requested chunk is
+            // either here or reported lost, repair the losses (a miss
+            // racing the first-d delivery must not silently erode
+            // redundancy).
+            if st.settled() {
                 return self.finish_accounting(&key);
             }
             return Vec::new();
@@ -516,7 +548,7 @@ impl ClientLib {
     }
 
     /// First-*d* arrivals are in: decode, deliver, and repair losses. The
-    /// state stays registered until all chunks are accounted for.
+    /// state stays registered until every requested chunk is accounted for.
     fn complete_get(&mut self, key: &ObjectKey) -> Vec<ClientAction> {
         let mut st = self.gets.remove(key).expect("caller checked");
         st.done = true;
@@ -625,9 +657,9 @@ impl ClientLib {
             },
         });
         // Re-register the state for post-delivery accounting unless every
-        // chunk is already accounted for.
+        // requested chunk is already accounted for.
         st.object = Some(object);
-        if st.arrived + st.lost < n {
+        if !st.settled() {
             self.gets.insert(key.clone(), st);
         }
         actions
@@ -779,6 +811,12 @@ impl ClientLib {
                     st.arrived + st.lost
                 ));
             }
+            if !(1..=n).contains(&st.requested) {
+                violations.push(format!(
+                    "{}: GET of {key} expects {} answers from a {n}-chunk stripe",
+                    self.id, st.requested
+                ));
+            }
         }
         violations
     }
@@ -873,6 +911,7 @@ mod tests {
             key: ObjectKey::new("k"),
             object_size: 999,
             version: 1,
+            requested: 6,
             chunks: chunk_ids,
         });
         // Deliver shards 0,2,3 and parity shard 4 (shard 1 is "slow").
@@ -915,6 +954,7 @@ mod tests {
             key: ObjectKey::new("k"),
             object_size: 400,
             version: 1,
+            requested: 4,
             chunks: shards.iter().map(|(id, _)| id.clone()).collect(),
         });
         let mut out = Vec::new();
@@ -958,6 +998,7 @@ mod tests {
                 key: key.clone(),
                 object_size: 4000,
                 version: 7,
+                requested: chunks.len() as u32,
                 chunks: chunks.clone(),
             })
             .is_empty());
@@ -1009,6 +1050,7 @@ mod tests {
             key: key.clone(),
             version: 1,
             object_size: 4000,
+            requested: chunks.len() as u32,
             chunks: chunks.clone(),
         });
         // Two misses, then four synthetic arrivals.
@@ -1057,6 +1099,7 @@ mod tests {
             key: key.clone(),
             version: 1,
             object_size: 100,
+            requested: chunks.len() as u32,
             chunks: chunks.clone(),
         });
         c.on_proxy(Msg::ChunkMiss {
@@ -1177,6 +1220,7 @@ mod tests {
             key: key.clone(),
             version: 1,
             object_size: 4000,
+            requested: chunks.len() as u32,
             chunks: chunks.clone(),
         });
         // First-d delivery from chunks 1..=4; chunks 0 and 5 unaccounted.
@@ -1225,6 +1269,7 @@ mod tests {
             key: key.clone(),
             version: 1,
             object_size: 4000,
+            requested: chunks.len() as u32,
             chunks: chunks.clone(),
         });
         for id in &chunks[0..4] {
@@ -1257,6 +1302,7 @@ mod tests {
             key: key.clone(),
             version: 1,
             object_size: 400,
+            requested: chunks.len() as u32,
             chunks: chunks.clone(),
         });
         let mut out = Vec::new();
@@ -1289,5 +1335,176 @@ mod tests {
                 assert!(payload.is_synthetic());
             }
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Data-first reads: the proxy asked for the d data chunks only
+    // ------------------------------------------------------------------
+
+    /// A 4+2 client with a GET of `"k"` accepted at `requested` chunks.
+    fn accepted(requested: u32) -> (ClientLib, Vec<ChunkId>) {
+        let mut c = client(1, 10, EcConfig::new(4, 2).unwrap());
+        let key = ObjectKey::new("k");
+        let acts = c.get(key.clone());
+        assert!(matches!(
+            &acts[0],
+            ClientAction::ToProxy {
+                msg: Msg::GetObject { data_chunks: 4, .. },
+                ..
+            }
+        ));
+        let chunks: Vec<ChunkId> = (0..6).map(|s| ChunkId::new(key.clone(), s)).collect();
+        let acts = c.on_proxy(Msg::GetAccepted {
+            key,
+            object_size: 4000,
+            version: 3,
+            requested,
+            chunks: chunks.clone(),
+        });
+        assert!(acts.is_empty());
+        (c, chunks)
+    }
+
+    fn arrive(c: &mut ClientLib, id: &ChunkId) -> Vec<ClientAction> {
+        c.on_proxy(Msg::ChunkToClient {
+            id: id.clone(),
+            payload: Payload::synthetic(1000),
+        })
+    }
+
+    fn lose(c: &mut ClientLib, id: &ChunkId) -> Vec<ClientAction> {
+        c.on_proxy(Msg::ChunkMiss { id: id.clone() })
+    }
+
+    fn delivery(acts: &[ClientAction]) -> Option<GetReport> {
+        acts.iter().find_map(|a| match a {
+            ClientAction::Deliver { report, .. } => Some(*report),
+            _ => None,
+        })
+    }
+
+    fn repairs(acts: &[ClientAction]) -> Vec<(u32, u64)> {
+        acts.iter()
+            .filter_map(|a| match a {
+                ClientAction::DataToProxy {
+                    msg:
+                        Msg::PutChunk {
+                            id,
+                            repair: true,
+                            put_epoch,
+                            ..
+                        },
+                    ..
+                } => Some((id.seq, *put_epoch)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_data_first_get_closes_at_delivery() {
+        let (mut c, chunks) = accepted(4);
+        for id in &chunks[..3] {
+            assert!(arrive(&mut c, id).is_empty());
+        }
+        let acts = arrive(&mut c, &chunks[3]);
+        let report = delivery(&acts).expect("the data chunks are the object");
+        assert!(!report.used_parity);
+        assert_eq!(report.lost_chunks, 0);
+        assert_eq!(c.open_gets(), 0, "nothing else was asked for");
+        assert_eq!(c.stats.parity_decodes, 0);
+    }
+
+    /// A data chunk is reported lost, the proxy releases the parity
+    /// requests, and a parity chunk completes first-d — whichever of the
+    /// two the client hears of first.
+    #[test]
+    fn released_parity_stands_in_for_a_lost_data_chunk() {
+        // The miss, then the parity chunk.
+        let (mut c, chunks) = accepted(4);
+        for i in [0, 2, 3] {
+            arrive(&mut c, &chunks[i]);
+        }
+        assert!(lose(&mut c, &chunks[1]).is_empty());
+        let acts = arrive(&mut c, &chunks[4]);
+        let report = delivery(&acts).expect("parity completes first-d");
+        assert!(report.used_parity);
+        assert_eq!(report.lost_chunks, 1);
+        assert_eq!(repairs(&acts), [(1, 3)]);
+        assert_eq!(c.open_gets(), 0, "every requested chunk is accounted for");
+        // The other released parity chunk finds nothing to join.
+        assert!(arrive(&mut c, &chunks[5]).is_empty());
+
+        // The parity chunk, then the miss.
+        let (mut c, chunks) = accepted(4);
+        for i in [0, 2, 3] {
+            arrive(&mut c, &chunks[i]);
+        }
+        let acts = arrive(&mut c, &chunks[5]);
+        let report = delivery(&acts).expect("parity completes first-d");
+        assert!(report.used_parity);
+        assert_eq!(report.lost_chunks, 0);
+        assert!(repairs(&acts).is_empty());
+        assert_eq!(c.open_gets(), 1, "data chunk 1 is still unanswered");
+        let acts = lose(&mut c, &chunks[1]);
+        assert_eq!(repairs(&acts), [(1, 3)], "the late miss is repaired");
+        assert_eq!(c.open_gets(), 0);
+        assert_eq!(c.stats.repaired_chunks, 1);
+
+        // Both overtake the accept.
+        let mut c = client(1, 10, EcConfig::new(4, 2).unwrap());
+        let key = ObjectKey::new("k");
+        c.get(key.clone());
+        let chunks: Vec<ChunkId> = (0..6).map(|s| ChunkId::new(key.clone(), s)).collect();
+        assert!(arrive(&mut c, &chunks[4]).is_empty());
+        assert!(lose(&mut c, &chunks[1]).is_empty());
+        c.on_proxy(Msg::GetAccepted {
+            key,
+            object_size: 4000,
+            version: 3,
+            requested: 4,
+            chunks: chunks.clone(),
+        });
+        arrive(&mut c, &chunks[0]);
+        arrive(&mut c, &chunks[2]);
+        let acts = arrive(&mut c, &chunks[3]);
+        let report = delivery(&acts).expect("the buffered parity chunk counts");
+        assert!(report.used_parity);
+        assert_eq!(repairs(&acts), [(1, 3)]);
+        assert_eq!(c.open_gets(), 0);
+        assert_eq!(c.check_invariants(), Vec::<String>::new());
+    }
+
+    /// A parity answer nobody asked for (a straggler of an earlier GET of
+    /// the key) is welcome as bytes but must not keep the state waiting
+    /// for the rest of the stripe, and a stray loss report gives way to
+    /// the chunk itself.
+    #[test]
+    fn stray_answers_neither_hold_a_data_first_get_open_nor_lose_a_chunk() {
+        let (mut c, chunks) = accepted(4);
+        assert!(arrive(&mut c, &chunks[5]).is_empty());
+        assert!(lose(&mut c, &chunks[2]).is_empty());
+        arrive(&mut c, &chunks[0]);
+        arrive(&mut c, &chunks[1]);
+        // First-d is reached through the stray parity chunk; the data
+        // chunk "lost" by the stray report is repaired...
+        let acts = arrive(&mut c, &chunks[3]);
+        assert!(delivery(&acts).expect("first-d").used_parity);
+        assert_eq!(repairs(&acts), [(2, 3)]);
+        assert_eq!(c.open_gets(), 0);
+
+        // ...unless its bytes arrive first: then nothing was lost.
+        let (mut c, chunks) = accepted(4);
+        lose(&mut c, &chunks[2]);
+        for id in &chunks[..3] {
+            arrive(&mut c, id);
+        }
+        let acts = arrive(&mut c, &chunks[3]);
+        let report = delivery(&acts).expect("all four data chunks are here");
+        assert!(!report.used_parity);
+        assert_eq!(report.lost_chunks, 0);
+        assert!(repairs(&acts).is_empty());
+        assert_eq!(c.open_gets(), 0);
+        assert_eq!(c.check_invariants(), Vec::<String>::new());
     }
 }

@@ -57,8 +57,10 @@ use crate::payload::Payload;
 /// Current wire-format version; bump on any incompatible encoding change.
 /// (v2: `GetAccepted` carries the stored object's proxy-assigned
 /// version, guarding read-repair against overwrites. v3: message tag 7,
-/// the preflight `Ping`, is retired — a v2 peer would still send it.)
-pub const FRAME_VERSION: u8 = 3;
+/// the preflight `Ping`, is retired — a v2 peer would still send it.
+/// v4: `GetObject` carries the reader's `data_chunks` and `GetAccepted`
+/// how many leading chunks were `requested`, for data-first reads.)
+pub const FRAME_VERSION: u8 = 4;
 
 /// Upper bound on one frame's body. A frame carries at most one chunk
 /// payload; 64 MiB comfortably covers the largest chunk of the paper's
@@ -291,20 +293,23 @@ impl Enc {
     /// order).
     pub fn msg(&mut self, m: &Msg) {
         match m {
-            Msg::GetObject { key } => {
+            Msg::GetObject { key, data_chunks } => {
                 self.u8(0);
                 self.key(key);
+                self.u32(*data_chunks);
             }
             Msg::GetAccepted {
                 key,
                 object_size,
                 version,
+                requested,
                 chunks,
             } => {
                 self.u8(1);
                 self.key(key);
                 self.u64(*object_size);
                 self.u64(*version);
+                self.u32(*requested);
                 self.u32(chunks.len() as u32);
                 for c in chunks {
                     self.chunk(c);
@@ -654,11 +659,15 @@ impl<'a> Dec<'a> {
     pub fn msg(&mut self) -> FrameResult<Msg> {
         let tag = self.u8()?;
         Ok(match tag {
-            0 => Msg::GetObject { key: self.key()? },
+            0 => Msg::GetObject {
+                key: self.key()?,
+                data_chunks: self.u32()?,
+            },
             1 => {
                 let key = self.key()?;
                 let object_size = self.u64()?;
                 let version = self.u64()?;
+                let requested = self.u32()?;
                 let n = self.seq_len()?;
                 let mut chunks = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
@@ -668,6 +677,7 @@ impl<'a> Dec<'a> {
                     key,
                     object_size,
                     version,
+                    requested,
                     chunks,
                 }
             }
@@ -1345,11 +1355,13 @@ mod tests {
         roundtrip(Msg::InitBackup);
         roundtrip(Msg::GetObject {
             key: ObjectKey::new("sha256:deadbeef"),
+            data_chunks: 10,
         });
         roundtrip(Msg::GetAccepted {
             key: ObjectKey::new("k"),
             object_size: 123_456,
             version: 17,
+            requested: 4,
             chunks: (0..6)
                 .map(|s| ChunkId::new(ObjectKey::new("k"), s))
                 .collect(),
@@ -1635,6 +1647,7 @@ mod tests {
             &mut wire,
             &Msg::GetObject {
                 key: ObjectKey::new("abcdef"),
+                data_chunks: 0,
             },
         )
         .unwrap();
@@ -1712,6 +1725,7 @@ mod tests {
                 0 => Msg::InitBackup,
                 1 => Msg::GetObject {
                     key: ObjectKey::new(format!("key-{i}")),
+                    data_chunks: 0,
                 },
                 _ => Msg::ChunkToClient {
                     id: ChunkId::new(ObjectKey::new(format!("obj-{i}")), (i % 7) as u32),
@@ -1992,6 +2006,7 @@ mod tests {
             &mut wire,
             &Msg::GetObject {
                 key: ObjectKey::new("cut-short"),
+                data_chunks: 0,
             },
         )
         .unwrap();
@@ -2037,6 +2052,7 @@ mod tests {
         let msgs: Vec<Msg> = (0..200)
             .map(|i| Msg::GetObject {
                 key: ObjectKey::new(format!("key-{i}")),
+                data_chunks: 0,
             })
             .collect();
         let mut wire = Vec::new();
@@ -2064,6 +2080,7 @@ mod tests {
         // whose envelope — or body — is cut by it, at every offset.
         let filler = Msg::GetObject {
             key: ObjectKey::new("filler-filler-filler"),
+            data_chunks: 0,
         };
         let straddler = Msg::ChunkToClient {
             id: ChunkId::new(ObjectKey::new("straddler"), 3),

@@ -108,9 +108,15 @@ pub enum Msg {
     GetObject {
         /// Object key.
         key: ObjectKey,
+        /// How many leading chunks of the stripe rebuild the object on
+        /// their own (the reader's *d*). While every home of the stripe is
+        /// healthy the proxy asks for exactly those and holds the parity
+        /// requests back; 0, or anything not below the stripe size, asks
+        /// for the whole stripe.
+        data_chunks: u32,
     },
-    /// Proxy accepts a GET: the chunk set it will stream (first-*d* of these
-    /// suffice to decode).
+    /// Proxy accepts a GET: the stripe's chunk set, and how much of it was
+    /// asked for (any *d* of the chunks suffice to decode).
     GetAccepted {
         /// Object key.
         key: ObjectKey,
@@ -122,6 +128,12 @@ pub enum Msg {
         /// client fetched *before* an overwrite is recognized as stale
         /// and dropped instead of clobbering the newer version.
         version: u64,
+        /// How many leading chunks the proxy asked the pool for at
+        /// admission: the reader's `data_chunks` on a healthy stripe,
+        /// `chunks.len()` otherwise. Every one of them is answered
+        /// (data or miss); chunks past this count are answered only if
+        /// the proxy later releases the held-back parity requests.
+        requested: u32,
         /// All chunk ids of the object, in shard order.
         chunks: Vec<ChunkId>,
     },
@@ -361,7 +373,8 @@ mod tests {
         assert_eq!(Msg::InitBackup.kind(), "InitBackup");
         assert_eq!(
             Msg::GetObject {
-                key: ObjectKey::new("x")
+                key: ObjectKey::new("x"),
+                data_chunks: 0,
             }
             .kind(),
             "GetObject"

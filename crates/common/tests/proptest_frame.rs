@@ -33,19 +33,23 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
 /// One random message of any protocol variant.
 fn arb_msg() -> impl Strategy<Value = Msg> {
     prop_oneof![
-        arb_key().prop_map(|key| Msg::GetObject { key }),
+        (arb_key(), 0u32..64).prop_map(|(key, data_chunks)| Msg::GetObject { key, data_chunks }),
         (
             arb_key(),
             0u64..1 << 40,
             0u64..1 << 32,
+            0u32..64,
             vec(arb_chunk(), 0..16)
         )
-            .prop_map(|(key, object_size, version, chunks)| Msg::GetAccepted {
-                key,
-                object_size,
-                version,
-                chunks
-            }),
+            .prop_map(
+                |(key, object_size, version, requested, chunks)| Msg::GetAccepted {
+                    key,
+                    object_size,
+                    version,
+                    requested,
+                    chunks
+                }
+            ),
         arb_key().prop_map(|key| Msg::GetMiss { key }),
         (
             (arb_chunk(), 0u32..4096, arb_payload()),

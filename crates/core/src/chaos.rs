@@ -19,9 +19,9 @@
 //! * **request termination** — every application GET/PUT eventually
 //!   concludes (`Deliver`/`Miss`/`Unrecoverable`/`PutComplete`/
 //!   `PutFailed`): no dangling world-level pending entries, no open
-//!   client `GetState`/`PutState`, no proxy `inflight_gets` waiters or
-//!   `puts` progress for dead objects, and no leftover aborted-PUT
-//!   tombstones once traffic drains;
+//!   client `GetState`/`PutState`, no proxy `inflight_gets` waiters,
+//!   held-back parity or `puts` progress for dead objects, and no
+//!   leftover aborted-PUT tombstones once traffic drains;
 //! * **byte accounting** — each proxy's `used_bytes` equals the summed
 //!   stored length of its live objects;
 //! * **mapping consistency** — every mapped chunk belongs to a live
@@ -187,6 +187,12 @@ pub struct ChaosReport {
     pub overwrites: u64,
     /// Delivery failures (connection resets) across all proxies.
     pub delivery_failures: u64,
+    /// GETs admitted data-first (parity requests held back) across all
+    /// proxies.
+    pub data_first_gets: u64,
+    /// Held parity requests released mid-GET, by a data-chunk miss or a
+    /// bounced data query, across all proxies.
+    pub parity_releases: u64,
     /// PUTs aborted mid-flight across all clients.
     pub failed_puts: u64,
     /// EC recoveries across all clients.
@@ -312,6 +318,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         evictions: 0,
         overwrites: 0,
         delivery_failures: 0,
+        data_first_gets: 0,
+        parity_releases: 0,
         failed_puts: 0,
         recoveries: 0,
         unrecoverable: 0,
@@ -320,6 +328,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         report.evictions += p.stats.evictions;
         report.overwrites += p.stats.overwrites;
         report.delivery_failures += p.stats.delivery_failures;
+        report.data_first_gets += p.stats.data_first_gets;
+        report.parity_releases += p.stats.parity_releases_miss + p.stats.parity_releases_bounce;
     }
     for c in world.clients() {
         report.failed_puts += c.stats.failed_puts;
@@ -367,6 +377,13 @@ pub fn audit_termination(world: &SimWorld) -> Vec<String> {
                 "termination: {} holds {} in-flight GET waiters",
                 p.id(),
                 p.inflight_total()
+            ));
+        }
+        if p.held_parity_total() > 0 {
+            violations.push(format!(
+                "termination: {} holds back the parity of {} GETs",
+                p.id(),
+                p.held_parity_total()
             ));
         }
         if p.open_puts() > 0 {

@@ -40,7 +40,7 @@ use ic_common::{
     Result, SimTime,
 };
 use ic_lambda::runtime::RuntimeConfig;
-use ic_proxy::{Proxy, ProxyAction, ProxyConfig};
+use ic_proxy::{Proxy, ProxyAction, ProxyConfig, ProxyStats};
 
 use crate::dispatch::{self, ClientOutcome, ClientTransport, LambdaCtx, ProxyTransport};
 use crate::nodehost::{NodeHost, NodeIo};
@@ -151,7 +151,9 @@ impl ProxyThread {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    fn run(mut self) {
+    /// Serves until told to quit; hands the state machine's final
+    /// counters to whoever joins the thread.
+    fn run(mut self) -> ProxyStats {
         while let Ok(wire) = self.rx.recv() {
             let actions = match wire {
                 Wire::FromClient(c, msg) => self.proxy.on_client(c, msg),
@@ -163,6 +165,7 @@ impl ProxyThread {
             let proxy = self.proxy.id();
             dispatch::run_proxy_actions(&mut self, now, proxy, actions, None);
         }
+        self.proxy.stats
     }
 }
 
@@ -232,6 +235,7 @@ pub struct LiveCluster {
     client_rx: Receiver<Msg>,
     node_tx: HashMap<LambdaId, Sender<NodeCmd>>,
     handles: Vec<JoinHandle<()>>,
+    proxy_handle: JoinHandle<ProxyStats>,
     op_timeout: Duration,
     epoch: Instant,
     /// Terminal outcomes collected by the client-role transport, drained
@@ -308,12 +312,10 @@ impl LiveCluster {
             relay_sources: HashMap::new(),
             epoch,
         };
-        handles.push(
-            std::thread::Builder::new()
-                .name("ic-proxy-0".into())
-                .spawn(move || pt.run())
-                .expect("spawn proxy thread"),
-        );
+        let proxy_handle = std::thread::Builder::new()
+            .name("ic-proxy-0".into())
+            .spawn(move || pt.run())
+            .expect("spawn proxy thread");
 
         let client = ClientLib::new(
             ClientId(0),
@@ -328,6 +330,7 @@ impl LiveCluster {
             client_rx,
             node_tx,
             handles,
+            proxy_handle,
             op_timeout: Duration::from_secs(10),
             epoch,
             outcomes: Vec::new(),
@@ -424,7 +427,13 @@ impl LiveCluster {
     }
 
     /// Stops all threads.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
+        self.shutdown_with_stats();
+    }
+
+    /// [`LiveCluster::shutdown`], returning the proxy's final protocol
+    /// counters (zeroes if its thread panicked).
+    pub fn shutdown_with_stats(mut self) -> ProxyStats {
         let _ = self.proxy_tx.send(Wire::Quit);
         for tx in self.node_tx.values() {
             let _ = tx.send(NodeCmd::Quit);
@@ -432,6 +441,7 @@ impl LiveCluster {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+        self.proxy_handle.join().unwrap_or_default()
     }
 
     /// Runs client actions through the shared dispatch engine, surfacing

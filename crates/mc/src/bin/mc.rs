@@ -1,9 +1,9 @@
 //! `mc` — run the protocol model checker from the command line.
 //!
 //! ```text
-//! mc explore [--preset tiny|small|race|put] [--seed N] [--depth N] [--bfs]
-//!            [--reclaims N] [--disconnects N] [--settle N] [--prune]
-//!            [--timers] [--all-violations] [--max-states N]
+//! mc explore [--preset tiny|small|race|put|read] [--seed N] [--depth N] [--bfs]
+//!            [--reclaims N] [--disconnects N] [--timers N] [--settle N]
+//!            [--prune] [--all-violations] [--max-states N]
 //!            [--bug early|stale] [--trace-out PATH]
 //! mc replay --trace PATH
 //! ```
@@ -20,8 +20,8 @@ use ic_mc::{explore, load_trace, replay_violates, McConfig, SearchMode};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mc explore [--preset tiny|small|race|put] [--seed N] [--depth N] [--bfs]\n             \
-         [--reclaims N] [--disconnects N] [--settle N] [--prune] [--timers]\n             \
+        "usage:\n  mc explore [--preset tiny|small|race|put|read] [--seed N] [--depth N] [--bfs]\n             \
+         [--reclaims N] [--disconnects N] [--timers N] [--settle N] [--prune]\n             \
          [--all-violations] [--max-states N] [--bug early|stale]\n             \
          [--trace-out PATH]\n  mc replay --trace PATH"
     );
@@ -54,11 +54,12 @@ fn cmd_explore(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--preset" => preset = it.next().cloned().unwrap_or_else(|| usage()),
             "--seed" => seed = parse_num(&mut it, "--seed"),
-            "--depth" | "--reclaims" | "--disconnects" | "--max-states" | "--settle" | "--bug" => {
+            "--depth" | "--reclaims" | "--disconnects" | "--timers" | "--max-states"
+            | "--settle" | "--bug" => {
                 let v = it.next().cloned().unwrap_or_else(|| usage());
                 overrides.push((a.clone(), v));
             }
-            "--bfs" | "--prune" | "--timers" | "--all-violations" => {
+            "--bfs" | "--prune" | "--all-violations" => {
                 overrides.push((a.clone(), String::new()));
             }
             "--trace-out" => trace_out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
@@ -70,6 +71,7 @@ fn cmd_explore(args: &[String]) -> ExitCode {
         "small" => McConfig::small(seed),
         "race" => McConfig::race(seed),
         "put" => McConfig::put(seed),
+        "read" => McConfig::read(seed),
         _ => usage(),
     };
     for (flag, v) in overrides {
@@ -77,11 +79,11 @@ fn cmd_explore(args: &[String]) -> ExitCode {
             "--depth" => cfg.depth = v.parse().unwrap_or_else(|_| usage()),
             "--reclaims" => cfg.max_reclaims = v.parse().unwrap_or_else(|_| usage()),
             "--disconnects" => cfg.max_disconnects = v.parse().unwrap_or_else(|_| usage()),
+            "--timers" => cfg.max_timer_fires = v.parse().unwrap_or_else(|_| usage()),
             "--max-states" => cfg.max_states = v.parse().unwrap_or_else(|_| usage()),
             "--settle" => cfg.settle_prefix = v.parse().unwrap_or_else(|_| usage()),
             "--bfs" => cfg.mode = SearchMode::Bfs,
             "--prune" => cfg.prune_commuting = true,
-            "--timers" => cfg.explore_lambda_timers = true,
             "--all-violations" => cfg.stop_at_first = false,
             "--bug" => match v.as_str() {
                 "early" => cfg.hooks.drop_early_answers = true,

@@ -103,6 +103,13 @@ pub struct McConfig {
     /// reordering, reclaim-vs-GET, disconnect-vs-GET) all live in the
     /// read path. Set to 0 to explore everything.
     pub settle_prefix: usize,
+    /// Where settling stops. `false`: at the ten-second horizon, long
+    /// after the settled operations' last flow — every node they woke
+    /// has returned and sleeps, so explored GETs meet `Sleeping` homes.
+    /// `true`: the moment the settled operations conclude — their nodes
+    /// are still running and their connections `Active`, which is the
+    /// only state a data-first read is admitted from.
+    pub settle_warm: bool,
     /// Maximum scheduling choices along one path (depth bound).
     pub depth: usize,
     /// Instance reclaims the scheduler may inject per path.
@@ -117,10 +124,12 @@ pub struct McConfig {
     /// exhaustive CI legs run without it and the pruned run is a
     /// faster cross-check, not the source of truth.
     pub prune_commuting: bool,
-    /// Explore delivery of `LambdaTimer` events (billing-cycle returns).
-    /// Off by default: request progress never depends on them and each
-    /// pending timer otherwise multiplies the state space.
-    pub explore_lambda_timers: bool,
+    /// `LambdaTimer` events (billing-cycle ends) the scheduler may
+    /// deliver per path. 0 by default: request progress never depends on
+    /// them, each pending timer multiplies the state space, and a timer
+    /// that re-arms (a busy cycle) is a chain of choices with no end —
+    /// hence a budget, like the other injected events, not a switch.
+    pub max_timer_fires: usize,
     /// Hard cap on distinct states (safety valve; 0 = unbounded). The
     /// report records whether the cap was hit.
     pub max_states: u64,
@@ -146,12 +155,13 @@ impl McConfig {
             ec: EcConfig::new(2, 1).expect("valid code"),
             ops: vec![McOp::put(0, "k0", 6_000), McOp::get(0, "k0")],
             settle_prefix: 1,
+            settle_warm: false,
             depth: 40,
             max_reclaims: 0,
             max_disconnects: 0,
             mode: SearchMode::Dfs,
             prune_commuting: false,
-            explore_lambda_timers: false,
+            max_timer_fires: 0,
             max_states: 2_000_000,
             stop_at_first: true,
             seed,
@@ -202,6 +212,27 @@ impl McConfig {
         McConfig {
             ops: vec![McOp::put(0, "k0", 6_000)],
             settle_prefix: 0,
+            ..McConfig::tiny(seed)
+        }
+    }
+
+    /// The read path on live connections: the tiny deployment (one
+    /// client, 3 nodes, 2+1, PUT then GET of one key) with the PUT
+    /// settled only as far as its `PutDone`, so the GET meets the
+    /// `Active` homes the PUT just woke and is admitted data-first —
+    /// which the other presets never see, their homes having long
+    /// returned. One billing cycle may end and one reclaim is
+    /// injectable, so a data home can return under the GET's query (a
+    /// bounce) and come back empty (a miss on top), and the held parity
+    /// request must be released exactly once; termination also requires
+    /// that no proxy still holds parity back. (With nothing settled the
+    /// same workload does not exhaust: the PUT's interleavings multiply
+    /// the GET's.)
+    pub fn read(seed: u64) -> Self {
+        McConfig {
+            settle_warm: true,
+            max_reclaims: 1,
+            max_timer_fires: 1,
             ..McConfig::tiny(seed)
         }
     }
@@ -282,14 +313,26 @@ impl McConfig {
             }
         };
         submit(&mut world, SimTime::ZERO, &self.ops[..settle]);
-        if settle > 0 {
+        let mut settled_at = SETTLE_HORIZON;
+        if settle > 0 && self.settle_warm {
+            settled_at = SimTime::ZERO;
+            loop {
+                settled_at += SimDuration::from_millis(1);
+                world.run_until(settled_at);
+                let concluded =
+                    world.pending_put_keys().is_empty() && world.pending_get_keys().is_empty();
+                if concluded || settled_at >= SETTLE_HORIZON {
+                    break;
+                }
+            }
+        } else if settle > 0 {
             // Ten sim-seconds is far past any settled operation's last
             // flow; housekeeping events left pending after the horizon
             // are invisible to both the choice enumerator and the
             // fingerprint.
             world.run_until(SETTLE_HORIZON);
         }
-        submit(&mut world, SETTLE_HORIZON, &self.ops[settle..]);
+        submit(&mut world, settled_at, &self.ops[settle..]);
         world
     }
 }

@@ -102,6 +102,26 @@ fn choice_target(world: &SimWorld, c: Choice) -> Target {
     }
 }
 
+/// How much of each injected-event budget a path has used up.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Spent {
+    /// Instance reclaims injected.
+    pub reclaims: usize,
+    /// Client disconnects injected.
+    pub disconnects: usize,
+    /// `LambdaTimer` events delivered.
+    pub timers: usize,
+}
+
+impl Spent {
+    /// Every budget used up: only protocol events remain deliverable.
+    pub const ALL: Spent = Spent {
+        reclaims: usize::MAX,
+        disconnects: usize::MAX,
+        timers: usize::MAX,
+    };
+}
+
 /// The scheduling choices enabled in `world`, in deterministic order:
 /// deliverable protocol events first (time order), then injectable
 /// reclaims, then injectable disconnects.
@@ -112,17 +132,12 @@ fn choice_target(world: &SimWorld, c: Choice) -> Target {
 ///   they reschedule themselves forever, so a search that delivered
 ///   them would never reach a terminal state;
 /// * stale `FlowTick`s (epoch ≠ current) — delivering one is a no-op;
-/// * `LambdaTimer`s unless [`McConfig::explore_lambda_timers`] —
+/// * `LambdaTimer`s beyond [`McConfig::max_timer_fires`] —
 ///   billing-cycle returns don't gate request progress;
 /// * a client's *later* submissions while an earlier one is still
 ///   queued — program order within a session is real, only the
 ///   interleaving *across* components is free.
-pub fn enabled_choices(
-    world: &SimWorld,
-    cfg: &McConfig,
-    reclaims_used: usize,
-    disconnects_used: usize,
-) -> Vec<Choice> {
+pub fn enabled_choices(world: &SimWorld, cfg: &McConfig, spent: Spent) -> Vec<Choice> {
     let mut out = Vec::new();
     let flow_epoch = world.flow_epoch();
     let mut submitted: BTreeSet<ClientId> = BTreeSet::new();
@@ -130,19 +145,19 @@ pub fn enabled_choices(
         match ev {
             Ev::WarmupTick | Ev::Platform(_) => continue,
             Ev::FlowTick { epoch } if *epoch != flow_epoch => continue,
-            Ev::LambdaTimer { .. } if !cfg.explore_lambda_timers => continue,
+            Ev::LambdaTimer { .. } if spent.timers >= cfg.max_timer_fires => continue,
             // Program order: a client's earliest queued submission only.
             Ev::Submit { client, .. } if !submitted.insert(*client) => continue,
             _ => {}
         }
         out.push(Choice::Deliver { seq });
     }
-    if reclaims_used < cfg.max_reclaims {
+    if spent.reclaims < cfg.max_reclaims {
         for instance in world.platform.reclaimable_instances() {
             out.push(Choice::Reclaim { instance });
         }
     }
-    if disconnects_used < cfg.max_disconnects {
+    if spent.disconnects < cfg.max_disconnects {
         for c in 0..cfg.clients {
             if !world.is_client_dead(ClientId(c)) {
                 out.push(Choice::Disconnect {
@@ -185,14 +200,14 @@ pub fn replay_violates(cfg: &McConfig, choices: &[Choice]) -> Option<(ViolationK
         }
     }
     // Deterministic completion: whatever the trace left pending is
-    // delivered in time order (no further fault injection — the
-    // `usize::MAX` budgets read as "already spent"). A stranded request
+    // delivered in time order (no further fault injection — every
+    // budget reads as already spent). A stranded request
     // stays stranded through any completion — that is what "stranded"
     // means — so this both closes partial traces and lets the minimizer
     // elide choices that only mattered for reaching a literal terminal,
     // not for the bug.
     loop {
-        let deliverable = enabled_choices(&world, cfg, usize::MAX, usize::MAX);
+        let deliverable = enabled_choices(&world, cfg, Spent::ALL);
         let Some(&first) = deliverable.first() else {
             break;
         };
@@ -211,6 +226,9 @@ pub fn replay_violates(cfg: &McConfig, choices: &[Choice]) -> Option<(ViolationK
 
 struct Node {
     path: Vec<Choice>,
+    /// `LambdaTimer` deliveries along `path` (a `Deliver` choice does not
+    /// say what it delivers, so this is counted as the path is built).
+    timers: usize,
     /// Sleep set: choices enabled here whose exploration a sibling
     /// already covers (empty unless pruning is on).
     sleep: Vec<Choice>,
@@ -229,6 +247,7 @@ pub fn explore(cfg: &McConfig) -> Report {
     let mut frontier: VecDeque<Node> = VecDeque::new();
     frontier.push_back(Node {
         path: Vec::new(),
+        timers: 0,
         sleep: Vec::new(),
     });
 
@@ -274,9 +293,22 @@ pub fn explore(cfg: &McConfig) -> Report {
             continue; // don't expand past a corrupted state
         }
 
-        let reclaims = count(&node.path, |c| matches!(c, Choice::Reclaim { .. }));
-        let disconnects = count(&node.path, |c| matches!(c, Choice::Disconnect { .. }));
-        let enabled = enabled_choices(&world, cfg, reclaims, disconnects);
+        let spent = Spent {
+            reclaims: count(&node.path, |c| matches!(c, Choice::Reclaim { .. })),
+            disconnects: count(&node.path, |c| matches!(c, Choice::Disconnect { .. })),
+            timers: node.timers,
+        };
+        let enabled = enabled_choices(&world, cfg, spent);
+        let timer_seqs: BTreeSet<u64> = if cfg.max_timer_fires == 0 {
+            BTreeSet::new() // never enabled, so never chosen
+        } else {
+            world
+                .pending_events()
+                .into_iter()
+                .filter(|(_, _, ev)| matches!(ev, Ev::LambdaTimer { .. }))
+                .map(|(seq, _, _)| seq)
+                .collect()
+        };
         if enabled.is_empty() {
             if first_visit {
                 report.terminals += 1;
@@ -349,8 +381,10 @@ pub fn explore(cfg: &McConfig) -> Report {
             let mut path = node.path.clone();
             path.push(c);
             report.transitions += 1;
+            let fires = matches!(c, Choice::Deliver { seq } if timer_seqs.contains(&seq));
             frontier.push_back(Node {
                 path,
+                timers: node.timers + usize::from(fires),
                 sleep: child_sleep,
             });
         }

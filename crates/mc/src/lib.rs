@@ -43,5 +43,5 @@ pub mod explore;
 pub mod trace;
 
 pub use config::{BugHooks, McConfig, McOp, SearchMode};
-pub use explore::{enabled_choices, explore, replay_violates, run_time_ordered, Report};
+pub use explore::{enabled_choices, explore, replay_violates, run_time_ordered, Report, Spent};
 pub use trace::{load_trace, minimize, parse_trace, Trace, Violation, ViolationKind};

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! # free-form comments
-//! config proxies=1 clients=2 nodes=4 ec=2+1 seed=1 settle=1 hooks=early
+//! config proxies=1 clients=2 nodes=4 ec=2+1 seed=1 settle=1 warm=0 hooks=early
 //! op 0 put k0 6000
 //! op 1 get k0
 //! choice deliver 12
@@ -131,7 +131,7 @@ impl Violation {
         };
         let _ = writeln!(
             s,
-            "config proxies={} clients={} nodes={} ec={}+{} seed={} settle={} hooks={hooks}",
+            "config proxies={} clients={} nodes={} ec={}+{} seed={} settle={} warm={} hooks={hooks}",
             cfg.proxies,
             cfg.clients,
             cfg.lambdas_per_proxy,
@@ -139,6 +139,7 @@ impl Violation {
             cfg.ec.parity,
             cfg.seed,
             cfg.settle_prefix,
+            u8::from(cfg.settle_warm),
         );
         for op in &cfg.ops {
             match &op.step {
@@ -209,6 +210,7 @@ pub fn parse_trace(text: &str) -> Result<(McConfig, Vec<Choice>, Vec<String>), S
                         "settle" => {
                             c.settle_prefix = v.parse().map_err(|_| err("bad settle"))?;
                         }
+                        "warm" => c.settle_warm = v == "1",
                         "hooks" => {
                             c.hooks = BugHooks {
                                 drop_early_answers: v.contains("early"),

@@ -47,7 +47,8 @@
 //! `"clients_sweep"` array.
 //! Loopback runs also embed a `"wire"` block: how many vectored write
 //! syscalls the proxies issued and how many frames they coalesced into
-//! them.
+//! them — and print each proxy's protocol counters (GETs admitted
+//! data-first, parity releases by cause, bounces) as its loop exits.
 //!
 //! `--ec-sweep 4+2,10+2,12+3` runs the same workload against a fresh
 //! loopback cluster per erasure-code shape (node pools grown to fit the
@@ -236,7 +237,21 @@ fn run() -> Result<()> {
         );
     }
     if let Some(c) = cluster {
-        c.shutdown();
+        for (proxy, s) in c.shutdown_with_stats() {
+            println!(
+                "{proxy}: {} GETs accepted, {} data-first; parity released at admission {}, \
+                 by a miss {}, by a bounce {}; {} delivery failures, {} stale chunk answers, \
+                 {} coalesced chunk queries",
+                s.get_hits,
+                s.data_first_gets,
+                s.parity_releases_admission,
+                s.parity_releases_miss,
+                s.parity_releases_bounce,
+                s.delivery_failures,
+                s.stale_chunk_answers,
+                s.coalesced_chunk_gets,
+            );
+        }
     }
 
     // Proxy-count sweep: a fresh loopback fleet per shape (same per-proxy

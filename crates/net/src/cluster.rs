@@ -20,6 +20,7 @@ use std::time::Duration;
 
 use ic_common::{DeploymentConfig, Error, LambdaId, ProxyId, Result};
 use ic_lambda::runtime::RuntimeConfig;
+use ic_proxy::ProxyStats;
 
 use crate::client::NetClient;
 use crate::node::{NetNode, NodeHandle};
@@ -157,8 +158,10 @@ impl LoopbackCluster {
 
     /// Kills one node's daemon outright — the in-process equivalent of
     /// `kill <ic-node pid>`: the socket drops, the proxy resets the
-    /// member connection, and the node's chunks go silent (masked by
-    /// first-*d* streaming on subsequent GETs).
+    /// member connection — releasing the parity requests of any
+    /// data-first GET waiting on it — and the node's chunks go silent
+    /// (subsequent GETs find the home down, ask for the whole stripe, and
+    /// first-*d* streaming masks it).
     pub fn kill_node(&mut self, lambda: LambdaId) {
         if let Some(mut h) = self.nodes.remove(&lambda) {
             h.kill();
@@ -212,19 +215,28 @@ impl LoopbackCluster {
     }
 
     /// Stops every proxy (orderly) and every node daemon.
-    pub fn shutdown(mut self) {
-        self.teardown();
+    pub fn shutdown(self) {
+        self.shutdown_with_stats();
     }
 
-    fn teardown(&mut self) {
-        for p in &mut self.proxies {
+    /// [`LoopbackCluster::shutdown`], returning each still-running
+    /// proxy's final protocol counters (see
+    /// [`NetProxyHandle::shutdown_with_stats`]).
+    pub fn shutdown_with_stats(mut self) -> Vec<(ProxyId, ProxyStats)> {
+        self.teardown()
+    }
+
+    fn teardown(&mut self) -> Vec<(ProxyId, ProxyStats)> {
+        let mut stats = Vec::new();
+        for (id, p) in self.proxies.iter_mut().enumerate() {
             if let Some(p) = p.take() {
-                p.shutdown();
+                stats.push((ProxyId(id as u16), p.shutdown_with_stats()));
             }
         }
         for (_, mut h) in self.nodes.drain() {
             h.kill();
         }
+        stats
     }
 }
 

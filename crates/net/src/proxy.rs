@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use ic_common::frame::{FrameWriteQueue, NbFrameReader, NbRead};
 use ic_common::msg::{InvokePayload, Msg};
 use ic_common::{ClientId, DeploymentConfig, Error, LambdaId, ProxyId, RelayId, Result, SimTime};
-use ic_proxy::{Proxy, ProxyAction, ProxyConfig};
+use ic_proxy::{Proxy, ProxyAction, ProxyConfig, ProxyStats};
 use infinicache::dispatch::{self, LambdaCtx, ProxyTransport};
 use polling::{Events, Interest, Mode, Poller, Token, Waker};
 
@@ -161,7 +161,7 @@ pub struct NetProxyHandle {
     pub node_addr: SocketAddr,
     control: Arc<Control>,
     wire: Arc<WireStats>,
-    join: Option<JoinHandle<()>>,
+    join: Option<JoinHandle<ProxyStats>>,
 }
 
 impl NetProxyHandle {
@@ -172,8 +172,17 @@ impl NetProxyHandle {
     ///
     /// Re-raises a panic of the loop thread (a debug-build invariant
     /// audit that failed), here and in [`NetProxyHandle::kill`].
-    pub fn shutdown(mut self) {
-        self.stop(QUIT);
+    pub fn shutdown(self) {
+        self.shutdown_with_stats();
+    }
+
+    /// [`NetProxyHandle::shutdown`], returning the state machine's final
+    /// counters: the loop thread hands them over as it exits, so reading
+    /// them costs the running proxy nothing.
+    pub fn shutdown_with_stats(mut self) -> ProxyStats {
+        // `None` only when the loop thread panicked while this thread is
+        // itself unwinding: nobody reads counters then.
+        self.stop(QUIT).unwrap_or_default()
     }
 
     /// Kills the proxy abruptly: no [`Frame::Shutdown`] notices — every
@@ -191,15 +200,17 @@ impl NetProxyHandle {
         }
     }
 
-    fn stop(&mut self, how: u8) {
-        let Some(join) = self.join.take() else {
-            return;
-        };
+    fn stop(&mut self, how: u8) -> Option<ProxyStats> {
+        let join = self.join.take()?;
         self.control.stop.store(how, Ordering::SeqCst);
         self.control.waker.wake();
-        if let Err(panic) = join.join() {
-            if !std::thread::panicking() {
-                std::panic::resume_unwind(panic);
+        match join.join() {
+            Ok(stats) => Some(stats),
+            Err(panic) => {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+                None
             }
         }
     }
@@ -417,7 +428,7 @@ impl EventLoop {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    fn run(mut self, warmup: Option<Duration>) {
+    fn run(mut self, warmup: Option<Duration>) -> ProxyStats {
         let mut events = Events::with_capacity(256);
         let mut next_tick = warmup.map(|w| Instant::now() + w);
         loop {
@@ -692,7 +703,7 @@ impl EventLoop {
     /// Final teardown. With `notify`, every handshaken peer is sent
     /// [`Frame::Shutdown`] and the queues get a brief best-effort flush;
     /// then (either way) the sockets drop with the loop.
-    fn stop(mut self, notify: bool) {
+    fn stop(mut self, notify: bool) -> ProxyStats {
         if notify {
             for conn in self.conns.values_mut() {
                 if !matches!(conn.state, PeerState::AwaitHello(_)) {
@@ -714,6 +725,7 @@ impl EventLoop {
             }
         }
         self.audit();
+        self.proxy.stats
     }
 
     /// Debug-build invariant audit — every 64 dispatches and once at
@@ -905,6 +917,7 @@ mod tests {
         // a third of a PUT stripe.
         let get = Msg::GetObject {
             key: ObjectKey::new("for-x"),
+            data_chunks: 0,
         };
         Frame::App { msg: get }.write_to(&mut x).unwrap();
         for seq in 0..2 {
@@ -931,11 +944,16 @@ mod tests {
         assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
 
         // --- A node connection dies mid-GET --------------------------
-        // A second connection claiming λ2 replaces the daemon's (newest
-        // wins). It never reads; it answers its first frame with a
-        // hand-written PONG, so the bystander's GETs keep reaching it
-        // even if that frame was the invoke of a λ2 gone to sleep.
-        let victim = LambdaId(2);
+        // A second connection claiming the home of one of the bystander's
+        // data chunks replaces the daemon's (newest wins). It reads one
+        // frame; a request it bounces, the way a node whose instance is
+        // gone would, and either way it then PONGs as a fresh instance,
+        // so the bystander's GETs keep reaching it. It reads nothing
+        // more.
+        let victim = lp
+            .proxy
+            .chunk_owner(&ChunkId::new(ObjectKey::new("kept"), 0))
+            .expect("stored");
         let daemon_token = lp.nodes[&victim];
         let mut fake = TcpStream::connect(node_addr).unwrap();
         Frame::HelloNode { lambda: victim }
@@ -947,13 +965,17 @@ mod tests {
         lp.flush_dirty();
         let fake_token = lp.nodes[&victim];
         let fake_has_frames = |lp: &EventLoop| !lp.conns[&fake_token].queue.is_empty();
-        read_until(&mut lp, &mut events, "a frame for λ2", fake_has_frames);
-        lp.flush_dirty(); // it now sits unread in the fake's socket
-        let instance = lp
-            .proxy
-            .member(victim)
-            .and_then(|m| m.instance())
-            .unwrap_or(InstanceId(77));
+        read_until(
+            &mut lp,
+            &mut events,
+            "a frame for the victim",
+            fake_has_frames,
+        );
+        lp.flush_dirty();
+        if let Frame::ToInstance { msg, .. } = Frame::read_from(&mut fake).unwrap() {
+            Frame::Unreachable { msg }.write_to(&mut fake).unwrap();
+        }
+        let instance = InstanceId(77);
         let pong = Msg::Pong {
             instance,
             stored_bytes: 0,
@@ -964,20 +986,28 @@ mod tests {
         }
         .write_to(&mut fake)
         .unwrap();
-        read_until(&mut lp, &mut events, "more frames for λ2", fake_has_frames);
+        read_until(&mut lp, &mut events, "the re-sent request", fake_has_frames);
+        lp.flush_dirty(); // it now sits unread in the fake's socket
+        read_until(&mut lp, &mut events, "one more request", fake_has_frames);
         die_with_unread_bytes(fake);
         lp.flush_dirty();
         assert!(
             !lp.conns.contains_key(&fake_token),
-            "the flush pass closes λ2"
+            "the flush pass closes the victim"
         );
-        assert!(!lp.nodes.contains_key(&victim), "λ2's connection is reset");
+        assert!(
+            !lp.nodes.contains_key(&victim),
+            "the victim's connection is reset"
+        );
         // The replaced daemon connection is still open, and its death
-        // later must not count: λ2 has no current connection to lose.
+        // later must not count: the victim has no current connection to
+        // lose.
         assert!(lp.conns.contains_key(&daemon_token));
         assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
 
-        // The bystander never noticed: first-d masks the silent λ2.
+        // The bystander never noticed: the bounce and the lost connection
+        // each released the parity of the GET they caught, and every GET
+        // since finds the victim down and asks for the whole stripe.
         let so_far = verified.load(Ordering::SeqCst);
         read_until(&mut lp, &mut events, "20 more verified GETs", |_| {
             verified.load(Ordering::SeqCst) >= so_far + 20

@@ -288,6 +288,7 @@ mod tests {
             Frame::App {
                 msg: Msg::GetObject {
                     key: ObjectKey::new("obj"),
+                    data_chunks: 0,
                 },
             },
             Frame::Shutdown,

@@ -464,6 +464,7 @@ fn net_rude_peers_leave_a_bystanders_reads_byte_identical() {
         let mut rude = raw_client(c.client_addr());
         let get = Msg::GetObject {
             key: ObjectKey::new("kept"),
+            data_chunks: 0,
         };
         Frame::App { msg: get }.write_to(&mut rude).unwrap();
         for seq in 0..2 {

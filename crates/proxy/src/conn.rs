@@ -105,6 +105,12 @@ impl LambdaConn {
         self.queue.len()
     }
 
+    /// `true` while `msg` sits in the queue awaiting the in-flight
+    /// invoke's PONG.
+    pub fn is_queued(&self, msg: &Msg) -> bool {
+        self.queue.contains(msg)
+    }
+
     /// Feeds this connection's protocol state into a state hash (model
     /// checking). Everything here is protocol-relevant: the Fig 6 state,
     /// the answering instance, queued and lazily-deleted work, and the

@@ -5,7 +5,9 @@
 //! fills, tracks which nodes are awake and lets each request validate its
 //! own connection (the Fig 6 state machine in [`conn`], without the
 //! preflight PING), streams chunks between clients and
-//! nodes, and coordinates the delta-sync backup protocol (spawning relays,
+//! nodes — a read of a stripe whose homes are all live connections asks
+//! for the data chunks only and releases the parity requests on the
+//! first evidence a data chunk may not come — and coordinates the delta-sync backup protocol (spawning relays,
 //! switching connections to the backup destination).
 //!
 //! Like the Lambda runtime, the proxy is a pure state machine

@@ -2,12 +2,13 @@
 //! eviction, client/lambda streaming, and backup coordination.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use ic_common::clock::ClockQueue;
 use ic_common::msg::{InvokePayload, Msg};
 use ic_common::{ChunkId, ClientId, LambdaId, ObjectKey, ProxyId, RelayId};
 
-use crate::conn::{ConnEffect, LambdaConn};
+use crate::conn::{ConnEffect, LambdaConn, Liveness};
 
 /// Proxy configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -99,6 +100,22 @@ pub struct ProxyStats {
     /// the current version — and the query re-issued to the chunk's
     /// current home.
     pub stale_chunk_answers: u64,
+    /// GETs admitted data-first: every home of the stripe was `Active`,
+    /// so only the data chunks were asked for and the parity requests
+    /// held back.
+    pub data_first_gets: u64,
+    /// GETs that asked for parity at admission: a home of the stripe was
+    /// unmapped or not `Active`.
+    pub parity_releases_admission: u64,
+    /// Held parity requests released because a data chunk of the GET
+    /// was answered with a miss (reclaim, eviction, overwrite).
+    pub parity_releases_miss: u64,
+    /// Held parity requests released because a data home bounced the
+    /// GET's query or lost its connection with the query unanswered.
+    pub parity_releases_bounce: u64,
+    /// Chunk queries not enqueued because the same query was already
+    /// waiting for the same sleeping node.
+    pub coalesced_chunk_gets: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -127,6 +144,17 @@ impl ObjectMeta {
     fn stored_len(&self) -> u64 {
         self.chunk_len * self.total_chunks as u64
     }
+}
+
+/// The parity half of a GET that was admitted data-first.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct HeldParity {
+    client: ClientId,
+    /// Shard indices not asked for yet (`d..n`).
+    held: Range<u32>,
+    /// Data chunks of this GET still unanswered; the entry goes with the
+    /// last one.
+    data_pending: u32,
 }
 
 #[derive(Clone, Debug)]
@@ -169,6 +197,28 @@ fn fanout_to_waiters<T: Clone>(
         .collect()
 }
 
+/// Removes and returns the held-parity entries of `key` that `pick`
+/// selects.
+fn take_held(
+    held_parity: &mut HashMap<ObjectKey, Vec<HeldParity>>,
+    key: &ObjectKey,
+    pick: impl Fn(&HeldParity) -> bool,
+) -> Vec<HeldParity> {
+    let Some(entries) = held_parity.get_mut(key) else {
+        return Vec::new();
+    };
+    if !entries.iter().any(&pick) {
+        return Vec::new(); // the common case allocates nothing
+    }
+    let (taken, kept): (Vec<_>, Vec<_>) = std::mem::take(entries).into_iter().partition(pick);
+    if kept.is_empty() {
+        held_parity.remove(key);
+    } else {
+        *entries = kept;
+    }
+    taken
+}
+
 /// The proxy.
 #[derive(Debug)]
 pub struct Proxy {
@@ -180,6 +230,12 @@ pub struct Proxy {
     lru: ClockQueue<ObjectKey>,
     used_bytes: u64,
     inflight_gets: HashMap<ChunkId, Vec<ClientId>>,
+    /// GETs whose parity requests are held back, per object. An entry
+    /// lives exactly as long as its client waits on a data chunk of the
+    /// key with no evidence yet that one may not come: a miss, a bounce
+    /// or a lost connection on a data home releases the parity requests,
+    /// the last data answer retires them unasked.
+    held_parity: HashMap<ObjectKey, Vec<HeldParity>>,
     puts: HashMap<ObjectKey, PutProgress>,
     /// Tombstones for PUTs aborted while part of their stripe was still
     /// in flight from the client: `(client, key, put_epoch)` → chunks yet
@@ -218,6 +274,7 @@ impl Proxy {
             lru: ClockQueue::new(),
             used_bytes: 0,
             inflight_gets: HashMap::new(),
+            held_parity: HashMap::new(),
             puts: HashMap::new(),
             aborted_puts: HashMap::new(),
             next_epoch: 1,
@@ -273,7 +330,7 @@ impl Proxy {
     /// Handles a message from a client.
     pub fn on_client(&mut self, client: ClientId, msg: Msg) -> Vec<ProxyAction> {
         match msg {
-            Msg::GetObject { key } => self.handle_get(client, key),
+            Msg::GetObject { key, data_chunks } => self.handle_get(client, key, data_chunks),
             Msg::PutChunk {
                 id,
                 lambda,
@@ -299,7 +356,12 @@ impl Proxy {
         }
     }
 
-    fn handle_get(&mut self, client: ClientId, key: ObjectKey) -> Vec<ProxyAction> {
+    fn handle_get(
+        &mut self,
+        client: ClientId,
+        key: ObjectKey,
+        data_chunks: u32,
+    ) -> Vec<ProxyAction> {
         let Some(meta) = self.objects.get(&key) else {
             self.stats.get_misses += 1;
             return vec![ProxyAction::ToClient {
@@ -316,40 +378,128 @@ impl Proxy {
         let chunks: Vec<ChunkId> = (0..total)
             .map(|seq| ChunkId::new(key.clone(), seq))
             .collect();
+        // The admission rule. Parity exists to mask a data chunk that is
+        // slow or gone; while every home of the stripe is a live
+        // connection there is no sign of either, so only the data chunks
+        // are asked for and the parity requests wait for evidence. A
+        // sleeping home (an invoke is on the path), a connection replaced
+        // mid-backup or an unmapped chunk is such evidence already.
+        let data = if (1..total).contains(&data_chunks) {
+            data_chunks
+        } else {
+            total
+        };
+        let healthy = chunks.iter().all(|c| {
+            self.mapping
+                .get(c)
+                .is_some_and(|home| self.members[home].liveness() == Liveness::Active)
+        });
+        let requested = if healthy { data } else { total };
+        if requested < total {
+            self.stats.data_first_gets += 1;
+        } else if data < total {
+            self.stats.parity_releases_admission += 1;
+        }
+        // A GET re-issued while its predecessor still held parity takes
+        // over: whatever it does not ask for itself is held afresh below.
+        take_held(&mut self.held_parity, &key, |h| h.client == client);
+
         let mut actions = vec![ProxyAction::ToClient {
             client,
             msg: Msg::GetAccepted {
-                key,
+                key: key.clone(),
                 object_size,
                 version,
+                requested,
                 chunks: chunks.clone(),
             },
         }];
-        for chunk in chunks {
-            match self.mapping.get(&chunk).copied() {
-                Some(lambda) => {
-                    self.inflight_gets
-                        .entry(chunk.clone())
-                        .or_default()
-                        .push(client);
-                    let effects = self
-                        .members
-                        .get_mut(&lambda)
-                        .expect("mapping points to a pool member")
-                        .send(Msg::ChunkGet { id: chunk });
-                    actions.extend(self.apply_effects(lambda, effects));
-                }
-                None => {
-                    // Unmapped chunk (PUT raced, or lost metadata): report a
-                    // miss directly.
-                    actions.push(ProxyAction::ToClient {
-                        client,
-                        msg: Msg::ChunkMiss { id: chunk },
-                    });
-                }
-            }
+        for chunk in chunks.into_iter().take(requested as usize) {
+            self.request_chunk(client, chunk, &mut actions);
+        }
+        if requested < total {
+            self.held_parity.entry(key).or_default().push(HeldParity {
+                client,
+                held: requested..total,
+                data_pending: requested,
+            });
         }
         actions
+    }
+
+    /// Registers `client` as waiting on `chunk` and asks the chunk's home
+    /// for it — or, if the chunk has none (PUT raced, or a reclaim was
+    /// already reported), answers with a miss directly. A `(chunk,
+    /// client)` pair waits at most once: the answer to the query already
+    /// out serves a re-issued GET too.
+    fn request_chunk(&mut self, client: ClientId, chunk: ChunkId, out: &mut Vec<ProxyAction>) {
+        let Some(home) = self.mapping.get(&chunk).copied() else {
+            out.push(ProxyAction::ToClient {
+                client,
+                msg: Msg::ChunkMiss { id: chunk },
+            });
+            return;
+        };
+        let waiters = self.inflight_gets.entry(chunk.clone()).or_default();
+        if !waiters.contains(&client) {
+            waiters.push(client);
+        }
+        self.query_home(home, chunk, out);
+    }
+
+    /// Sends `ChunkGet` for `id` to `home`, unless that very query is
+    /// still queued behind the node's invoke — its answer will do, and a
+    /// node that never comes back must not collect one copy per GET.
+    fn query_home(&mut self, home: LambdaId, id: ChunkId, out: &mut Vec<ProxyAction>) {
+        let conn = self
+            .members
+            .get_mut(&home)
+            .expect("mapping points to a pool member");
+        let query = Msg::ChunkGet { id };
+        if conn.is_queued(&query) {
+            self.stats.coalesced_chunk_gets += 1;
+            return;
+        }
+        let effects = conn.send(query);
+        out.extend(self.apply_effects(home, effects));
+    }
+
+    /// Evidence arrived that data chunk `id` may not come (a miss, a
+    /// bounce, its home's connection lost): every GET still waiting on it
+    /// with parity held back now asks for the parity, all of it at once.
+    /// Returns how many GETs that released.
+    fn release_parity_behind(&mut self, id: &ChunkId, out: &mut Vec<ProxyAction>) -> u64 {
+        let Some(waiters) = self.inflight_gets.get(id) else {
+            return 0;
+        };
+        let released = take_held(&mut self.held_parity, &id.key, |h| {
+            id.seq < h.held.start && waiters.contains(&h.client)
+        });
+        for h in &released {
+            for seq in h.held.clone() {
+                self.request_chunk(h.client, ChunkId::new(id.key.clone(), seq), out);
+            }
+        }
+        released.len() as u64
+    }
+
+    /// Data chunk `id` reached `answered` with its bytes: each of their
+    /// data-first GETs counts it off, and the last data answer retires
+    /// the held parity unasked — nothing came up for it to mask.
+    fn retire_held(&mut self, id: &ChunkId, answered: &[ClientId]) {
+        let Some(entries) = self.held_parity.get_mut(&id.key) else {
+            return;
+        };
+        entries.retain_mut(|h| {
+            if id.seq >= h.held.start || !answered.contains(&h.client) {
+                return true;
+            }
+            h.data_pending -= 1;
+            h.data_pending > 0
+        });
+        if entries.is_empty() {
+            self.held_parity.remove(&id.key);
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -506,6 +656,7 @@ impl Proxy {
             Msg::ChunkData { id, payload } => match self.mapping.get(&id).copied() {
                 Some(home) if home == lambda => {
                     let clients = self.inflight_gets.remove(&id).unwrap_or_default();
+                    self.retire_held(&id, &clients);
                     fanout_to_waiters(clients, (id, payload), |client, (id, payload)| {
                         ProxyAction::DataToClient {
                             client,
@@ -617,6 +768,12 @@ impl Proxy {
     /// gone): requeue and re-invoke.
     pub fn on_delivery_failed(&mut self, lambda: LambdaId, msg: Msg) -> Vec<ProxyAction> {
         self.stats.delivery_failures += 1;
+        let mut actions = Vec::new();
+        if let Msg::ChunkGet { id } = &msg {
+            // The query will be retried, but behind a fresh invoke: the
+            // data chunk is now a straggler at best.
+            self.stats.parity_releases_bounce += self.release_parity_behind(id, &mut actions);
+        }
         let retry = match msg {
             m @ (Msg::ChunkGet { .. } | Msg::ChunkPut { .. } | Msg::BackupCmd { .. }) => Some(m),
             Msg::ChunkDelete { ids } => {
@@ -634,7 +791,8 @@ impl Proxy {
             .get_mut(&lambda)
             .map(|m| m.on_reset(retry))
             .unwrap_or_default();
-        self.apply_effects(lambda, effects)
+        actions.extend(self.apply_effects(lambda, effects));
+        actions
     }
 
     /// The transport's connection to the node dropped entirely (its
@@ -649,7 +807,21 @@ impl Proxy {
             .get_mut(&lambda)
             .map(|m| m.on_connection_lost())
             .unwrap_or_default();
-        self.apply_effects(lambda, effects)
+        let mut actions = self.apply_effects(lambda, effects);
+        // Queries the dead connection carried are gone with it: a
+        // data-first GET waiting on a chunk homed there needs its parity.
+        let mut stranded: Vec<ChunkId> = self
+            .inflight_gets
+            .keys()
+            .filter(|id| self.held_parity.contains_key(&id.key))
+            .filter(|id| self.mapping.get(*id) == Some(&lambda))
+            .cloned()
+            .collect();
+        stranded.sort();
+        for id in stranded {
+            self.stats.parity_releases_bounce += self.release_parity_behind(&id, &mut actions);
+        }
+        actions
     }
 
     /// A client's connection ended (socket closed). Its `ClientId` may
@@ -677,6 +849,11 @@ impl Proxy {
             // transport drops it (the connection no longer exists).
             actions.extend(self.abort_put(&key));
         }
+        // Nobody is left to read the parity its GETs held back.
+        self.held_parity.retain(|_, entries| {
+            entries.retain(|h| h.client != client);
+            !entries.is_empty()
+        });
         // A reader delivers its connection's messages before the
         // disconnect, so no more chunks from this session can arrive:
         // its tombstones would never drain.
@@ -739,22 +916,25 @@ impl Proxy {
         if self.inflight_gets.get(id).is_none_or(Vec::is_empty) {
             return Vec::new();
         }
-        let effects = self
-            .members
-            .get_mut(&home)
-            .expect("mapping points to a pool member")
-            .send(Msg::ChunkGet { id: id.clone() });
-        self.apply_effects(home, effects)
+        let mut actions = Vec::new();
+        self.query_home(home, id.clone(), &mut actions);
+        actions
     }
 
     /// Answers every client waiting on `id` with a `ChunkMiss` and
-    /// clears the waiter list.
+    /// clears the waiter list. Those of them that asked data-first get
+    /// their parity requests released: a chunk they counted on is gone.
     fn answer_waiters_with_miss(&mut self, id: &ChunkId) -> Vec<ProxyAction> {
+        let mut released = Vec::new();
+        self.stats.parity_releases_miss += self.release_parity_behind(id, &mut released);
         let clients = self.inflight_gets.remove(id).unwrap_or_default();
-        fanout_to_waiters(clients, id.clone(), |client, id| ProxyAction::ToClient {
-            client,
-            msg: Msg::ChunkMiss { id },
-        })
+        let mut actions =
+            fanout_to_waiters(clients, id.clone(), |client, id| ProxyAction::ToClient {
+                client,
+                msg: Msg::ChunkMiss { id },
+            });
+        actions.append(&mut released);
+        actions
     }
 
     /// Drops an object: metadata, mapping, LRU, capacity, plus lazy
@@ -781,21 +961,27 @@ impl Proxy {
             self.lru.remove(key);
         }
         self.used_bytes = self.used_bytes.saturating_sub(meta.stored_len());
-        let mut actions = Vec::new();
-        for seq in 0..meta.total_chunks {
-            let chunk = ChunkId::new(key.clone(), seq);
-            if let Some(lambda) = self.mapping.remove(&chunk) {
+        let chunks: Vec<ChunkId> = (0..meta.total_chunks)
+            .map(|seq| ChunkId::new(key.clone(), seq))
+            .collect();
+        // Unmap the whole stripe before any waiter is told: the first
+        // data-chunk miss releases held parity, which must find nothing
+        // left to query.
+        for chunk in &chunks {
+            if let Some(lambda) = self.mapping.remove(chunk) {
                 if let Some(m) = self.members.get_mut(&lambda) {
                     m.queue_delete(chunk.clone());
                 }
             }
-            for client in self.inflight_gets.remove(&chunk).unwrap_or_default() {
-                actions.push(ProxyAction::ToClient {
-                    client,
-                    msg: Msg::ChunkMiss { id: chunk.clone() },
-                });
-            }
         }
+        let mut actions = Vec::new();
+        for chunk in &chunks {
+            actions.extend(self.answer_waiters_with_miss(chunk));
+        }
+        debug_assert!(
+            !self.held_parity.contains_key(key),
+            "held parity outlives every data waiter of {key}"
+        );
         actions.extend(self.abort_put(key));
         actions
     }
@@ -864,6 +1050,12 @@ impl Proxy {
         self.inflight_gets.values().map(Vec::len).sum()
     }
 
+    /// GETs whose parity requests are currently held back (auditing;
+    /// must drain to zero once every data chunk is answered).
+    pub fn held_parity_total(&self) -> usize {
+        self.held_parity.values().map(Vec::len).sum()
+    }
+
     /// Number of PUTs currently awaiting acks (auditing).
     pub fn open_puts(&self) -> usize {
         self.puts.len()
@@ -883,7 +1075,11 @@ impl Proxy {
     /// * every mapped chunk belongs to a live object and points at a pool
     ///   member;
     /// * every in-flight GET and every open PUT refers to a live object;
-    /// * PUT progress counters never exceed the stripe size.
+    /// * PUT progress counters never exceed the stripe size;
+    /// * every held-parity entry holds back exactly the tail of a live
+    ///   object's stripe, once per client, and counts exactly the data
+    ///   chunks its client still waits on — at least one, or nothing
+    ///   would ever release or retire it.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let expected: u64 = self.objects.values().map(ObjectMeta::stored_len).sum();
@@ -913,6 +1109,37 @@ impl Proxy {
                     "{}: in-flight GET of {chunk} for an evicted object (waiters stranded)",
                     self.cfg.id
                 ));
+            }
+        }
+        for (key, entries) in &self.held_parity {
+            let total = self.objects.get(key).map(|m| m.total_chunks);
+            for (i, h) in entries.iter().enumerate() {
+                let waiting = (0..h.held.start)
+                    .filter(|&seq| {
+                        self.inflight_gets
+                            .get(&ChunkId::new(key.clone(), seq))
+                            .is_some_and(|w| w.contains(&h.client))
+                    })
+                    .count() as u32;
+                if waiting == 0 || waiting != h.data_pending {
+                    violations.push(format!(
+                        "{}: parity of {key} held for {} counts {} pending data chunks, \
+                         {waiting} are waited on (never released)",
+                        self.cfg.id, h.client, h.data_pending
+                    ));
+                }
+                if h.held.is_empty() || Some(h.held.end) != total {
+                    violations.push(format!(
+                        "{}: parity of {key} held for {} spans {:?} of a {total:?}-chunk stripe",
+                        self.cfg.id, h.client, h.held
+                    ));
+                }
+                if entries[..i].iter().any(|o| o.client == h.client) {
+                    violations.push(format!(
+                        "{}: parity of {key} held twice for {}",
+                        self.cfg.id, h.client
+                    ));
+                }
             }
         }
         for (key, p) in &self.puts {
@@ -963,6 +1190,13 @@ impl Proxy {
             chunk.hash(h);
             waiters.hash(h);
         }
+        let mut held: Vec<_> = self
+            .held_parity
+            .iter()
+            .flat_map(|(key, entries)| entries.iter().map(move |h| (key, h)))
+            .collect();
+        held.sort_by_key(|(key, h)| ((*key).clone(), h.client));
+        held.hash(h);
         let mut puts: Vec<_> = self.puts.iter().collect();
         puts.sort_by_key(|(k, _)| (*k).clone());
         for (key, progress) in puts {
@@ -1063,6 +1297,7 @@ mod tests {
             ClientId(1),
             Msg::GetObject {
                 key: ObjectKey::new("nope"),
+                data_chunks: 0,
             },
         );
         assert!(matches!(
@@ -1129,6 +1364,7 @@ mod tests {
             ClientId(2),
             Msg::GetObject {
                 key: ObjectKey::new("obj"),
+                data_chunks: 0,
             },
         );
         assert!(matches!(
@@ -1156,6 +1392,7 @@ mod tests {
             ClientId(3),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
+                data_chunks: 0,
             },
         );
         let id = ChunkId::new(ObjectKey::new("o"), 0);
@@ -1192,6 +1429,7 @@ mod tests {
             ClientId(3),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
+                data_chunks: 0,
             },
         );
         let v1 = match &acts[0] {
@@ -1230,6 +1468,7 @@ mod tests {
             ClientId(3),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
+                data_chunks: 0,
             },
         )[0]
         {
@@ -1326,6 +1565,7 @@ mod tests {
             ClientId(3),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
+                data_chunks: 0,
             },
         );
         let id = ChunkId::new(ObjectKey::new("o"), 1);
@@ -1365,6 +1605,7 @@ mod tests {
             ClientId(0),
             Msg::GetObject {
                 key: ObjectKey::new("a"),
+                data_chunks: 0,
             },
         );
         put_chunks(&mut p, 3, "c", 4, 100);
@@ -1473,6 +1714,7 @@ mod tests {
             ClientId(0),
             Msg::GetObject {
                 key: ObjectKey::new("x"),
+                data_chunks: 0,
             },
         );
         let id = ChunkId::new(ObjectKey::new("x"), 0);
@@ -1508,6 +1750,7 @@ mod tests {
             ClientId(0),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
+                data_chunks: 0,
             },
         );
         assert!(acts.iter().any(|a| matches!(
@@ -1542,6 +1785,7 @@ mod tests {
             ClientId(5),
             Msg::GetObject {
                 key: ObjectKey::new("a"),
+                data_chunks: 0,
             },
         );
         assert_eq!(p.inflight_total(), 4);
@@ -1792,6 +2036,7 @@ mod tests {
             ClientId(1),
             Msg::GetObject {
                 key: ObjectKey::new("partial"),
+                data_chunks: 0,
             },
         );
         let misses = acts
@@ -1870,6 +2115,7 @@ mod tests {
             ClientId(7),
             Msg::GetObject {
                 key: ObjectKey::new("obj"),
+                data_chunks: 0,
             },
         );
         assert_eq!(p.inflight_for(&chunk(0)), 1);
@@ -1963,5 +2209,329 @@ mod tests {
         );
         p.on_lambda(LambdaId(0), Msg::ChunkMiss { id: chunk.clone() });
         assert_eq!(p.chunk_owner(&chunk), None);
+    }
+
+    // ------------------------------------------------------------------
+    // Data-first reads
+    // ------------------------------------------------------------------
+
+    /// A `d + p`-node pool with every connection `Active` and one object
+    /// `"o"` stored with chunk `seq` on node `seq`.
+    fn healthy(d: u32, p: u32) -> Proxy {
+        let mut px = proxy(d + p, 1 << 30);
+        px.on_warmup_tick();
+        pong_all(&mut px, 100);
+        put_placed(&mut px, 1, 1, "o", d + p, LambdaId);
+        px
+    }
+
+    fn get(px: &mut Proxy, client: u16, data_chunks: u32) -> Vec<ProxyAction> {
+        px.on_client(
+            ClientId(client),
+            Msg::GetObject {
+                key: ObjectKey::new("o"),
+                data_chunks,
+            },
+        )
+    }
+
+    fn o(seq: u32) -> ChunkId {
+        ChunkId::new(ObjectKey::new("o"), seq)
+    }
+
+    /// Shard indices of the `ChunkGet`s a batch sends to nodes.
+    fn queried(acts: &[ProxyAction]) -> Vec<u32> {
+        acts.iter()
+            .filter_map(|a| match a {
+                ProxyAction::ToLambda {
+                    msg: Msg::ChunkGet { id },
+                    ..
+                } => Some(id.seq),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn requested(acts: &[ProxyAction]) -> u32 {
+        match &acts[0] {
+            ProxyAction::ToClient {
+                msg: Msg::GetAccepted { requested, .. },
+                ..
+            } => *requested,
+            other => panic!("expected GetAccepted, got {other:?}"),
+        }
+    }
+
+    fn data(px: &mut Proxy, seq: u32) -> Vec<ProxyAction> {
+        px.on_lambda(
+            LambdaId(seq),
+            Msg::ChunkData {
+                id: o(seq),
+                payload: Payload::synthetic(64),
+            },
+        )
+    }
+
+    fn assert_nothing_held(px: &Proxy) {
+        assert_eq!(px.held_parity_total(), 0);
+        assert_eq!(px.check_invariants(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_healthy_stripe_is_asked_for_its_data_chunks_only() {
+        for (d, p) in [(4, 2), (1, 1), (2, 2), (10, 2)] {
+            let mut px = healthy(d, p);
+            let acts = get(&mut px, 7, d);
+            assert_eq!(requested(&acts), d);
+            assert_eq!(queried(&acts), (0..d).collect::<Vec<_>>(), "{d}+{p}");
+            assert_eq!(px.held_parity_total(), 1);
+            assert_eq!(px.check_invariants(), Vec::<String>::new());
+            // The last data answer retires the held parity unasked.
+            for seq in 0..d {
+                assert_eq!(px.held_parity_total(), 1);
+                let acts = data(&mut px, seq);
+                assert!(queried(&acts).is_empty());
+                assert_eq!(acts.len(), 1, "one ChunkToClient");
+            }
+            assert_nothing_held(&px);
+            assert_eq!(px.inflight_total(), 0);
+            assert_eq!(px.stats.data_first_gets, 1);
+            assert_eq!(px.stats.parity_releases_admission, 0);
+        }
+    }
+
+    #[test]
+    fn a_reader_that_names_no_data_prefix_gets_the_whole_stripe() {
+        for data_chunks in [0, 6, 9] {
+            let mut px = healthy(4, 2);
+            let acts = get(&mut px, 7, data_chunks);
+            assert_eq!(requested(&acts), 6);
+            assert_eq!(queried(&acts).len(), 6);
+            assert_nothing_held(&px);
+            assert_eq!(px.stats.data_first_gets, 0);
+            assert_eq!(px.stats.parity_releases_admission, 0);
+        }
+    }
+
+    #[test]
+    fn one_unhealthy_home_at_admission_asks_for_the_whole_stripe() {
+        // Sleeping (its instance returned), on a data and on a parity home.
+        for home in [1, 5] {
+            let mut px = healthy(4, 2);
+            px.on_lambda(
+                LambdaId(home),
+                Msg::Bye {
+                    instance: InstanceId(100 + home as u64),
+                },
+            );
+            let acts = get(&mut px, 7, 4);
+            assert_eq!(requested(&acts), 6);
+            // Five go out now; the sixth waits behind the invoke.
+            assert_eq!(queried(&acts).len(), 5);
+            assert!(acts.iter().any(
+                |a| matches!(a, ProxyAction::Invoke { lambda, .. } if *lambda == LambdaId(home))
+            ));
+            assert_eq!(px.member(LambdaId(home)).unwrap().queued(), 1);
+            assert_nothing_held(&px);
+            assert_eq!(px.stats.parity_releases_admission, 1);
+        }
+        // Maybe (connection replaced by a backup destination).
+        let mut px = healthy(4, 2);
+        px.on_lambda(
+            LambdaId(2),
+            Msg::HelloProxy {
+                instance: InstanceId(900),
+                source: LambdaId(2),
+            },
+        );
+        let acts = get(&mut px, 7, 4);
+        assert_eq!((requested(&acts), queried(&acts).len()), (6, 6));
+        assert_nothing_held(&px);
+        // Unmapped (a reclaim already reported by its home).
+        let mut px = healthy(4, 2);
+        px.on_lambda(LambdaId(4), Msg::ChunkMiss { id: o(4) });
+        assert_eq!(px.chunk_owner(&o(4)), None);
+        let acts = get(&mut px, 7, 4);
+        assert_eq!((requested(&acts), queried(&acts).len()), (6, 5));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            ProxyAction::ToClient { msg: Msg::ChunkMiss { id }, .. } if *id == o(4)
+        )));
+        assert_nothing_held(&px);
+        assert_eq!(px.stats.data_first_gets, 0);
+    }
+
+    #[test]
+    fn a_data_chunk_miss_releases_the_parity_requests_once() {
+        let mut px = healthy(4, 2);
+        get(&mut px, 7, 4);
+        let acts = px.on_lambda(LambdaId(1), Msg::ChunkMiss { id: o(1) });
+        assert!(matches!(
+            &acts[0],
+            ProxyAction::ToClient { client: ClientId(7), msg: Msg::ChunkMiss { id } } if *id == o(1)
+        ));
+        assert_eq!(queried(&acts), [4, 5]);
+        assert_eq!(px.stats.parity_releases_miss, 1);
+        assert_nothing_held(&px);
+        // A second piece of evidence has nothing left to release.
+        let acts = px.on_lambda(LambdaId(2), Msg::ChunkMiss { id: o(2) });
+        assert!(queried(&acts).is_empty());
+        assert!(
+            queried(&px.on_delivery_failed(LambdaId(0), Msg::ChunkGet { id: o(0) })).is_empty()
+        );
+        assert_eq!(px.stats.parity_releases_miss, 1);
+        assert_eq!(px.stats.parity_releases_bounce, 0);
+    }
+
+    #[test]
+    fn a_bounced_data_query_releases_the_parity_requests_once() {
+        let mut px = healthy(4, 2);
+        get(&mut px, 7, 4);
+        let acts = px.on_delivery_failed(LambdaId(3), Msg::ChunkGet { id: o(3) });
+        assert_eq!(queried(&acts), [4, 5]);
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, ProxyAction::Invoke { lambda, .. } if *lambda == LambdaId(3))));
+        assert_eq!(px.stats.parity_releases_bounce, 1);
+        assert_nothing_held(&px);
+        // The released queries bouncing in turn release nothing more.
+        let acts = px.on_delivery_failed(LambdaId(4), Msg::ChunkGet { id: o(4) });
+        assert!(queried(&acts).is_empty());
+        assert!(queried(&px.on_connection_lost(LambdaId(0))).is_empty());
+        assert_eq!(px.stats.parity_releases_bounce, 1);
+    }
+
+    #[test]
+    fn losing_a_data_homes_connection_releases_the_parity_requests_once() {
+        let mut px = healthy(4, 2);
+        get(&mut px, 7, 4);
+        get(&mut px, 8, 4);
+        // A parity home's loss is no evidence about the data.
+        assert!(queried(&px.on_connection_lost(LambdaId(5))).is_empty());
+        assert_eq!(px.held_parity_total(), 2);
+        // Chunk 0 already answered: its home's loss strands nobody.
+        data(&mut px, 0);
+        assert!(queried(&px.on_connection_lost(LambdaId(0))).is_empty());
+        assert_eq!(px.held_parity_total(), 2);
+        // Chunk 2 is still out: both GETs get their parity asked for —
+        // chunk 4 directly, chunk 5 in one query behind its (now
+        // sleeping) home's invoke.
+        let acts = px.on_connection_lost(LambdaId(2));
+        assert_eq!(queried(&acts), [4, 4]);
+        assert_eq!(px.member(LambdaId(5)).unwrap().queued(), 1);
+        assert_eq!(px.inflight_for(&o(4)), 2);
+        assert_eq!(px.inflight_for(&o(5)), 2);
+        assert_eq!(px.stats.parity_releases_bounce, 2);
+        assert_nothing_held(&px);
+        assert!(queried(&px.on_connection_lost(LambdaId(1))).is_empty());
+    }
+
+    #[test]
+    fn held_parity_never_outlives_its_reason() {
+        for (d, p) in [(4, 2), (1, 1), (2, 2)] {
+            // Eviction: the waiter is told every chunk is gone, parity too.
+            let mut px = healthy(d, p);
+            px.cfg.capacity_bytes = 64 * (d + p) as u64;
+            get(&mut px, 7, d);
+            let acts = put_chunks_as(&mut px, ClientId(0), 2, "other", d + p, 64);
+            assert!(!px.contains_object(&ObjectKey::new("o")));
+            let misses = acts
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        ProxyAction::ToClient {
+                            client: ClientId(7),
+                            msg: Msg::ChunkMiss { .. }
+                        }
+                    )
+                })
+                .count() as u32;
+            assert_eq!(misses, d + p, "{d}+{p}");
+            assert!(queried(&acts).is_empty(), "nothing left to query");
+            assert_nothing_held(&px);
+
+            // Overwrite: same, through the invalidation path.
+            let mut px = healthy(d, p);
+            get(&mut px, 7, d);
+            put_chunks_as(&mut px, ClientId(0), 2, "o", d + p, 64);
+            assert_nothing_held(&px);
+            assert_eq!(px.inflight_total(), 0);
+
+            // The reader hangs up mid-GET.
+            let mut px = healthy(d, p);
+            get(&mut px, 7, d);
+            get(&mut px, 8, d);
+            px.on_client_disconnected(ClientId(7));
+            assert_eq!(px.held_parity_total(), 1, "client 8 still reads");
+            px.on_client_disconnected(ClientId(8));
+            assert_eq!(px.held_parity_total(), 0);
+
+            // A re-issued GET takes over what its predecessor held.
+            let mut px = healthy(d, p);
+            get(&mut px, 7, d);
+            data(&mut px, 0);
+            get(&mut px, 7, d);
+            assert_eq!(px.held_parity_total(), 1);
+            assert_eq!(
+                px.inflight_total(),
+                d as usize,
+                "a client waits once per chunk"
+            );
+            assert_eq!(px.check_invariants(), Vec::<String>::new());
+        }
+    }
+
+    #[test]
+    fn the_auditor_rejects_held_parity_nobody_waits_behind() {
+        let mut px = healthy(4, 2);
+        get(&mut px, 7, 4);
+        // Corrupt the state: the waiters vanish, the held entry stays.
+        px.inflight_gets.clear();
+        let violations = px.check_invariants();
+        assert!(
+            violations.iter().any(|v| v.contains("never released")),
+            "{violations:?}"
+        );
+    }
+
+    /// Requests to a node that never comes back must not pile up: every
+    /// GET used to leave another `ChunkGet` in the dead node's queue and
+    /// another copy of its client among the chunk's waiters.
+    #[test]
+    fn reissued_gets_against_a_lost_connection_stay_bounded() {
+        let mut px = healthy(4, 2);
+        px.on_connection_lost(LambdaId(1));
+        px.on_connection_lost(LambdaId(4));
+        get(&mut px, 7, 4);
+        for seq in [0, 2, 3, 5] {
+            data(&mut px, seq);
+        }
+        let (queued, waiting) = (
+            px.member(LambdaId(1)).unwrap().queued() + px.member(LambdaId(4)).unwrap().queued(),
+            px.inflight_total(),
+        );
+        assert_eq!((queued, waiting), (2, 2));
+        for _ in 0..1_000 {
+            let acts = get(&mut px, 7, 4);
+            assert_eq!(queried(&acts), [0, 2, 3, 5]);
+            for seq in [0, 2, 3, 5] {
+                data(&mut px, seq);
+            }
+        }
+        assert_eq!(px.member(LambdaId(1)).unwrap().queued(), 1);
+        assert_eq!(px.member(LambdaId(4)).unwrap().queued(), 1);
+        assert_eq!(px.inflight_total(), waiting);
+        assert_eq!(px.stats.coalesced_chunk_gets, 2_000);
+        // When a node does return, its one answer serves the one waiter.
+        let flushed = px.on_lambda(
+            LambdaId(1),
+            Msg::Pong {
+                instance: InstanceId(500),
+                stored_bytes: 0,
+            },
+        );
+        assert_eq!(queried(&flushed), [1]);
+        assert_eq!(data(&mut px, 1).len(), 1);
     }
 }

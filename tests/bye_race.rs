@@ -8,7 +8,9 @@
 //! one node returns with a `ChunkGet` *and* a `ChunkPut` in flight: under
 //! the simulator (a scheduler delays the two deliveries past the
 //! instance's return timer) and over real sockets (a scripted daemon
-//! holds the two frames, ends the cycle, then delivers them). The
+//! holds the two frames, ends the cycle, then delivers them). On both the
+//! node holds a *data* chunk of the object being read: a healthy stripe
+//! is read data-first, so a parity home would see no `ChunkGet` at all. The
 //! live-thread substrate's leg sits next to its private channel types, in
 //! `infinicache::live`.
 //!
@@ -16,14 +18,14 @@
 //! process's proxy threads.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ic_common::msg::Msg;
 use ic_common::{
-    ClientId, DeploymentConfig, EcConfig, InstanceId, LambdaId, ObjectKey, Payload, ProxyId,
-    SimDuration, SimTime,
+    ChunkId, ClientId, DeploymentConfig, EcConfig, InstanceId, LambdaId, ObjectKey, Payload,
+    ProxyId, SimDuration, SimTime,
 };
 use ic_lambda::runtime::RuntimeConfig;
 use ic_net::replay::script_payload;
@@ -35,6 +37,7 @@ use infinicache::nodehost::{NodeHost, NodeIo};
 use infinicache::scheduler::{Choice, Scheduler};
 use infinicache::{SimParams, SimWorld};
 
+/// The node the socket leg scripts (the simulator leg picks its own).
 const VICTIM: LambdaId = LambdaId(0);
 
 /// Six nodes under a 4+2 code: every stripe has a chunk on every node,
@@ -59,6 +62,7 @@ fn is_request(msg: &Msg) -> bool {
 /// timer waits with them until both a `ChunkGet` and a `ChunkPut` are on
 /// the way. Then the billing cycle ends, and only then do they land.
 struct ReturnUnderRequests {
+    node: LambdaId,
     victim: InstanceId,
     until: SimTime,
     returned: bool,
@@ -113,7 +117,7 @@ impl Scheduler for ReturnUnderRequests {
         }
         if self.returned {
             match ev {
-                Ev::InvokeReady { lambda, .. } if *lambda == VICTIM => self.reinvokes += 1,
+                Ev::InvokeReady { lambda, .. } if *lambda == self.node => self.reinvokes += 1,
                 Ev::InstanceRx { msg, .. } if self.is_request(ev) && self.reinvokes == 0 => {
                     self.bounced.push(matches!(msg, Msg::ChunkPut { .. }));
                 }
@@ -144,7 +148,10 @@ fn sim_leg() {
     w.submit(wake, reader, get("r", 300_000));
     w.run_until(wake + SimDuration::from_millis(30));
     assert_eq!(w.metrics.requests.len(), 3, "preload and wake-up finished");
-    let conn = w.proxies()[0].member(VICTIM).expect("pool member");
+    let node = w.proxies()[0]
+        .chunk_owner(&ChunkId::new(ObjectKey::new("r"), 0))
+        .expect("stored");
+    let conn = w.proxies()[0].member(node).expect("pool member");
     assert_eq!(conn.liveness(), ic_proxy::Liveness::Active);
     let victim = conn.instance().expect("answered the wake-up");
     let before = w.proxy_stats(ProxyId(0));
@@ -153,6 +160,7 @@ fn sim_leg() {
     w.submit(now + SimDuration::from_millis(1), reader, get("r", 300_000));
     w.submit(now + SimDuration::from_millis(1), writer, put("w", 250_000));
     let mut sched = ReturnUnderRequests {
+        node,
         victim,
         until: now + SimDuration::from_secs(5),
         returned: false,
@@ -169,11 +177,16 @@ fn sim_leg() {
     );
     assert_eq!(sched.reinvokes, 1, "two bounces, one re-invoke");
     let stats = w.proxy_stats(ProxyId(0));
+    // On the victim: the ChunkGet, and the overwrite's lazy ChunkDelete
+    // and ChunkPut. The read was data-first, so r's two parity homes saw
+    // one request this cycle — not a busy one — and returned as well:
+    // the overwrite's ChunkDelete and ChunkPut bounce off each, and so do
+    // the parity queries the victim's bounce released.
     assert_eq!(
         stats.delivery_failures - before.delivery_failures,
-        3,
-        "the ChunkGet, and the overwrite's lazy ChunkDelete and ChunkPut"
+        3 + 4 + 2
     );
+    assert_eq!(stats.parity_releases_bounce, 1);
     let raced = &w.metrics.requests[3..];
     assert_eq!(raced.len(), 2, "both racing operations completed");
     for r in raced {
@@ -219,8 +232,9 @@ struct DaemonLog {
 /// A node daemon over a real socket that never returns on its own. Once
 /// `armed`, it holds request frames until a `ChunkGet` and a `ChunkPut`
 /// are both in hand, ends the instance's billing cycle (BYE), and only
-/// then delivers them.
-fn scripted_daemon(proxy: SocketAddr, armed: Arc<AtomicBool>) -> DaemonLog {
+/// then delivers them. `r_seq` reports which shard of object `r` it was
+/// last given to store.
+fn scripted_daemon(proxy: SocketAddr, armed: Arc<AtomicBool>, r_seq: Arc<AtomicU32>) -> DaemonLog {
     let mut stream = TcpStream::connect(proxy).expect("proxy node port");
     stream.set_nodelay(true).expect("nodelay");
     Frame::HelloNode { lambda: VICTIM }
@@ -269,6 +283,11 @@ fn scripted_daemon(proxy: SocketAddr, armed: Arc<AtomicBool>) -> DaemonLog {
                 if !log.bounced.is_empty() && is_request(&msg) {
                     log.served_after.push(msg.kind());
                 }
+                if let Msg::ChunkPut { id, .. } = &msg {
+                    if id.key.as_str() == "r" {
+                        r_seq.store(id.seq, Ordering::SeqCst);
+                    }
+                }
                 host.deliver(now(), instance, msg)
                     .expect("only the scripted return stops the instance");
             }
@@ -289,15 +308,20 @@ fn net_leg() {
     let mut cluster = LoopbackCluster::start(deployment()).expect("cluster starts");
     cluster.kill_node(VICTIM);
     let armed = Arc::new(AtomicBool::new(false));
+    let r_seq = Arc::new(AtomicU32::new(u32::MAX));
     let daemon = {
-        let (addr, armed) = (cluster.node_addr(), armed.clone());
-        std::thread::spawn(move || scripted_daemon(addr, armed))
+        let (addr, armed, r_seq) = (cluster.node_addr(), armed.clone(), r_seq.clone());
+        std::thread::spawn(move || scripted_daemon(addr, armed, r_seq))
     };
 
     let mut reader = cluster.client_seeded(1).expect("client connects");
     let mut writer = cluster.client_seeded(2).expect("client connects");
     let (r, w2) = (script_payload(300_000), script_payload(250_000));
-    reader.put("r", r.clone()).expect("preload");
+    // Placement is random per PUT: store `r` until the victim holds one
+    // of its data chunks, or a healthy read would never ask the victim.
+    while r_seq.load(Ordering::SeqCst) >= 4 {
+        reader.put("r", r.clone()).expect("preload");
+    }
     writer.put("w", script_payload(200_000)).expect("preload");
 
     // Both clients go at once; the daemon releases neither request until

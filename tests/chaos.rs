@@ -80,6 +80,14 @@ fn chaos_seed_matrix_holds_all_invariants() {
         "reclaims must hit messages in flight (connection resets)"
     );
     assert!(
+        total(|r| r.data_first_gets) > 0,
+        "overlapping GETs must meet healthy stripes and read them data-first"
+    );
+    assert!(
+        total(|r| r.parity_releases) > 0,
+        "faults must land inside data-first GETs and release their parity"
+    );
+    assert!(
         total(|r| r.failed_puts) > 0,
         "evictions/overwrites must race open PUTs"
     );

@@ -170,10 +170,14 @@ fn live_cluster_recovers_after_reclaims_and_repairs() {
     let data: Bytes = vec![0xA5u8; 2 << 20].into();
     cache.put("survivor", data.clone()).unwrap();
     // Reclaim nodes one at a time, reading after each; read repair keeps
-    // the loss per read at <= 1 chunk, within parity.
+    // the loss per read at <= 1 chunk, within parity. A provider reclaims
+    // *idle* instances, so each round first lets the billing cycle lapse:
+    // the nodes have returned, the proxy knows it, and the next read asks
+    // for the whole stripe — which is how a lost parity chunk is found
+    // (a read of a stripe whose homes all look alive asks for data only).
     for node in 0..12u32 {
+        std::thread::sleep(std::time::Duration::from_millis(150));
         cache.reclaim_node(LambdaId(node));
-        std::thread::sleep(std::time::Duration::from_millis(20));
         let back = cache.get("survivor").unwrap().expect("recoverable");
         assert_eq!(back, data, "after reclaiming λ{node}");
     }
@@ -234,6 +238,201 @@ fn simulated_and_net_execution_agree_on_hit_miss_outcomes() {
     let sim = replay_sim(&script);
     let net = replay_net(&script);
     assert_eq!(sim, net, "sim and net outcomes diverged");
+}
+
+/// What the data-first read policy did over one scenario, as the proxy
+/// and the client counted it.
+#[derive(Debug, PartialEq, Eq)]
+struct ReadPolicyCounters {
+    get_hits: u64,
+    data_first_gets: u64,
+    parity_releases: [u64; 3], // admission, miss, bounce
+    delivered: u64,
+    parity_decodes: u64,
+    /// Whether the lost chunk was re-inserted. Not a count: a miss that
+    /// beats the delivery is repaired then and once more when the GET's
+    /// accounting closes (a double repair older than this policy), so the
+    /// count follows the timing.
+    repaired: bool,
+}
+
+impl ReadPolicyCounters {
+    fn of(proxy: ic_proxy::ProxyStats, client: ic_client::ClientStats) -> Self {
+        ReadPolicyCounters {
+            get_hits: proxy.get_hits,
+            data_first_gets: proxy.data_first_gets,
+            parity_releases: [
+                proxy.parity_releases_admission,
+                proxy.parity_releases_miss,
+                proxy.parity_releases_bounce,
+            ],
+            delivered: client.hits,
+            parity_decodes: client.parity_decodes,
+            repaired: client.repaired_chunks > 0,
+        }
+    }
+}
+
+const POLICY_OBJECT: u64 = 300_000;
+/// Longer than a billing cycle: every instance has returned, said BYE,
+/// and is idle — reclaimable, as far as a provider is concerned.
+const IDLE: std::time::Duration = std::time::Duration::from_millis(250);
+
+/// The scenario on the simulator: a PUT, a GET inside the PUT's billing
+/// cycle (every home a live connection), then — after the cycle lapsed —
+/// the reclaim of the node holding data chunk 0 and another GET. Also
+/// names that node: all three substrates seed client 0 alike, so the
+/// first PUT is placed alike.
+fn read_policy_on_sim() -> (ReadPolicyCounters, LambdaId) {
+    let params = SimParams::paper().with_seed(6); // client 0 draws from seed 7
+    let mut w = SimWorld::new(
+        ic_net::replay::parity_config(),
+        params,
+        Box::new(NoReclaim),
+        1,
+    );
+    w.write_through = false;
+    let step = SimDuration::from_millis(1);
+    let mut t = SimTime::from_secs(1);
+    let mut run_to = |w: &mut SimWorld, recorded: usize| {
+        while w.metrics.requests.len() < recorded {
+            t += step;
+            w.run_until(t);
+        }
+        t
+    };
+    w.submit(
+        SimTime::from_secs(1),
+        ClientId(0),
+        Op::Put {
+            key: key("k"),
+            payload: Payload::synthetic(POLICY_OBJECT),
+        },
+    );
+    let stored = run_to(&mut w, 1);
+    let get = Op::Get {
+        key: key("k"),
+        size: POLICY_OBJECT,
+    };
+    w.submit(stored + step, ClientId(0), get.clone());
+    let read = run_to(&mut w, 2);
+    let healthy = w.metrics.requests[1].outcome;
+    assert!(
+        matches!(
+            healthy,
+            Outcome::Hit {
+                used_parity: false,
+                lost_chunks: 0
+            }
+        ),
+        "{healthy:?}"
+    );
+
+    let proxy = &w.proxies()[0];
+    let home = proxy
+        .chunk_owner(&ic_common::ChunkId::new(key("k"), 0))
+        .expect("stored");
+    let instance = proxy
+        .member(home)
+        .and_then(|m| m.instance())
+        .expect("woken");
+    let idle = read + SimDuration::from_secs(5);
+    w.run_until(idle);
+    assert!(
+        w.apply(infinicache::scheduler::Choice::Reclaim { instance }),
+        "an instance that returned is reclaimable"
+    );
+    w.submit(idle + step, ClientId(0), get);
+    w.run_until(idle + SimDuration::from_secs(5));
+    let degraded = w.metrics.requests[2].outcome;
+    assert!(
+        matches!(
+            degraded,
+            Outcome::Hit {
+                used_parity: true,
+                ..
+            }
+        ),
+        "{degraded:?}"
+    );
+    assert_eq!(w.check_invariants(), Vec::<String>::new());
+    let counters = ReadPolicyCounters::of(
+        w.proxy_stats(ic_common::ProxyId(0)),
+        w.client_stats(ClientId(0)),
+    );
+    (counters, home)
+}
+
+fn read_policy_on_live(home: LambdaId) -> ReadPolicyCounters {
+    let data = ic_net::replay::script_payload(POLICY_OBJECT);
+    let mut cache = LiveCluster::start(ic_net::replay::parity_config()).unwrap();
+    cache.put("k", data.clone()).unwrap();
+    assert_eq!(cache.get("k").unwrap().expect("cached"), data);
+    std::thread::sleep(IDLE);
+    cache.reclaim_node(home);
+    assert_eq!(cache.get("k").unwrap().expect("recoverable"), data);
+    // The synchronous client reads its connection only inside a call: one
+    // more (a miss) lets it hear of the lost chunk if delivery came first.
+    std::thread::sleep(IDLE);
+    assert_eq!(cache.get("ghost").unwrap(), None);
+    let client = cache.stats();
+    ReadPolicyCounters::of(cache.shutdown_with_stats(), client)
+}
+
+fn read_policy_on_net(home: LambdaId) -> ReadPolicyCounters {
+    let data = ic_net::replay::script_payload(POLICY_OBJECT);
+    let cluster = ic_net::LoopbackCluster::start(ic_net::replay::parity_config()).unwrap();
+    let mut cache = cluster.client().unwrap();
+    cache.put("k", data.clone()).unwrap();
+    let (bytes, report) = cache.get_reported("k").unwrap().expect("cached");
+    assert_eq!(bytes, data);
+    // Not the race-the-parity outcome of a whole-stripe read: when the
+    // read was admitted data-first there was no parity to lose to.
+    let raced = report.used_parity;
+    std::thread::sleep(IDLE);
+    cluster.reclaim_node(home);
+    let (bytes, report) = cache.get_reported("k").unwrap().expect("recoverable");
+    assert_eq!(bytes, data);
+    assert!(report.used_parity, "the reclaimed node held a data chunk");
+    std::thread::sleep(IDLE);
+    assert_eq!(cache.get("ghost").unwrap(), None);
+    let client = cache.stats();
+    drop(cache);
+    let proxy = cluster.shutdown_with_stats().remove(0).1;
+    assert!(proxy.data_first_gets == 0 || !raced);
+    ReadPolicyCounters::of(proxy, client)
+}
+
+/// The read policy on all three substrates: a healthy stripe is read
+/// data-first — no parity asked for, nothing to reconstruct — and a
+/// stripe with a home known to be down is asked for whole, loses one
+/// data chunk to the reclaim, decodes through parity and repairs it
+/// (whether the loss is known by delivery time or only after is a matter
+/// of timing, so `recoveries` is not compared).
+/// The live and socket legs run on wall-clock billing cycles, so a
+/// scheduling hiccup between their PUT and first GET legitimately turns
+/// that GET into a whole-stripe read; each gets three tries to match.
+#[test]
+fn data_first_reads_and_their_fallback_agree_across_substrates() {
+    let (sim, home) = read_policy_on_sim();
+    let expected = ReadPolicyCounters {
+        get_hits: 2,
+        data_first_gets: 1,
+        parity_releases: [1, 0, 0],
+        delivered: 2,
+        parity_decodes: 1,
+        repaired: true,
+    };
+    assert_eq!(sim, expected);
+    type Leg = fn(LambdaId) -> ReadPolicyCounters;
+    let legs: [(&str, Leg); 2] = [("live", read_policy_on_live), ("net", read_policy_on_net)];
+    for (name, leg) in legs {
+        let mut tries = Vec::new();
+        while tries.len() < 3 && tries.last() != Some(&expected) {
+            tries.push(leg(home));
+        }
+        assert_eq!(tries.last(), Some(&expected), "{name}: {tries:#?}");
+    }
 }
 
 #[test]

@@ -92,6 +92,42 @@ fn unsettled_put_preset_is_clean_and_exhaustive() {
     assert!(report.terminals >= 1, "no terminal state audited");
 }
 
+/// The data-first read path: the PUT settled only as far as its
+/// `PutDone`, so the GET meets `Active` homes; one billing cycle may end
+/// and one instance be reclaimed under it. Exhaustive and clean — and
+/// the fault budgets genuinely reach the release path: without them the
+/// GET is two queries and two answers.
+#[test]
+fn read_preset_explores_data_first_gets_exhaustively() {
+    let report = explore(&uncapped(McConfig::read(1)));
+    assert!(report.ok(), "violations: {:#?}", report.violations);
+    assert!(!report.capped, "read must be exhaustible");
+    assert_eq!(report.depth_cutoffs, 0, "read must terminate within depth");
+    assert!(report.terminals >= 1, "no terminal state audited");
+
+    let mut healthy = uncapped(McConfig::read(1));
+    healthy.max_timer_fires = 0;
+    healthy.max_reclaims = 0;
+    let without = explore(&healthy);
+    assert!(without.ok(), "violations: {:#?}", without.violations);
+    assert!(
+        without.states < 100 && report.states > 50 * without.states,
+        "a healthy data-first GET is a handful of states ({}); returns and \
+         reclaims under it must add the rest ({})",
+        without.states,
+        report.states
+    );
+    // The explored worlds really are warm: the time-ordered run of the
+    // same config admits its GET data-first and releases nothing.
+    let world = ic_mc::run_time_ordered(&McConfig::read(1));
+    let stats = world.proxy_stats(ic_common::ProxyId(0));
+    assert_eq!(
+        (stats.data_first_gets, stats.parity_releases_admission),
+        (1, 0)
+    );
+    assert_eq!(world.proxies()[0].held_parity_total(), 0);
+}
+
 /// DFS and BFS visit the same deduped state space (they disagree only
 /// on order), so the two searches cross-check each other's frontier
 /// bookkeeping.
