@@ -109,10 +109,12 @@ pub enum Msg {
         /// Object key.
         key: ObjectKey,
         /// How many leading chunks of the stripe rebuild the object on
-        /// their own (the reader's *d*). While every home of the stripe is
-        /// healthy the proxy asks for exactly those and holds the parity
-        /// requests back; 0, or anything not below the stripe size, asks
-        /// for the whole stripe.
+        /// their own (the reader's *d*, at least 1). While every home of
+        /// the stripe is healthy the proxy asks for exactly those and
+        /// holds the parity requests back. A code without parity makes
+        /// this the stripe size and there is nothing to hold back; a
+        /// count that fits no stripe (0, or more than the stripe) is
+        /// malformed input and is clamped to the stripe size as well.
         data_chunks: u32,
     },
     /// Proxy accepts a GET: the stripe's chunk set, and how much of it was

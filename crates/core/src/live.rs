@@ -25,7 +25,10 @@
 //!
 //! Fault injection: [`LiveCluster::reclaim_node`] destroys a node's
 //! instances, losing their cached chunks — exactly what a provider reclaim
-//! does — so examples can demonstrate EC recovery end to end.
+//! does — so examples can demonstrate EC recovery end to end. A *running*
+//! instance takes its connection down with it, and the proxy hears of
+//! that as it would of a dropped socket
+//! ([`ic_proxy::Proxy::on_connection_lost`]).
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -53,6 +56,8 @@ enum Wire {
     FromLambda(LambdaId, InstanceId, Msg),
     /// Proxy failed to reach the instance it believed active.
     LambdaUnreachable(LambdaId, Msg),
+    /// A running instance was reclaimed: its connection broke with it.
+    ConnectionLost(LambdaId),
     /// Stop the thread.
     Quit,
 }
@@ -97,6 +102,15 @@ impl NodeThread {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
+    /// Destroys the node's instances; a running one takes its proxy
+    /// connection with it, which the proxy is told.
+    fn reclaim(&mut self) {
+        if self.host.reclaim() {
+            let lost = Wire::ConnectionLost(self.host.lambda);
+            let _ = self.host.io.proxy_tx.send(lost);
+        }
+    }
+
     fn run(mut self) {
         loop {
             // Wait until the earliest timer across instances (or a message).
@@ -130,7 +144,7 @@ impl NodeThread {
                             .send(Wire::LambdaUnreachable(lambda, msg));
                     }
                 }
-                Some(NodeCmd::Reclaim) => self.host.reclaim(),
+                Some(NodeCmd::Reclaim) => self.reclaim(),
                 Some(NodeCmd::Quit) => return,
             }
         }
@@ -159,6 +173,7 @@ impl ProxyThread {
                 Wire::FromClient(c, msg) => self.proxy.on_client(c, msg),
                 Wire::FromLambda(l, _i, msg) => self.proxy.on_lambda(l, msg),
                 Wire::LambdaUnreachable(l, msg) => self.proxy.on_delivery_failed(l, msg),
+                Wire::ConnectionLost(l) => self.proxy.on_connection_lost(l),
                 Wire::Quit => break,
             };
             let now = self.now();
@@ -663,9 +678,51 @@ mod tests {
                         let _ = nt.host.io.proxy_tx.send(unreachable);
                     }
                 }
-                NodeCmd::Reclaim => nt.host.reclaim(),
+                NodeCmd::Reclaim => nt.reclaim(),
                 NodeCmd::Quit => return,
             }
+        }
+    }
+
+    /// The read policy without a wall clock in it: on nodes that never
+    /// return, every home of the stripe is a live connection when a GET
+    /// is admitted, so it asks for the data chunks alone and decodes no
+    /// parity. A reclaim takes a *running* instance then, whose broken
+    /// connection the proxy hears of: the next read asks for the whole
+    /// stripe and repairs the chunk — also on the two nodes holding
+    /// parity, which no data-first read would have missed. A cluster per
+    /// node (six homes for a 4+2 stripe: each holds one chunk), so the
+    /// repair awaited is the first there is.
+    #[test]
+    fn a_warm_reclaim_ends_data_first_reads_until_repaired() {
+        for l in 0..6 {
+            let arm = Arc::new(AtomicU8::new(UNARMED));
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let run_node = move |nt: NodeThread| scripted_node(nt, &arm, &log);
+            let cfg = DeploymentConfig {
+                backup_enabled: false,
+                ..DeploymentConfig::small(6, EcConfig::new(4, 2).unwrap())
+            };
+            let mut c = LiveCluster::start_with(cfg, run_node).expect("cluster starts");
+            let data = pattern(300_000);
+            c.put("k", data.clone()).unwrap();
+            assert_eq!(c.get("k").unwrap().expect("cached"), data);
+            assert_eq!(c.stats().parity_decodes, 0, "a healthy read is systematic");
+
+            c.reclaim_node(LambdaId(l));
+            // The notice travels the node's channel, the read the
+            // client's: read until the loss has been seen and repaired.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while c.stats().repaired_chunks == 0 {
+                assert!(Instant::now() < deadline, "λ{l}'s chunk is never missed");
+                assert_eq!(c.get("k").unwrap().expect("recoverable"), data);
+            }
+            let proxy = c.shutdown_with_stats();
+            assert!(proxy.data_first_gets >= 1, "{proxy:?}");
+            assert_eq!(
+                proxy.data_first_gets + proxy.parity_releases_admission,
+                proxy.get_hits
+            );
         }
     }
 

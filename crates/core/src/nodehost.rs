@@ -130,10 +130,21 @@ impl<IO: NodeIo> NodeHost<IO> {
     }
 
     /// Provider-style reclaim: every instance and cached chunk vanishes.
-    pub fn reclaim(&mut self) {
+    ///
+    /// Returns `true` when an instance was *running*: its connection to
+    /// the proxy broke with it, and the substrate must say so
+    /// ([`ic_proxy::Proxy::on_connection_lost`]) — on a real Lambda the
+    /// proxy would see the instance's TCP connection drop. A reclaim of
+    /// idle instances is silent: they said BYE when they returned.
+    pub fn reclaim(&mut self) -> bool {
+        let running = self
+            .instances
+            .values()
+            .any(|rt| rt.state() != RunState::Sleeping);
         self.instances.clear();
         self.timers.clear();
         self.relay_peers.clear();
+        running
     }
 
     /// Platform-style invoke routing: most recently armed idle instance,

@@ -27,7 +27,9 @@
 //! embeddings (the loopback cluster) can additionally inject
 //! [`NodeEvent::Reclaim`] to drop instances while keeping the daemon
 //! and its connection alive, which makes the node answer `ChunkMiss`
-//! like a freshly re-invoked function.
+//! like a freshly re-invoked function. A running instance's own
+//! connection would have broken with it; the daemon's socket carries
+//! every instance, so it reports that with [`Frame::Reclaimed`].
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -53,7 +55,8 @@ const TOKEN_SOCKET: usize = 1;
 /// [`NodeHandle`]; socket traffic never takes this path).
 pub enum NodeEvent {
     /// In-process control: provider-style reclaim (all instances and
-    /// their cached chunks vanish; the daemon stays connected).
+    /// their cached chunks vanish; the daemon stays connected and tells
+    /// the proxy if one of them was running).
     Reclaim,
     /// In-process control: stop the daemon. A real deployment just kills
     /// the process.
@@ -253,7 +256,11 @@ impl NetNode {
     fn drain_control(&mut self) -> bool {
         loop {
             match self.events.try_recv() {
-                Ok(NodeEvent::Reclaim) => self.host.reclaim(),
+                Ok(NodeEvent::Reclaim) => {
+                    if self.host.reclaim() {
+                        self.host.io.send(Frame::Reclaimed);
+                    }
+                }
                 Ok(NodeEvent::Stop) => return false,
                 Err(TryRecvError::Empty) => return true,
                 Err(TryRecvError::Disconnected) => return false,
@@ -359,5 +366,76 @@ impl NetNode {
             }
             self.host.fire_due_timers(self.now());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use ic_common::msg::InvokePayload;
+    use ic_common::ProxyId;
+
+    use super::*;
+
+    /// The daemon tells the proxy of a reclaim exactly when it took a
+    /// running instance — whose own connection would have broken — and
+    /// says nothing when the instances were idle or there were none.
+    #[test]
+    fn reclaim_is_reported_only_when_an_instance_was_running() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let rt_cfg = RuntimeConfig {
+            backup_enabled: false,
+            ..RuntimeConfig::paper()
+        };
+        let addr = listener.local_addr().unwrap();
+        let node = NetNode::spawn(LambdaId(3), addr, rt_cfg, Duration::from_secs(5)).unwrap();
+        let (mut proxy, _) = listener.accept().unwrap();
+        proxy
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let hello = Frame::read_from(&mut proxy).unwrap();
+        assert_eq!(
+            hello,
+            Frame::HelloNode {
+                lambda: LambdaId(3)
+            }
+        );
+        let invoke = Frame::Invoke {
+            payload: InvokePayload::ping(ProxyId(0)),
+        };
+        let next_pong = |proxy: &mut TcpStream| {
+            invoke.write_to(proxy).unwrap();
+            match Frame::read_from(proxy).unwrap() {
+                Frame::FromInstance {
+                    instance,
+                    msg: Msg::Pong { .. },
+                } => instance,
+                other => panic!("expected a PONG, got {other:?}"),
+            }
+        };
+
+        // Nothing runs yet: a reclaim is silent, so the next frame is the
+        // first invoke's PONG.
+        node.reclaim();
+        let first = next_pong(&mut proxy);
+        // That instance is running now: its reclaim is reported, and the
+        // next invoke cold-starts another.
+        node.reclaim();
+        assert_eq!(Frame::read_from(&mut proxy).unwrap(), Frame::Reclaimed);
+        let second = next_pong(&mut proxy);
+        assert_ne!(first, second);
+        // Once it has returned (BYE) it is idle: reclaimed silently again
+        // (if the invoke overtakes the reclaim it wakes the same instance;
+        // either way a PONG is the next frame).
+        match Frame::read_from(&mut proxy).unwrap() {
+            Frame::FromInstance {
+                msg: Msg::Bye { .. },
+                ..
+            } => {}
+            other => panic!("expected the BYE, got {other:?}"),
+        }
+        node.reclaim();
+        next_pong(&mut proxy);
     }
 }

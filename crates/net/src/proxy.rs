@@ -44,9 +44,10 @@
 //! [`Frame::Unreachable`]; *connection replacement during backup* is the
 //! ordinary `HelloProxy` flow, since every instance of a node shares the
 //! daemon's socket; and a daemon's socket dropping (its process was
-//! killed — a reclaim) resets the member connection via
-//! [`Proxy::on_connection_lost`], exactly the Fig 6 "timeout ‖ returned"
-//! edge.
+//! killed — a reclaim), or its [`Frame::Reclaimed`] notice that a
+//! running instance was taken from under it, resets the member
+//! connection via [`Proxy::on_connection_lost`], exactly the Fig 6
+//! "timeout ‖ returned" edge.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -573,6 +574,7 @@ impl EventLoop {
             (PeerState::Node(lambda), Frame::Unreachable { msg }) => {
                 self.proxy.on_delivery_failed(lambda, msg)
             }
+            (PeerState::Node(lambda), Frame::Reclaimed) => self.proxy.on_connection_lost(lambda),
             // Peers send nothing else; ignore strays (forward compat).
             _ => return true,
         };
@@ -917,7 +919,7 @@ mod tests {
         // a third of a PUT stripe.
         let get = Msg::GetObject {
             key: ObjectKey::new("for-x"),
-            data_chunks: 0,
+            data_chunks: dep.ec.data as u32,
         };
         Frame::App { msg: get }.write_to(&mut x).unwrap();
         for seq in 0..2 {
@@ -943,13 +945,11 @@ mod tests {
         assert!(lp.client_ids.free.contains(&x_id.0), "X's id is recycled");
         assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
 
-        // --- A node connection dies mid-GET --------------------------
-        // A second connection claiming the home of one of the bystander's
-        // data chunks replaces the daemon's (newest wins). It reads one
-        // frame; a request it bounces, the way a node whose instance is
-        // gone would, and either way it then PONGs as a fresh instance,
-        // so the bystander's GETs keep reaching it. It reads nothing
-        // more.
+        // --- A silent node connection dies mid-GET -------------------
+        // A second connection claiming the home of the bystander's data
+        // chunk 0 replaces the daemon's (newest wins). It never reads; it
+        // PONGs once, unasked, as a fresh instance, so the victim looks
+        // alive to the state machine whatever it was doing before.
         let victim = lp
             .proxy
             .chunk_owner(&ChunkId::new(ObjectKey::new("kept"), 0))
@@ -959,22 +959,6 @@ mod tests {
         Frame::HelloNode { lambda: victim }
             .write_to(&mut fake)
             .unwrap();
-        read_until(&mut lp, &mut events, "the replacement's hello", |lp| {
-            lp.nodes[&victim] != daemon_token
-        });
-        lp.flush_dirty();
-        let fake_token = lp.nodes[&victim];
-        let fake_has_frames = |lp: &EventLoop| !lp.conns[&fake_token].queue.is_empty();
-        read_until(
-            &mut lp,
-            &mut events,
-            "a frame for the victim",
-            fake_has_frames,
-        );
-        lp.flush_dirty();
-        if let Frame::ToInstance { msg, .. } = Frame::read_from(&mut fake).unwrap() {
-            Frame::Unreachable { msg }.write_to(&mut fake).unwrap();
-        }
         let instance = InstanceId(77);
         let pong = Msg::Pong {
             instance,
@@ -986,10 +970,46 @@ mod tests {
         }
         .write_to(&mut fake)
         .unwrap();
-        read_until(&mut lp, &mut events, "the re-sent request", fake_has_frames);
-        lp.flush_dirty(); // it now sits unread in the fake's socket
-        read_until(&mut lp, &mut events, "one more request", fake_has_frames);
+        read_until(&mut lp, &mut events, "the replacement's PONG", |lp| {
+            lp.proxy.member(victim).and_then(|m| m.instance()) == Some(instance)
+        });
+        let fake_token = lp.nodes[&victim];
+        assert_ne!(fake_token, daemon_token);
+        // Reads admitted with a home asleep ask for the whole stripe and
+        // first-d masks the silent victim. The first one admitted on six
+        // live connections asks for the data chunks alone and waits on
+        // the victim's: nothing says yet that the chunk will not come.
+        let fake_has_frames = |lp: &EventLoop| !lp.conns[&fake_token].queue.is_empty();
+        read_until(&mut lp, &mut events, "a data-first GET", |lp| {
+            lp.proxy.held_parity_total() == 1 && fake_has_frames(lp)
+        });
+        lp.flush_dirty(); // the query now sits unread in the fake's socket
+        let stalled_at = verified.load(Ordering::SeqCst);
+        let stall = Instant::now() + Duration::from_millis(150);
+        while Instant::now() < stall {
+            read_until(&mut lp, &mut events, "one more turn", |_| true);
+            lp.flush_dirty();
+        }
+        assert_eq!(
+            verified.load(Ordering::SeqCst),
+            stalled_at,
+            "a silent node on a live connection is waited on"
+        );
+        assert_eq!(lp.proxy.held_parity_total(), 1);
+        // A second reader asks for the same object — data-first too, or
+        // for the whole stripe if the homes the stall left idle have
+        // returned: either way one more query for the victim, still
+        // queued when the victim dies.
+        let mut y = TcpStream::connect(client_addr).unwrap();
+        Frame::HelloClient.write_to(&mut y).unwrap();
+        let get = Msg::GetObject {
+            key: ObjectKey::new("kept"),
+            data_chunks: dep.ec.data as u32,
+        };
+        Frame::App { msg: get }.write_to(&mut y).unwrap();
+        read_until(&mut lp, &mut events, "Y's query", fake_has_frames);
         die_with_unread_bytes(fake);
+        let closed = Instant::now();
         lp.flush_dirty();
         assert!(
             !lp.conns.contains_key(&fake_token),
@@ -999,15 +1019,24 @@ mod tests {
             !lp.nodes.contains_key(&victim),
             "the victim's connection is reset"
         );
+        // The lost connection is the evidence the stalled read was
+        // waiting for: its parity requests went out with the teardown,
+        // and it completes — bounded by the connection's death, not by
+        // the client's timeout.
+        assert_eq!(lp.proxy.held_parity_total(), 0);
+        read_until(&mut lp, &mut events, "the stalled GET", |_| {
+            verified.load(Ordering::SeqCst) > stalled_at
+        });
+        assert!(closed.elapsed() < Duration::from_secs(5));
         // The replaced daemon connection is still open, and its death
         // later must not count: the victim has no current connection to
         // lose.
         assert!(lp.conns.contains_key(&daemon_token));
         assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
+        drop(y);
 
-        // The bystander never noticed: the bounce and the lost connection
-        // each released the parity of the GET they caught, and every GET
-        // since finds the victim down and asks for the whole stripe.
+        // From here on the bystander does not notice: every GET finds the
+        // victim down, asks for the whole stripe, and first-d masks it.
         let so_far = verified.load(Ordering::SeqCst);
         read_until(&mut lp, &mut events, "20 more verified GETs", |_| {
             verified.load(Ordering::SeqCst) >= so_far + 20

@@ -19,7 +19,9 @@
 //!   [`Frame::HelloNode`]; the proxy then drives it with
 //!   [`Frame::Invoke`]/[`Frame::ToInstance`] and the daemon answers with
 //!   [`Frame::FromInstance`] (or [`Frame::Unreachable`] when the
-//!   addressed instance no longer runs — the connection-reset path).
+//!   addressed instance no longer runs — the connection-reset path);
+//!   [`Frame::Reclaimed`] reports a running instance lost to the
+//!   provider.
 
 use std::io::{Read, Write};
 
@@ -83,6 +85,11 @@ pub enum Frame {
     },
     /// Orderly shutdown notice (proxy → peers on exit).
     Shutdown,
+    /// Node daemon → proxy: the provider reclaimed the node while an
+    /// instance was running. Every instance shares the daemon's socket,
+    /// so the instance's own connection breaking — what a real proxy
+    /// would see — has to be said in a frame.
+    Reclaimed,
 }
 
 impl Frame {
@@ -141,6 +148,7 @@ impl Frame {
                 e.msg(msg);
             }
             Frame::Shutdown => e.u8(8),
+            Frame::Reclaimed => e.u8(9),
         }
         e.into_parts()
     }
@@ -202,6 +210,7 @@ impl Frame {
             6 => Frame::Unreachable { msg: d.msg()? },
             7 => Frame::App { msg: d.msg()? },
             8 => Frame::Shutdown,
+            9 => Frame::Reclaimed,
             _ => return Err(FrameError::Malformed("unknown frame tag")),
         };
         d.finish()?;
@@ -288,10 +297,11 @@ mod tests {
             Frame::App {
                 msg: Msg::GetObject {
                     key: ObjectKey::new("obj"),
-                    data_chunks: 0,
+                    data_chunks: 4,
                 },
             },
             Frame::Shutdown,
+            Frame::Reclaimed,
         ];
         let mut wire = Vec::new();
         for f in &frames {

@@ -464,7 +464,7 @@ fn net_rude_peers_leave_a_bystanders_reads_byte_identical() {
         let mut rude = raw_client(c.client_addr());
         let get = Msg::GetObject {
             key: ObjectKey::new("kept"),
-            data_chunks: 0,
+            data_chunks: 4,
         };
         Frame::App { msg: get }.write_to(&mut rude).unwrap();
         for seq in 0..2 {
@@ -513,6 +513,49 @@ fn handshaken_peers(handle: &proxy::NetProxyHandle) -> (TcpStream, TcpStream) {
         Frame::Invoke { .. } => (client, node),
         other => panic!("expected Invoke, got {other:?}"),
     }
+}
+
+/// A daemon's [`Frame::Reclaimed`] is a lost connection to the proxy:
+/// the node counts as sleeping from then on, so the next request for it
+/// goes behind a fresh invoke instead of to the instance that is gone.
+#[test]
+fn net_reclaimed_notice_puts_the_node_to_sleep() {
+    let dep = DeploymentConfig {
+        backup_enabled: false,
+        ..DeploymentConfig::small(1, EcConfig::new(1, 0).unwrap())
+    };
+    let handle = proxy::start(NetProxyConfig::loopback(dep)).unwrap();
+    let (mut client, mut node) = handshaken_peers(&handle);
+    let instance = ic_common::InstanceId(5);
+    let pong = Msg::Pong {
+        instance,
+        stored_bytes: 0,
+    };
+    let pong = Frame::FromInstance {
+        instance,
+        msg: pong,
+    };
+    pong.write_to(&mut node).unwrap();
+    // Awake: the chunk that caused the invoke arrives, instance-addressed.
+    match Frame::read_from(&mut node).expect("the queued chunk") {
+        Frame::ToInstance { instance: to, .. } => assert_eq!(to, instance),
+        other => panic!("expected ToInstance, got {other:?}"),
+    }
+    Frame::Reclaimed.write_to(&mut node).unwrap();
+    // The notice and the client's chunks travel different sockets: keep
+    // sending until one finds the node asleep (bounded by the sockets'
+    // read timeouts — a proxy deaf to the notice never invokes again).
+    for seq in 1.. {
+        put_chunk("k", seq, LambdaId(0))
+            .write_to(&mut client)
+            .unwrap();
+        match Frame::read_from(&mut node).expect("a chunk or an invoke") {
+            Frame::ToInstance { .. } => {} // sent before the notice landed
+            Frame::Invoke { .. } => break,
+            other => panic!("expected ToInstance or Invoke, got {other:?}"),
+        }
+    }
+    handle.kill();
 }
 
 /// Reads a peer's stream to its end; `true` if a `Shutdown` notice came

@@ -96,7 +96,7 @@ fn slow_reader_is_closed_without_harming_neighbours() {
         let frame = Frame::App {
             msg: Msg::GetObject {
                 key: ObjectKey::new("big"),
-                data_chunks: 0,
+                data_chunks: dep.ec.data as u32,
             },
         };
         if frame.write_to(&mut slow).is_err() {

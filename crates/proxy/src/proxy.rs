@@ -384,6 +384,9 @@ impl Proxy {
         // are asked for and the parity requests wait for evidence. A
         // sleeping home (an invoke is on the path), a connection replaced
         // mid-backup or an unmapped chunk is such evidence already.
+        // (A reader without parity names the whole stripe as its data;
+        // a count that fits no stripe — 0, more than there is — is
+        // clamped to that too: nothing is held back on its say-so.)
         let data = if (1..total).contains(&data_chunks) {
             data_chunks
         } else {
@@ -1297,7 +1300,7 @@ mod tests {
             ClientId(1),
             Msg::GetObject {
                 key: ObjectKey::new("nope"),
-                data_chunks: 0,
+                data_chunks: 3,
             },
         );
         assert!(matches!(
@@ -1359,21 +1362,23 @@ mod tests {
             }
         ));
 
-        // GET: accepted + 4 chunk requests routed by the mapping.
+        // GET of the 3+1 stripe, every home awake: accepted + the 3 data
+        // chunk requests, routed by the mapping.
         let acts = p.on_client(
             ClientId(2),
             Msg::GetObject {
                 key: ObjectKey::new("obj"),
-                data_chunks: 0,
+                data_chunks: 3,
             },
         );
         assert!(matches!(
             &acts[0],
             ProxyAction::ToClient {
-                msg: Msg::GetAccepted { .. },
+                msg: Msg::GetAccepted { requested: 3, .. },
                 ..
             }
         ));
+        assert_eq!(acts.len(), 4);
         assert_eq!(p.stats.get_hits, 1);
         for seq in 0..4u32 {
             assert_eq!(
@@ -1392,7 +1397,7 @@ mod tests {
             ClientId(3),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
-                data_chunks: 0,
+                data_chunks: 1,
             },
         );
         let id = ChunkId::new(ObjectKey::new("o"), 0);
@@ -1429,7 +1434,7 @@ mod tests {
             ClientId(3),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
-                data_chunks: 0,
+                data_chunks: 1,
             },
         );
         let v1 = match &acts[0] {
@@ -1468,7 +1473,7 @@ mod tests {
             ClientId(3),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
-                data_chunks: 0,
+                data_chunks: 1,
             },
         )[0]
         {
@@ -1565,11 +1570,11 @@ mod tests {
             ClientId(3),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
-                data_chunks: 0,
+                data_chunks: 1,
             },
         );
-        let id = ChunkId::new(ObjectKey::new("o"), 1);
-        let acts = p.on_lambda(LambdaId(1), Msg::ChunkMiss { id: id.clone() });
+        let id = ChunkId::new(ObjectKey::new("o"), 0);
+        let acts = p.on_lambda(LambdaId(0), Msg::ChunkMiss { id: id.clone() });
         assert!(matches!(
             &acts[0],
             ProxyAction::ToClient {
@@ -1605,7 +1610,7 @@ mod tests {
             ClientId(0),
             Msg::GetObject {
                 key: ObjectKey::new("a"),
-                data_chunks: 0,
+                data_chunks: 3,
             },
         );
         put_chunks(&mut p, 3, "c", 4, 100);
@@ -1714,7 +1719,7 @@ mod tests {
             ClientId(0),
             Msg::GetObject {
                 key: ObjectKey::new("x"),
-                data_chunks: 0,
+                data_chunks: 1,
             },
         );
         let id = ChunkId::new(ObjectKey::new("x"), 0);
@@ -1750,7 +1755,7 @@ mod tests {
             ClientId(0),
             Msg::GetObject {
                 key: ObjectKey::new("o"),
-                data_chunks: 0,
+                data_chunks: 1,
             },
         );
         assert!(acts.iter().any(|a| matches!(
@@ -1785,7 +1790,7 @@ mod tests {
             ClientId(5),
             Msg::GetObject {
                 key: ObjectKey::new("a"),
-                data_chunks: 0,
+                data_chunks: 3,
             },
         );
         assert_eq!(p.inflight_total(), 4);
@@ -2036,7 +2041,7 @@ mod tests {
             ClientId(1),
             Msg::GetObject {
                 key: ObjectKey::new("partial"),
-                data_chunks: 0,
+                data_chunks: 3,
             },
         );
         let misses = acts
@@ -2110,12 +2115,13 @@ mod tests {
         put_placed(&mut p, 2, 2, "obj", 2, |seq| LambdaId(1 - seq));
         assert_eq!(p.chunk_owner(&chunk(0)), Some(LambdaId(1)));
 
-        // A new GET registers waiters for the current version.
+        // A new GET registers waiters for the current version (both
+        // chunks: a 2+0 stripe has no parity to hold back).
         p.on_client(
             ClientId(7),
             Msg::GetObject {
                 key: ObjectKey::new("obj"),
-                data_chunks: 0,
+                data_chunks: 2,
             },
         );
         assert_eq!(p.inflight_for(&chunk(0)), 1);
@@ -2300,9 +2306,11 @@ mod tests {
         }
     }
 
+    /// `data_chunks` is input, not a switch: a parity-less reader's count
+    /// is the stripe size, and one that fits no stripe is clamped to it.
     #[test]
-    fn a_reader_that_names_no_data_prefix_gets_the_whole_stripe() {
-        for data_chunks in [0, 6, 9] {
+    fn a_data_count_that_leaves_no_parity_asks_for_the_whole_stripe() {
+        for data_chunks in [6, 0, 9] {
             let mut px = healthy(4, 2);
             let acts = get(&mut px, 7, data_chunks);
             assert_eq!(requested(&acts), 6);

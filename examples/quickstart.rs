@@ -51,16 +51,11 @@ fn main() -> ic_common::Result<()> {
 
     // The provider reclaims functions one by one; each GET rides out the
     // loss via the parity chunks and repairs the missing chunk (read
-    // repair), so the object never becomes unrecoverable. A provider
-    // reclaims *idle* instances, so each round first lets the billing
-    // cycle lapse: the nodes return, the proxy knows they sleep, and the
-    // next GET asks for the whole stripe — which is what finds a lost
-    // parity chunk (a stripe whose homes all look alive is read from its
-    // data chunks alone).
+    // repair), so the object never becomes unrecoverable.
     println!("\nsimulating provider reclaims, one node at a time...");
     for node in 0..16u32 {
-        std::thread::sleep(std::time::Duration::from_millis(150));
         cache.reclaim_node(LambdaId(node));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         let t = Instant::now();
         let back = cache
             .get("docker-layer:sha256:abc123")?

@@ -318,8 +318,12 @@ fn net_leg() {
     let mut writer = cluster.client_seeded(2).expect("client connects");
     let (r, w2) = (script_payload(300_000), script_payload(250_000));
     // Placement is random per PUT: store `r` until the victim holds one
-    // of its data chunks, or a healthy read would never ask the victim.
+    // of its data chunks, or a healthy read would never ask the victim
+    // (4 of 6 homes are data homes: 64 tries all miss once in 10^30).
+    let mut tries = 0;
     while r_seq.load(Ordering::SeqCst) >= 4 {
+        tries += 1;
+        assert!(tries <= 64, "the victim never gets a data chunk of r");
         reader.put("r", r.clone()).expect("preload");
     }
     writer.put("w", script_payload(200_000)).expect("preload");
@@ -343,8 +347,8 @@ fn net_leg() {
 
     // Lose two *other* nodes' chunks: both objects now decode only with
     // the victim's chunk, so it must hold the overwrite, not stale bytes.
-    // (These nodes drop their instances without a BYE, so the next
-    // requests to them bounce too.)
+    // (These nodes lose running instances: their daemons say so, and the
+    // next requests to them go behind a fresh invoke.)
     cluster.reclaim_node(LambdaId(1));
     cluster.reclaim_node(LambdaId(2));
     std::thread::sleep(Duration::from_millis(50));
