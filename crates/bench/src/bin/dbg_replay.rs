@@ -2,10 +2,10 @@
 //! and diff the application-visible outcomes.
 //!
 //! The substrate-parity tests (`tests/end_to_end.rs`, `tests/chaos.rs`)
-//! replay sampled scripts through the discrete-event world, the live
-//! threaded cluster, and the loopback socket cluster and demand
-//! identical outcomes. When one of them reports a divergence for a seed,
-//! this binary makes the failure a standalone artifact — it calls the
+//! replay sampled scripts through the discrete-event world and the
+//! loopback socket cluster and demand identical outcomes. When one of
+//! them reports a divergence for a seed, this binary makes the failure
+//! a standalone artifact — it calls the
 //! *same* harness (`ic_net::replay`), so the deployment shape, payload
 //! pattern, and outcome mapping cannot drift from the tests:
 //!
@@ -18,21 +18,20 @@
 //!
 //! Script files are one step per line — `put KEY SIZE` or `get KEY`,
 //! `#` comments — so a failing schedule can be saved, minimized by hand,
-//! and replayed against a single substrate. Modes: `sim`, `live`, `net`,
-//! or `all` (default; diffs every pair and exits nonzero on divergence).
+//! and replayed against a single substrate. Modes: `sim`, `net`, or `all`
+//! (default; diffs the two and exits nonzero on divergence).
 //!
 //! `--trace` loads a model-checker counterexample (`ic-mc` trace
 //! format) and replays its *operation schedule* through the selected
 //! substrates. The adversarial interleaving itself only exists in the
 //! sim scheduler — `mc replay` re-executes that — but replaying the
 //! schedule here confirms the trace's workload is substrate-portable
-//! and behaves identically end-to-end on all three.
+//! and behaves identically end-to-end on both.
 //!
-//! `--proxies N` replays the sim and net legs on an N-proxy fleet (the
-//! multi-proxy parity tests' shape; `live` stays single-proxy and is
-//! skipped when N > 1).
+//! `--proxies N` replays both legs on an N-proxy fleet (the
+//! multi-proxy parity tests' shape).
 
-use ic_net::replay::{replay_live, replay_net_proxies, replay_sim_proxies, StepOutcome};
+use ic_net::replay::{replay_net_proxies, replay_sim_proxies, StepOutcome};
 use infinicache::chaos::{sample_schedule, ScriptStep};
 
 fn parse_script(path: &str) -> Vec<ScriptStep> {
@@ -89,7 +88,7 @@ fn main() {
         (None, None, None) => {
             eprintln!(
                 "usage: dbg_replay (--script PATH | --trace PATH | --seed N) [--steps N] \
-                 [--keys N] [--mode sim|live|net|all] [--dump]"
+                 [--keys N] [--mode sim|net|all] [--proxies N] [--dump]"
             );
             std::process::exit(2);
         }
@@ -111,18 +110,11 @@ fn main() {
     if mode == "sim" || mode == "all" {
         runs.push(("sim", replay_sim_proxies(&script, proxies)));
     }
-    if (mode == "live" || mode == "all") && proxies == 1 {
-        runs.push(("live", replay_live(&script)));
-    }
     if mode == "net" || mode == "all" {
         runs.push(("net", replay_net_proxies(&script, proxies)));
     }
     if runs.is_empty() {
-        if mode == "live" {
-            eprintln!("--mode live only runs single-proxy (drop --proxies)");
-        } else {
-            eprintln!("unknown --mode {mode} (want sim, live, net, or all)");
-        }
+        eprintln!("unknown --mode {mode} (want sim, net, or all)");
         std::process::exit(2);
     }
 

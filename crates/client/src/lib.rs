@@ -485,10 +485,9 @@ impl ClientLib {
         };
         if st.arrivals.is_empty() {
             // The answer overtook the GetAccepted (the sim's network
-            // jitter and live mode's cross-thread channels can reorder
-            // across causality chains). Buffer it — dropping it would
-            // strand the GET forever, since the proxy answers each
-            // chunk exactly once.
+            // jitter can reorder across causality chains). Buffer it —
+            // dropping it would strand the GET forever, since the proxy
+            // answers each chunk exactly once.
             if !self.debug_drop_early_answers && st.early_answers.len() < 4096 {
                 st.early_answers.push((id, payload));
             }
@@ -969,11 +968,11 @@ mod tests {
     }
 
     /// A chunk answer that overtakes `GetAccepted` (the sim's network
-    /// jitter and live mode's cross-thread channels can reorder across
-    /// causality chains) must not be dropped: the proxy answers each
-    /// chunk exactly once, so a dropped answer strands the GET forever
-    /// (found by the chaos matrix after the stale-repair guard changed
-    /// event timing). It is buffered and replayed on accept.
+    /// jitter can reorder across causality chains) must not be dropped:
+    /// the proxy answers each chunk exactly once, so a dropped answer
+    /// strands the GET forever (found by the chaos matrix after the
+    /// stale-repair guard changed event timing). It is buffered and
+    /// replayed on accept.
     #[test]
     fn answers_before_get_accepted_are_buffered_not_dropped() {
         let ec = EcConfig::new(4, 2).unwrap();

@@ -34,7 +34,7 @@ pub enum Error {
     PutAborted(ObjectKey),
     /// The component has shut down and can no longer serve requests.
     Shutdown,
-    /// Live-mode transport failure (disconnected channel).
+    /// Transport failure: a socket dropped or an operation timed out.
     Transport(String),
 }
 

@@ -12,7 +12,7 @@
 //! Nothing in this crate performs I/O or simulation; it is pure data and
 //! pure functions, which keeps the protocol crates (`ic-lambda`,
 //! `ic-proxy`, `ic-client`) transport-agnostic: the same state machines run
-//! inside the discrete-event simulator and inside the live threaded runtime.
+//! inside the discrete-event simulator and across real sockets.
 //!
 //! The workspace-level architecture book lives in `docs/ARCHITECTURE.md`;
 //! the normative wire-protocol specification, rendered from

@@ -1,7 +1,7 @@
 //! Wire protocol between clients, proxies, Lambda nodes, and backup relays.
 //!
 //! One message enum covers the whole deployment so that the discrete-event
-//! simulator and the live threaded runtime can share a single routing layer.
+//! simulator and the socket substrate can share a single routing layer.
 //! The variants follow the paper's protocol vocabulary: the wake-up
 //! `PONG` (§3.3; the per-request preflight `PING` is not reproduced, see
 //! ARCHITECTURE.md), chunk requests and streamed chunk data (§3.2), `BYE`

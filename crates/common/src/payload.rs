@@ -1,6 +1,6 @@
 //! Object/chunk payloads: real bytes or size-only synthetic data.
 //!
-//! The live runtime and the functional tests move real [`bytes::Bytes`]
+//! The socket substrate and the functional tests move real [`bytes::Bytes`]
 //! through the erasure coder; the trace-scale simulation replays a working
 //! set of more than a terabyte (Table 1), which obviously cannot be
 //! materialized, so there every payload is [`Payload::Synthetic`] — carrying
@@ -13,7 +13,7 @@ use bytes::Bytes;
 /// A chunk or object payload.
 #[derive(Clone, PartialEq, Eq)]
 pub enum Payload {
-    /// Real data (live mode, functional tests, EC correctness checks).
+    /// Real data (sockets, functional tests, EC correctness checks).
     Bytes(Bytes),
     /// Size-only stand-in for trace-scale simulation.
     Synthetic {

@@ -32,8 +32,9 @@
 //! reported by CI is replayable locally with
 //! `run_chaos(&ChaosConfig::small(seed))`. A companion
 //! [`sample_schedule`] generates fault-free scripts that the workspace
-//! test layer replays through both `SimWorld` and `LiveCluster` to check
-//! sim-vs-live parity on randomized (not just hand-written) traffic.
+//! test layer replays through both `SimWorld` and the `ic-net` loopback
+//! cluster to check sim-vs-net parity on randomized (not just
+//! hand-written) traffic.
 
 use std::collections::HashMap;
 
@@ -423,9 +424,9 @@ pub enum ScriptStep {
 
 /// Samples a deterministic PUT/GET/overwrite script over a small key
 /// space. The workspace chaos suite replays the same script through the
-/// discrete-event world and the live threaded cluster and asserts the
+/// discrete-event world and the loopback socket cluster and asserts the
 /// application-visible outcomes (stored / hit / miss) agree — the
-/// sim-vs-live parity leg of the chaos harness.
+/// sim-vs-net parity leg of the chaos harness.
 pub fn sample_schedule(seed: u64, steps: usize, key_space: usize) -> Vec<ScriptStep> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5c71_0700);
     let mut known = Vec::new();

@@ -5,22 +5,19 @@
 //! fed a stimulus, each returns a list of actions ([`ClientAction`],
 //! [`ProxyAction`], lambda [`LAction`]) describing the side effects the
 //! embedding must perform — send a control message, stream bulk data,
-//! invoke a function, arm a timer. Before this module existed, the
-//! discrete-event simulator ([`crate::world::SimWorld`]) and the live
-//! cluster ([`crate::live::LiveCluster`]) each hand-rolled their own
-//! `match` over every action enum, so every protocol change had to be
-//! made twice and kept behaviorally identical by hand.
+//! invoke a function, arm a timer.
 //!
-//! Here each action enum is matched in **exactly one place** — the three
+//! Each action enum is matched in **exactly one place** — the three
 //! `run_*_actions` engine functions — and the substrate-specific work is
 //! behind the [`Transport`] trait (split into [`ClientTransport`],
-//! [`ProxyTransport`], and [`LambdaTransport`] roles, because live mode
-//! runs the three protocol roles on different threads). `SimWorld`
+//! [`ProxyTransport`], and [`LambdaTransport`] roles, because the socket
+//! substrate runs the three protocol roles in different threads or
+//! processes). The discrete-event simulator ([`crate::world::SimWorld`])
 //! implements all three roles by enqueueing timed events and network
-//! flows; the live cluster's threads implement one role each by doing the
-//! work directly on channels. New substrates (multi-proxy clusters,
-//! remote backends) plug in as new `Transport` impls without touching the
-//! protocol.
+//! flows; the `ic-net` client, proxy event loop and node daemon implement
+//! one role each by doing the work directly on TCP sockets. A protocol
+//! change is made once, here or in the state machines, and both
+//! substrates run it.
 
 use ic_client::{ClientAction, GetReport};
 use ic_common::msg::{InvokePayload, Msg};
@@ -42,7 +39,7 @@ pub trait ClientTransport {
     fn client_send(&mut self, now: SimTime, client: ClientId, proxy: ProxyId, msg: Msg);
 
     /// A GET completed: the reassembled object is ready for the
-    /// application (sim: record the hit; live: hand bytes to the caller).
+    /// application (sim: record the hit; sockets: hand bytes to the caller).
     fn deliver(
         &mut self,
         now: SimTime,
@@ -186,9 +183,9 @@ pub trait LambdaTransport {
 
 /// A full execution substrate: all three protocol roles on one value.
 ///
-/// The simulator implements this on `SimWorld`; live mode implements the
-/// role traits separately on its per-role threads and never needs the
-/// umbrella. Blanket-implemented for anything implementing all roles.
+/// The simulator implements this on `SimWorld`; the socket substrate
+/// implements the role traits separately on its per-role endpoints and
+/// never needs the umbrella. Blanket-implemented for anything implementing all roles.
 pub trait Transport: ClientTransport + ProxyTransport + LambdaTransport {}
 
 impl<T: ClientTransport + ProxyTransport + LambdaTransport> Transport for T {}
@@ -289,7 +286,8 @@ pub fn run_lambda_actions<T: LambdaTransport + ?Sized>(
 }
 
 /// A terminal client-operation outcome, for transports that surface
-/// results to a synchronous caller (live mode's blocking `put`/`get`).
+/// results to a synchronous caller (the `ic-net` client's blocking
+/// `put`/`get`).
 ///
 /// Sim mode never constructs these — its [`ClientTransport`] hooks write
 /// straight into the metrics sink.

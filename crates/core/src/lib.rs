@@ -12,25 +12,19 @@
 //! (`ic-lambda`), erasure coding (`ic-ec`), workload synthesizer
 //! (`ic-workload`), analytical models (`ic-analytics`), baselines
 //! (`ic-baselines`) and the serverless-platform simulator (`ic-simfaas`)
-//! into two execution modes:
+//! into the **simulation** ([`world::SimWorld`]): a deterministic
+//! discrete-event deployment used by every experiment binary (README,
+//! "Reproducing the paper") — latency microbenchmarks, the 50-hour
+//! production-trace replay, cost and fault-tolerance studies.
 //!
-//! * **Simulation** ([`world::SimWorld`]): a deterministic discrete-event
-//!   deployment used by every experiment binary (README, "Reproducing
-//!   the paper") — latency microbenchmarks, the 50-hour
-//!   production-trace replay, cost and fault-tolerance studies;
-//! * **Live mode** ([`live::LiveCluster`]): the same protocol state
-//!   machines on OS threads with real bytes through the real
-//!   Reed–Solomon codec — a functional in-process cache with simulated
-//!   function reclaims.
-//!
-//! A third substrate lives downstream in the `ic-net` crate: the same
-//! state machines across real TCP sockets and OS processes, registered
-//! against the identical [`dispatch`] engines (it cannot live here —
-//! `ic-net` depends on this crate for the dispatch layer). The
-//! substrate-parity tests in the workspace root replay one script
-//! through all three and demand identical outcomes.
-//!
-//! (A live-mode quickstart example lives in `examples/quickstart.rs`.)
+//! The other substrate lives downstream in the `ic-net` crate: the same
+//! state machines across real TCP sockets and OS processes, with real
+//! bytes through the real Reed–Solomon codec, registered against the
+//! identical [`dispatch`] engines (it cannot live here — `ic-net`
+//! depends on this crate for the dispatch layer). The substrate-parity
+//! tests in the workspace root replay one script through both and
+//! demand identical outcomes; `examples/quickstart.rs` runs the socket
+//! cluster in-process.
 
 #![warn(missing_docs)]
 
@@ -38,7 +32,6 @@ pub mod chaos;
 pub mod dispatch;
 pub mod event;
 pub mod experiments;
-pub mod live;
 pub mod metrics;
 pub mod nodehost;
 pub mod params;

@@ -2,14 +2,14 @@
 //! timers, invoke routing, and backup-relay plumbing, independent of how
 //! bytes reach the proxy.
 //!
-//! Both byte-level substrates host a node the same way — a container of
-//! [`Runtime`] instances driven by invokes, messages, and real timers —
-//! and differ only in the proxy channel (live mode: an in-process
-//! `mpsc` sender; net mode: a framed TCP socket). [`NodeHost`] owns
-//! everything substrate-independent and implements the
-//! [`dispatch::LambdaTransport`] role once; the substrate supplies a
-//! [`NodeIo`] for the single byte-moving hook. Fixes and protocol
-//! changes land here exactly once.
+//! Every byte-level host of a node — the `ic-net` daemon, and the
+//! scripted daemons tests and probes drive by hand — is a container of
+//! [`Runtime`] instances driven by invokes, messages, and real timers,
+//! and differs only in the proxy channel (the daemon's is a framed TCP
+//! socket). [`NodeHost`] owns everything channel-independent and
+//! implements the [`dispatch::LambdaTransport`] role once; the host
+//! supplies a [`NodeIo`] for the single byte-moving hook. Fixes and
+//! protocol changes land here exactly once.
 //!
 //! Peer replicas created by the backup protocol (Fig 10) live in the
 //! same host, so relay traffic short-circuits locally. The host tracks

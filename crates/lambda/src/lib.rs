@@ -11,8 +11,8 @@
 //! [`runtime::Runtime::on_timer`], [`runtime::Runtime::on_served`]) takes
 //! the current instant and returns a list of [`runtime::Action`]s for the
 //! embedding transport to execute. The discrete-event simulator and the
-//! live threaded runtime both embed this same type, which is what makes
-//! the protocol testable without any I/O.
+//! socket substrate's node daemons both embed this same type, which is
+//! what makes the protocol testable without any I/O.
 
 pub mod backup;
 pub mod runtime;

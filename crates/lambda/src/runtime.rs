@@ -3,7 +3,7 @@
 //!
 //! A [`Runtime`] is the state of *one instance* of a cache node. It is a
 //! pure state machine: the embedding transport (discrete-event simulator or
-//! live threads) feeds it invocations, messages, served-data completions
+//! node daemon) feeds it invocations, messages, served-data completions
 //! and timer expiries, and executes the [`Action`]s it returns.
 //!
 //! ## Billed-duration control
@@ -59,7 +59,7 @@ impl RuntimeConfig {
     }
 
     /// Runtime knobs derived from a deployment configuration — the single
-    /// place the byte-stream substrates (live threads, real sockets) turn
+    /// place the byte-stream hosts (node daemons, scripted test nodes) turn
     /// a [`ic_common::DeploymentConfig`] into per-instance runtime
     /// settings.
     pub fn for_deployment(cfg: &ic_common::DeploymentConfig) -> Self {
@@ -175,7 +175,8 @@ impl Runtime {
         &self.store
     }
 
-    /// Mutable store access (used by the live transport for prefill).
+    /// Mutable store access, for tests that prefill an instance.
+    #[cfg(test)]
     pub fn store_mut(&mut self) -> &mut ChunkStore {
         &mut self.store
     }

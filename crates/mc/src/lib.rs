@@ -26,7 +26,7 @@
 //! per-choice elision, each candidate re-verified by replay) and saved
 //! in a text format that `mc replay` re-executes choice-for-choice and
 //! `dbg_replay --trace` replays — as an operation schedule — through
-//! the sim, live-thread, and socket substrates.
+//! the sim and socket substrates.
 //!
 //! ## Quick start
 //!

@@ -3,8 +3,8 @@
 //!
 //! A trace file is self-contained: it embeds the deployment shape, the
 //! workload (as `op` lines in the parity-script vocabulary, so the
-//! cross-substrate harness can replay the *schedule* through sim, live
-//! threads, and real sockets), the choice sequence that reaches the
+//! cross-substrate harness can replay the *schedule* through the sim and
+//! real sockets), the choice sequence that reaches the
 //! violation, and the violation messages for the record. Lines:
 //!
 //! ```text

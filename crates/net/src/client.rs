@@ -1,7 +1,7 @@
 //! The synchronous socket client: the InfiniCache client library over
 //! one TCP connection *per proxy* of the deployment.
 //!
-//! Mirrors live mode's blocking facade: `put` and `get` drive the pure
+//! A blocking facade: `put` and `get` drive the pure
 //! [`ClientLib`] state machine, execute its actions through the shared
 //! [`infinicache::dispatch`] engine (this type implements the client
 //! role), and block reading framed proxy replies until the operation
@@ -26,7 +26,7 @@
 //!
 //! A deployment is a *fleet* of proxies (§3.1, Fig 2); the client
 //! spreads keys over them with the same consistent-hash ring the
-//! simulator and live mode use ([`ic_common::ring::Ring`], inside
+//! simulator uses ([`ic_common::ring::Ring`], inside
 //! [`ClientLib`]). Concretely:
 //!
 //! * [`NetClient::connect_multi`] dials every proxy (addresses in

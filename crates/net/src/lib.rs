@@ -3,8 +3,8 @@
 //! InfiniCache is a networked system: the client library speaks to a
 //! proxy over TCP, and the proxy holds long-lived connections to its
 //! Lambda pool (Fig 6 of the paper). This crate carries the reproduction
-//! across the process boundary — the third execution substrate after the
-//! discrete-event simulator and the in-process live mode:
+//! across the process boundary — the execution substrate beside the
+//! discrete-event simulator, and the only one that moves real bytes:
 //!
 //! * [`wire`] — the socket-level frame vocabulary (handshakes, invokes,
 //!   instance-addressed delivery) over the shared length-prefixed codec

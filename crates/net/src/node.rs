@@ -6,11 +6,11 @@
 //! (§2.2). Here the daemon plays the provider's role for its own node:
 //! it holds a long-lived TCP connection to the proxy, receives
 //! [`Frame::Invoke`] and [`Frame::ToInstance`] frames, and runs the
-//! substrate-independent [`NodeHost`] core — the same instance
-//! container, invoke routing, billed-duration timers (real 100 ms
-//! cycles), and backup-relay plumbing live mode uses, executing protocol
-//! actions through the shared dispatch engine. Only the byte transport
-//! differs: frames over TCP instead of channel sends.
+//! channel-independent [`NodeHost`] core — the instance container,
+//! invoke routing, billed-duration timers (real 100 ms cycles), and
+//! backup-relay plumbing, executing protocol actions through the shared
+//! dispatch engine. This module adds only the byte transport: frames
+//! over TCP.
 //!
 //! The daemon is a single thread: its run loop owns the (nonblocking)
 //! proxy socket through a [`Poller`], decoding inbound frames with an

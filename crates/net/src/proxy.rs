@@ -1,5 +1,5 @@
 //! The socket-backed proxy: real TCP listeners in front of the same
-//! [`Proxy`] state machine the simulator and live mode drive.
+//! [`Proxy`] state machine the simulator drives.
 //!
 //! **One thread, run to completion** (plain `std::net` over the
 //! [`polling`] readiness shim, no async runtime). The proxy's single

@@ -1,7 +1,7 @@
 //! The substrate-parity replay harness: push one `ScriptStep` schedule
-//! through each execution substrate — the discrete-event world, the live
-//! threaded cluster, the loopback socket cluster — and reduce every step
-//! to its application-visible outcome.
+//! through each execution substrate — the discrete-event world and the
+//! loopback socket cluster — and reduce every step to its
+//! application-visible outcome.
 //!
 //! This is the *single* definition of the parity semantics: the
 //! workspace tests (`tests/end_to_end.rs`, `tests/chaos.rs` via
@@ -18,7 +18,6 @@ use ic_common::{
 use ic_simfaas::reclaim::NoReclaim;
 use infinicache::chaos::{ProxyKillPlan, ScriptStep};
 use infinicache::event::Op;
-use infinicache::live::LiveCluster;
 use infinicache::metrics::{OpKind, Outcome};
 use infinicache::params::SimParams;
 use infinicache::world::SimWorld;
@@ -91,7 +90,7 @@ pub fn replay_sim_proxies(script: &[ScriptStep], proxies: u16) -> Vec<StepOutcom
         Box::new(NoReclaim),
         1,
     );
-    w.write_through = false; // live semantics: a miss stays a miss
+    w.write_through = false; // as on sockets: a miss stays a miss
     let mut sizes: HashMap<String, u64> = HashMap::new();
     for (i, step) in script.iter().enumerate() {
         let at = SimTime::from_secs(10 + 10 * i as u64);
@@ -133,34 +132,6 @@ pub fn replay_sim_proxies(script: &[ScriptStep], proxies: u16) -> Vec<StepOutcom
             other => panic!("unexpected record {other:?} in a fault-free schedule"),
         })
         .collect()
-}
-
-/// Replays the script through the live threaded cluster (real bytes
-/// through the real Reed–Solomon codec).
-///
-/// # Panics
-///
-/// Panics if any operation fails outright (a fault-free schedule must
-/// not error).
-pub fn replay_live(script: &[ScriptStep]) -> Vec<StepOutcome> {
-    let mut cache = LiveCluster::start(parity_config()).expect("live cluster starts");
-    let outcomes = script
-        .iter()
-        .map(|step| match step {
-            ScriptStep::Put { key, size } => {
-                cache
-                    .put(key, script_payload(*size))
-                    .expect("live put succeeds");
-                StepOutcome::Stored
-            }
-            ScriptStep::Get { key } => match cache.get(key).expect("live get succeeds") {
-                Some(_) => StepOutcome::Hit,
-                None => StepOutcome::Miss,
-            },
-        })
-        .collect();
-    cache.shutdown();
-    outcomes
 }
 
 /// Replays the script through a loopback socket cluster: real TCP

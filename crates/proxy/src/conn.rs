@@ -61,8 +61,6 @@ pub struct LambdaConn {
     bounced: usize,
     /// Lazy deletions flushed ahead of the next request.
     pending_deletes: Vec<ChunkId>,
-    /// Bytes the node last reported holding (pool accounting).
-    pub reported_bytes: u64,
 }
 
 impl LambdaConn {
@@ -76,7 +74,6 @@ impl LambdaConn {
             queue: VecDeque::new(),
             bounced: 0,
             pending_deletes: Vec::new(),
-            reported_bytes: 0,
         }
     }
 
@@ -113,8 +110,7 @@ impl LambdaConn {
 
     /// Feeds this connection's protocol state into a state hash (model
     /// checking). Everything here is protocol-relevant: the Fig 6 state,
-    /// the answering instance, queued and lazily-deleted work, and the
-    /// pool-accounting byte count.
+    /// the answering instance, and queued and lazily-deleted work.
     pub fn fingerprint(&self, h: &mut impl Hasher) {
         self.lambda.hash(h);
         self.liveness.hash(h);
@@ -138,7 +134,6 @@ impl LambdaConn {
         }
         self.bounced.hash(h);
         self.pending_deletes.hash(h);
-        self.reported_bytes.hash(h);
     }
 
     /// Wants to deliver `msg` to the node. A live connection carries it
@@ -170,14 +165,13 @@ impl LambdaConn {
 
     /// PONG received (an invocation's wake-up answer): the node is live;
     /// flush the queue.
-    pub fn on_pong(&mut self, instance: InstanceId, stored_bytes: u64) -> Vec<ConnEffect> {
+    pub fn on_pong(&mut self, instance: InstanceId) -> Vec<ConnEffect> {
         if self.liveness == Liveness::Maybe && Some(instance) != self.active_instance {
             // An unexpected PONG from the replaced source: ignore content,
             // the destination owns the connection now.
             return Vec::new();
         }
         self.active_instance = Some(instance);
-        self.reported_bytes = stored_bytes;
         if self.liveness != Liveness::Maybe {
             self.liveness = Liveness::Active;
         }
@@ -301,7 +295,7 @@ mod tests {
     fn active(lambda: u32, instance: u64) -> LambdaConn {
         let mut c = LambdaConn::new(LambdaId(lambda));
         assert_eq!(c.warmup(), vec![ConnEffect::Invoke]);
-        assert!(c.on_pong(InstanceId(instance), 0).is_empty());
+        assert!(c.on_pong(InstanceId(instance)).is_empty());
         assert_eq!(c.liveness(), Liveness::Active);
         c
     }
@@ -318,7 +312,7 @@ mod tests {
 
         // PONG flushes both in order and the connection is live: from
         // here every send goes straight out.
-        assert_eq!(c.on_pong(InstanceId(7), 0), emits([get("a"), get("b")]));
+        assert_eq!(c.on_pong(InstanceId(7)), emits([get("a"), get("b")]));
         assert_eq!(c.liveness(), Liveness::Active);
         assert!(!c.invoke_in_flight());
         assert_eq!(c.instance(), Some(InstanceId(7)));
@@ -338,7 +332,7 @@ mod tests {
         // The request crossed the BYE on the wire and bounces: that, not
         // the BYE, re-invokes.
         assert_eq!(c.on_reset(Some(get("a"))), vec![ConnEffect::Invoke]);
-        assert_eq!(c.on_pong(InstanceId(1), 0), emits([get("a")]));
+        assert_eq!(c.on_pong(InstanceId(1)), emits([get("a")]));
         // After an idle BYE the next send invokes.
         c.on_bye(InstanceId(1));
         assert_eq!(c.send(get("b")), vec![ConnEffect::Invoke]);
@@ -353,7 +347,7 @@ mod tests {
         assert_eq!(c.instance(), None);
         // A request that arrives meanwhile queues *behind* the bounce.
         assert!(c.send(get("c")).is_empty());
-        assert_eq!(c.on_pong(InstanceId(2), 0), emits([get("b"), get("c")]));
+        assert_eq!(c.on_pong(InstanceId(2)), emits([get("b"), get("c")]));
         assert_eq!(c.instance(), Some(InstanceId(2)));
     }
 
@@ -377,7 +371,7 @@ mod tests {
         assert_eq!(c.liveness(), Liveness::Sleeping);
         assert!(c.invoke_in_flight());
         // The invoke's PONG flushes everything in send order.
-        assert_eq!(c.on_pong(InstanceId(2), 0), emits([get("b"), get("c")]));
+        assert_eq!(c.on_pong(InstanceId(2)), emits([get("b"), get("c")]));
     }
 
     /// The bounce-order regression: an overwrite landing on the same node
@@ -396,13 +390,13 @@ mod tests {
         assert!(c.send(get("late")).is_empty());
         assert!(c.on_reset(Some(v2.clone())).is_empty());
         assert!(c.on_reset(Some(read.clone())).is_empty());
-        let fx = c.on_pong(InstanceId(2), 0);
+        let fx = c.on_pong(InstanceId(2));
         assert_eq!(fx, emits([v1, v2, read, get("late")]));
         // The next episode starts a fresh bounce prefix.
         c.send(get("x"));
         c.on_reset(Some(get("x")));
         assert!(c.send(get("y")).is_empty());
-        assert_eq!(c.on_pong(InstanceId(3), 0), emits([get("x"), get("y")]));
+        assert_eq!(c.on_pong(InstanceId(3)), emits([get("x"), get("y")]));
     }
 
     #[test]
@@ -411,7 +405,7 @@ mod tests {
         assert_eq!(c.warmup(), vec![ConnEffect::Invoke]);
         // Invoke already in flight: no duplicate.
         assert!(c.warmup().is_empty());
-        c.on_pong(InstanceId(1), 0);
+        c.on_pong(InstanceId(1));
         // Active: nothing to warm.
         assert!(c.warmup().is_empty());
     }
@@ -424,7 +418,7 @@ mod tests {
         assert_eq!(c.liveness(), Liveness::Maybe);
         // The old source's BYE and PONG are ignored.
         c.on_bye(InstanceId(1));
-        assert!(c.on_pong(InstanceId(1), 0).is_empty());
+        assert!(c.on_pong(InstanceId(1)).is_empty());
         assert_eq!(c.liveness(), Liveness::Maybe);
         assert_eq!(c.instance(), Some(InstanceId(2)));
         // Requests flow to the destination.
@@ -443,7 +437,7 @@ mod tests {
         let mut c = LambdaConn::new(LambdaId(7));
         c.queue_delete(dead.clone());
         assert_eq!(c.send(get("live")), vec![ConnEffect::Invoke]);
-        assert_eq!(c.on_pong(InstanceId(1), 0), emits([delete(), get("live")]));
+        assert_eq!(c.on_pong(InstanceId(1)), emits([delete(), get("live")]));
         // On a live connection too: the delete rides ahead of the request.
         c.queue_delete(dead.clone());
         assert_eq!(c.send(get("live")), emits([delete(), get("live")]));
@@ -453,7 +447,6 @@ mod tests {
     fn put_data_queues_like_any_request() {
         let mut c = LambdaConn::new(LambdaId(8));
         c.send(put("p", 64, 1));
-        assert_eq!(c.on_pong(InstanceId(1), 128), emits([put("p", 64, 1)]));
-        assert_eq!(c.reported_bytes, 128);
+        assert_eq!(c.on_pong(InstanceId(1)), emits([put("p", 64, 1)]));
     }
 }

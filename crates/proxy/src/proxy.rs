@@ -639,14 +639,11 @@ impl Proxy {
     /// Handles a message from a node (or from a relay participant).
     pub fn on_lambda(&mut self, lambda: LambdaId, msg: Msg) -> Vec<ProxyAction> {
         match msg {
-            Msg::Pong {
-                instance,
-                stored_bytes,
-            } => {
+            Msg::Pong { instance, .. } => {
                 let effects = self
                     .members
                     .get_mut(&lambda)
-                    .map(|m| m.on_pong(instance, stored_bytes))
+                    .map(|m| m.on_pong(instance))
                     .unwrap_or_default();
                 self.apply_effects(lambda, effects)
             }
@@ -701,14 +698,7 @@ impl Proxy {
                 Some(home) => self.requery_chunk(&id, home),
                 None => self.answer_waiters_with_miss(&id),
             },
-            Msg::PutAck {
-                id,
-                stored_bytes,
-                epoch,
-            } => {
-                if let Some(m) = self.members.get_mut(&lambda) {
-                    m.reported_bytes = stored_bytes;
-                }
+            Msg::PutAck { id, epoch, .. } => {
                 let key = id.key.clone();
                 // Only acks stamped with the current PUT's epoch count: a
                 // stale ack (from an overwritten previous version, or from
@@ -2323,15 +2313,16 @@ mod tests {
 
     #[test]
     fn one_unhealthy_home_at_admission_asks_for_the_whole_stripe() {
-        // Sleeping (its instance returned), on a data and on a parity home.
-        for home in [1, 5] {
+        // Sleeping — its instance returned, or was reclaimed while running
+        // and took the connection with it — on a data and on a parity home.
+        for (reclaimed, home) in [(false, 1), (false, 5), (true, 1), (true, 5)] {
             let mut px = healthy(4, 2);
-            px.on_lambda(
-                LambdaId(home),
-                Msg::Bye {
-                    instance: InstanceId(100 + home as u64),
-                },
-            );
+            if reclaimed {
+                assert!(px.on_connection_lost(LambdaId(home)).is_empty());
+            } else {
+                let instance = InstanceId(100 + home as u64);
+                px.on_lambda(LambdaId(home), Msg::Bye { instance });
+            }
             let acts = get(&mut px, 7, 4);
             assert_eq!(requested(&acts), 6);
             // Five go out now; the sixth waits behind the invoke.

@@ -102,7 +102,7 @@ proptest! {
                     sent += 1;
                     conn.send(get(sent - 1))
                 }
-                Call::Pong(i) => conn.on_pong(InstanceId(1 + i as u64), 0),
+                Call::Pong(i) => conn.on_pong(InstanceId(1 + i as u64)),
                 Call::Bye(i) => {
                     conn.on_bye(InstanceId(1 + i as u64));
                     Vec::new()
@@ -121,7 +121,7 @@ proptest! {
             prop_assert_eq!(conn.queued(), held.len(), "the queue is exactly what is held");
         }
         let inst = conn.instance().unwrap_or(InstanceId(999));
-        let effects = conn.on_pong(inst, 0);
+        let effects = conn.on_pong(inst);
         emit_all(effects, &mut in_flight, &mut held);
         prop_assert_eq!(conn.queued(), 0, "a PONG drains the queue");
         prop_assert!(held.is_empty());
@@ -138,7 +138,7 @@ proptest! {
         for (i, call) in history.into_iter().enumerate() {
             match call {
                 Call::Send => { conn.send(get(i)); }
-                Call::Pong(i) => { conn.on_pong(InstanceId(1 + i as u64), 0); }
+                Call::Pong(i) => { conn.on_pong(InstanceId(1 + i as u64)); }
                 Call::Bye(i) => { conn.on_bye(InstanceId(1 + i as u64)); }
                 Call::Reset => { conn.on_reset(None); }
                 Call::ConnectionLost => { conn.on_connection_lost(); }
@@ -270,7 +270,7 @@ impl Rig {
             },
             Step::Proxy => {
                 let effects = match self.to_proxy.pop_front() {
-                    Some(ToProxy::Pong(i)) => self.conn.on_pong(i, 0),
+                    Some(ToProxy::Pong(i)) => self.conn.on_pong(i),
                     Some(ToProxy::Bye(i)) => {
                         self.conn.on_bye(i);
                         Vec::new()

@@ -1,9 +1,12 @@
-//! Quickstart: a live, in-process InfiniCache deployment with real bytes.
+//! Quickstart: an InfiniCache deployment on loopback sockets, with real
+//! bytes.
 //!
-//! Starts twelve Lambda-node threads behind one proxy, PUTs a 16 MiB
+//! Starts sixteen Lambda-node daemons behind one proxy — every message
+//! crosses a real TCP socket, all inside this process — PUTs a 16 MiB
 //! object through the RS(10+2) erasure coder, reads it back, then
-//! simulates two provider reclaims and reads it again — the erasure code
-//! reconstructs the lost chunks transparently (and repairs them).
+//! simulates provider reclaims one node at a time and reads it again —
+//! the erasure code reconstructs the lost chunks transparently (and
+//! repairs them).
 //!
 //! Run with:
 //!
@@ -13,7 +16,7 @@
 
 use bytes::Bytes;
 use ic_common::{DeploymentConfig, EcConfig, LambdaId};
-use infinicache::live::LiveCluster;
+use ic_net::LoopbackCluster;
 use std::time::Instant;
 
 fn main() -> ic_common::Result<()> {
@@ -22,8 +25,9 @@ fn main() -> ic_common::Result<()> {
         backup_enabled: false, // keep the demo deterministic
         ..DeploymentConfig::small(16, ec)
     };
-    println!("starting a live InfiniCache: 16 nodes, RS{ec}, 1 proxy");
-    let mut cache = LiveCluster::start(cfg)?;
+    println!("starting InfiniCache on loopback sockets: 16 nodes, RS{ec}, 1 proxy");
+    let cluster = LoopbackCluster::start(cfg)?;
+    let mut cache = cluster.client()?;
 
     // A 16 MiB object with a recognizable pattern.
     let object: Bytes = (0..16 * 1024 * 1024)
@@ -42,11 +46,11 @@ fn main() -> ic_common::Result<()> {
     let back = cache
         .get("docker-layer:sha256:abc123")?
         .expect("object is cached");
+    assert_eq!(back, object, "bytes must round-trip");
     println!(
-        "GET 16 MiB in {:?} — {} bytes identical: {}",
+        "GET 16 MiB in {:?} — {} bytes identical",
         t.elapsed(),
-        back.len(),
-        back == object
+        back.len()
     );
 
     // The provider reclaims functions one by one; each GET rides out the
@@ -54,7 +58,7 @@ fn main() -> ic_common::Result<()> {
     // repair), so the object never becomes unrecoverable.
     println!("\nsimulating provider reclaims, one node at a time...");
     for node in 0..16u32 {
-        cache.reclaim_node(LambdaId(node));
+        cluster.reclaim_node(LambdaId(node));
         std::thread::sleep(std::time::Duration::from_millis(30));
         let t = Instant::now();
         let back = cache
@@ -73,12 +77,16 @@ fn main() -> ic_common::Result<()> {
             }
         }
     }
-
-    println!(
-        "\na miss returns None: {:?}",
-        cache.get("never-stored")?.is_none()
+    assert!(
+        cache.stats().recoveries >= 2,
+        "reclaims must cost chunks that EC recovers: {:?}",
+        cache.stats()
     );
-    cache.shutdown();
+
+    let miss = cache.get("never-stored")?;
+    assert!(miss.is_none(), "a key never stored must miss");
+    println!("\na miss returns None: {}", miss.is_none());
+    cluster.shutdown();
     println!("done");
     Ok(())
 }

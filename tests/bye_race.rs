@@ -1,4 +1,4 @@
-//! "Request races BYE", on the substrates a test can script from outside.
+//! "Request races BYE", on both substrates.
 //!
 //! A proxy sends on a live node connection without a preflight PING, so
 //! the one validation-failure path is the bounce: an instance returns at
@@ -10,9 +10,7 @@
 //! instance's return timer) and over real sockets (a scripted daemon
 //! holds the two frames, ends the cycle, then delivers them). On both the
 //! node holds a *data* chunk of the object being read: a healthy stripe
-//! is read data-first, so a parity home would see no `ChunkGet` at all. The
-//! live-thread substrate's leg sits next to its private channel types, in
-//! `infinicache::live`.
+//! is read data-first, so a parity home would see no `ChunkGet` at all.
 //!
 //! One `#[test]` on purpose: the socket leg takes a census of this
 //! process's proxy threads.

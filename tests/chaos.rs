@@ -22,7 +22,7 @@ use infinicache::chaos::{
 use proptest::prelude::*;
 
 mod common;
-use common::{replay_live, replay_sim, StepOutcome};
+use common::{replay_net, replay_sim, StepOutcome};
 
 fn seed_matrix() -> u64 {
     std::env::var("CHAOS_SEEDS")
@@ -112,34 +112,18 @@ proptest! {
 }
 
 /// Parity leg of the chaos harness: a *sampled* (not hand-written)
-/// PUT/GET/overwrite schedule produces identical application-visible
-/// outcomes on the discrete-event world and the live threaded cluster.
-#[test]
-fn sampled_schedule_agrees_between_sim_and_live() {
-    for seed in [11u64, 42] {
-        let script = sample_schedule(seed, 24, 6);
-        let sim = replay_sim(&script);
-        let live = replay_live(&script);
-        assert_eq!(sim, live, "seed {seed}: sim and live outcomes diverged");
-        assert!(
-            sim.contains(&StepOutcome::Hit),
-            "seed {seed}: schedule must produce hits"
-        );
-    }
-}
-
-/// Sim-vs-net parity: the same sampled schedules replayed against a
-/// loopback `ic-net` cluster (real TCP between proxy, node daemons, and
-/// client) produce the same outcomes as the discrete-event world, and
-/// every net GET is byte-identical to what was stored (asserted inside
-/// `replay_net`). Failures replay with
+/// PUT/GET/overwrite schedule replayed against a loopback `ic-net`
+/// cluster (real TCP between proxy, node daemons, and client) produces
+/// the same outcomes as the discrete-event world, and every net GET is
+/// byte-identical to what was stored (asserted inside `replay_net`).
+/// Failures replay with
 /// `cargo run -p ic-bench --bin dbg_replay -- --seed <seed> --mode all`.
 #[test]
 fn sampled_schedule_agrees_between_sim_and_net() {
     for seed in [11u64, 42, 1234] {
         let script = sample_schedule(seed, 24, 6);
         let sim = replay_sim(&script);
-        let net = common::replay_net(&script);
+        let net = replay_net(&script);
         assert_eq!(sim, net, "seed {seed}: sim and net outcomes diverged");
         assert!(
             sim.contains(&StepOutcome::Hit),

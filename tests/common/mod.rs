@@ -7,4 +7,4 @@
 //! `cargo run -p ic-bench --bin dbg_replay -- --seed N --mode all`.
 
 #[allow(unused_imports)] // each test binary uses a different subset
-pub use ic_net::replay::{replay_live, replay_net, replay_sim, StepOutcome};
+pub use ic_net::replay::{replay_net, replay_sim, StepOutcome};

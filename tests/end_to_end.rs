@@ -1,23 +1,24 @@
 //! Workspace-level integration tests: the full stack (client library →
 //! proxy → Lambda runtimes → platform → network) exercised through the
-//! public APIs of the `infinicache` crate, across both execution modes.
+//! public APIs of the `infinicache` and `ic-net` crates, on both
+//! execution substrates.
 
 use bytes::Bytes;
 use ic_common::pricing::CostCategory;
 use ic_common::{
     ClientId, DeploymentConfig, EcConfig, LambdaId, ObjectKey, Payload, SimDuration, SimTime,
 };
+use ic_net::LoopbackCluster;
 use ic_simfaas::reclaim::{HourlyPoisson, NoReclaim};
 use ic_workload::{generate, WorkloadSpec};
 use infinicache::chaos::ScriptStep;
 use infinicache::event::Op;
-use infinicache::live::LiveCluster;
 use infinicache::metrics::{OpKind, Outcome};
 use infinicache::params::SimParams;
 use infinicache::world::SimWorld;
 
 mod common;
-use common::{replay_live, replay_net, replay_sim, StepOutcome};
+use common::{replay_net, replay_sim, StepOutcome};
 
 fn key(s: &str) -> ObjectKey {
     ObjectKey::new(s)
@@ -142,37 +143,19 @@ fn trace_replay_hits_reasonable_ratio_and_bills_all_categories() {
 }
 
 #[test]
-fn live_cluster_roundtrips_various_sizes_through_real_ec() {
-    let cfg = DeploymentConfig {
-        backup_enabled: false,
-        ..DeploymentConfig::small(10, EcConfig::new(4, 2).unwrap())
-    };
-    let mut cache = LiveCluster::start(cfg).unwrap();
-    for len in [1usize, 100, 4096, 1 << 16, 3 * 1024 * 1024] {
-        let data: Bytes = (0..len)
-            .map(|i| ((i * 131 + 17) % 256) as u8)
-            .collect::<Vec<u8>>()
-            .into();
-        cache.put(format!("obj-{len}"), data.clone()).unwrap();
-        let back = cache.get(format!("obj-{len}")).unwrap().expect("cached");
-        assert_eq!(back, data, "len {len}");
-    }
-    cache.shutdown();
-}
-
-#[test]
-fn live_cluster_recovers_after_reclaims_and_repairs() {
+fn net_cluster_recovers_after_reclaims_and_repairs() {
     let cfg = DeploymentConfig {
         backup_enabled: false,
         ..DeploymentConfig::small(12, EcConfig::new(6, 2).unwrap())
     };
-    let mut cache = LiveCluster::start(cfg).unwrap();
+    let cluster = LoopbackCluster::start(cfg).unwrap();
+    let mut cache = cluster.client().unwrap();
     let data: Bytes = vec![0xA5u8; 2 << 20].into();
     cache.put("survivor", data.clone()).unwrap();
     // Reclaim nodes one at a time, reading after each; read repair keeps
     // the loss per read at <= 1 chunk, within parity.
     for node in 0..12u32 {
-        cache.reclaim_node(LambdaId(node));
+        cluster.reclaim_node(LambdaId(node));
         std::thread::sleep(std::time::Duration::from_millis(20));
         let back = cache.get("survivor").unwrap().expect("recoverable");
         assert_eq!(back, data, "after reclaiming λ{node}");
@@ -181,7 +164,7 @@ fn live_cluster_recovers_after_reclaims_and_repairs() {
         cache.stats().recoveries > 0,
         "some reads must have recovered"
     );
-    cache.shutdown();
+    cluster.shutdown();
 }
 
 fn parity_script() -> Vec<ScriptStep> {
@@ -202,17 +185,19 @@ fn parity_script() -> Vec<ScriptStep> {
 
 /// The tentpole invariant of the shared dispatch layer: the same
 /// PUT/GET/miss script pushed through `SimWorld` (timed events, network
-/// flows) and `LiveCluster` (threads, real bytes) produces identical
-/// application-visible hit/miss outcomes, because both substrates execute
-/// the identical protocol actions through `infinicache::dispatch`.
-/// (The replay harness lives in `tests/common`; `tests/chaos.rs` reuses
-/// it for sampled schedules.)
+/// flows) and the socket cluster (`ic-net` loopback TCP, real bytes)
+/// produces identical application-visible hit/miss outcomes, because both
+/// substrates execute the identical protocol actions through
+/// `infinicache::dispatch`; the socket cluster's GETs are byte-identical
+/// to the stored objects (asserted inside `replay_net`). (The replay
+/// harness lives in `tests/common`; `tests/chaos.rs` reuses it for
+/// sampled schedules.)
 #[test]
-fn simulated_and_live_execution_agree_on_hit_miss_outcomes() {
+fn simulated_and_net_execution_agree_on_hit_miss_outcomes() {
     let script = parity_script();
     let sim = replay_sim(&script);
-    let live = replay_live(&script);
-    assert_eq!(sim, live, "sim and live outcomes diverged");
+    let net = replay_net(&script);
+    assert_eq!(sim, net, "sim and net outcomes diverged");
     let expected = [
         StepOutcome::Stored,
         StepOutcome::Stored,
@@ -224,23 +209,11 @@ fn simulated_and_live_execution_agree_on_hit_miss_outcomes() {
     assert_eq!(sim, expected, "script must store, hit, and miss as written");
 }
 
-/// The same invariant extended to the third substrate: the socket
-/// cluster (`ic-net` loopback TCP) must agree with the simulator on the
-/// hand-written script, and its GETs are byte-identical to the stored
-/// objects (asserted inside `replay_net`).
-#[test]
-fn simulated_and_net_execution_agree_on_hit_miss_outcomes() {
-    let script = parity_script();
-    let sim = replay_sim(&script);
-    let net = replay_net(&script);
-    assert_eq!(sim, net, "sim and net outcomes diverged");
-}
-
 /// What the read policy did over one scenario, as the proxy and the
 /// client counted it — the part of it no wall clock decides. Whether the
-/// live and socket legs' *first* GET lands inside the PUT's 100 ms
-/// billing cycle (every home a live connection: data-first) or after it
-/// (whole stripe) is up to the scheduler, so the two admissions are
+/// socket leg's *first* GET lands inside the PUT's 100 ms billing cycle
+/// (every home a live connection: data-first) or after it (whole
+/// stripe) is up to the scheduler, so the two admissions are
 /// compared as a sum and the first GET's decode not at all; the
 /// simulator, where time is scripted, pins them in
 /// [`read_policy_on_sim`].
@@ -283,7 +256,7 @@ const IDLE: std::time::Duration = std::time::Duration::from_millis(250);
 /// The scenario on the simulator: a PUT, a GET inside the PUT's billing
 /// cycle (every home a live connection), then — after the cycle lapsed —
 /// the reclaim of the node holding data chunk 0 and another GET. Also
-/// names that node: all three substrates seed client 0 alike, so the
+/// names that node: both substrates seed client 0 alike, so the
 /// first PUT is placed alike.
 fn read_policy_on_sim() -> (ReadPolicyCounters, LambdaId) {
     let params = SimParams::paper().with_seed(6); // client 0 draws from seed 7
@@ -387,24 +360,9 @@ fn await_repair(mut poll: impl FnMut() -> ic_client::ClientStats) -> ic_client::
     }
 }
 
-fn read_policy_on_live(home: LambdaId) -> ReadPolicyCounters {
-    let data = ic_net::replay::script_payload(POLICY_OBJECT);
-    let mut cache = LiveCluster::start(ic_net::replay::parity_config()).unwrap();
-    cache.put("k", data.clone()).unwrap();
-    assert_eq!(cache.get("k").unwrap().expect("cached"), data);
-    std::thread::sleep(IDLE);
-    cache.reclaim_node(home);
-    assert_eq!(cache.get("k").unwrap().expect("recoverable"), data);
-    let client = await_repair(|| {
-        assert_eq!(cache.get("ghost").unwrap(), None);
-        cache.stats()
-    });
-    ReadPolicyCounters::of(cache.shutdown_with_stats(), client)
-}
-
 fn read_policy_on_net(home: LambdaId) -> ReadPolicyCounters {
     let data = ic_net::replay::script_payload(POLICY_OBJECT);
-    let cluster = ic_net::LoopbackCluster::start(ic_net::replay::parity_config()).unwrap();
+    let cluster = LoopbackCluster::start(ic_net::replay::parity_config()).unwrap();
     let mut cache = cluster.client().unwrap();
     cache.put("k", data.clone()).unwrap();
     let (bytes, report) = cache.get_reported("k").unwrap().expect("cached");
@@ -427,7 +385,7 @@ fn read_policy_on_net(home: LambdaId) -> ReadPolicyCounters {
     ReadPolicyCounters::of(proxy, client)
 }
 
-/// The read policy on all three substrates: every striped read is
+/// The read policy on both substrates: every striped read is
 /// admitted once, data-first or whole; a stripe with a home known to be
 /// down is asked for whole, loses one data chunk to the reclaim, decodes
 /// through parity and repairs it; nothing is released mid-GET (whether
@@ -444,7 +402,6 @@ fn data_first_reads_and_their_fallback_agree_across_substrates() {
         repaired: true,
     };
     assert_eq!(sim, expected);
-    assert_eq!(read_policy_on_live(home), expected, "live");
     assert_eq!(read_policy_on_net(home), expected, "net");
 }
 
@@ -477,19 +434,20 @@ fn erasure_coding_tolerance_boundary_is_exact() {
         backup_enabled: false,
         ..DeploymentConfig::small(10, EcConfig::new(4, 1).unwrap())
     };
-    let mut cache = LiveCluster::start(cfg).unwrap();
+    let cluster = LoopbackCluster::start(cfg).unwrap();
+    let mut cache = cluster.client().unwrap();
     let data: Bytes = vec![7u8; 1 << 20].into();
     cache.put("edge", data.clone()).unwrap();
 
     // Lose everything: with only 5 chunks on 10 nodes, reclaiming all
     // nodes guarantees > p losses.
     for node in 0..10u32 {
-        cache.reclaim_node(LambdaId(node));
+        cluster.reclaim_node(LambdaId(node));
     }
     std::thread::sleep(std::time::Duration::from_millis(50));
     assert!(
         cache.get("edge").is_err(),
         "total loss must be unrecoverable"
     );
-    cache.shutdown();
+    cluster.shutdown();
 }

@@ -2,7 +2,7 @@
 //! small presets stays violation-free, the revert-detection hooks are
 //! each re-found with a minimal counterexample, and the committed
 //! counterexample traces in `tests/data/` keep reproducing (and keep
-//! replaying cleanly — as schedules — across all three execution
+//! replaying cleanly — as schedules — across both execution
 //! substrates).
 //!
 //! Exploration here runs in debug mode, so every leg uses a preset
@@ -17,7 +17,7 @@ use ic_mc::{
 use infinicache::chaos::ScriptStep;
 
 mod common;
-use common::{replay_live, replay_net, replay_sim};
+use common::{replay_net, replay_sim};
 
 fn data(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -258,8 +258,8 @@ fn trace_file_text_round_trips() {
 }
 
 /// The committed traces' *schedules* (their `op` lines) replay
-/// identically through the discrete-event world, the live threaded
-/// cluster, and the loopback socket cluster — the in-test equivalent of
+/// identically through the discrete-event world and the loopback socket
+/// cluster — the in-test equivalent of
 /// `dbg_replay --trace tests/data/<file> --mode all`. The adversarial
 /// interleaving only exists under the sim scheduler (that is `mc
 /// replay`'s job); this guards the portability of the workload itself.
@@ -269,9 +269,7 @@ fn counterexample_schedules_replay_identically_across_substrates() {
         let (cfg, _, _) = load_trace(&data(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
         let script: Vec<ScriptStep> = cfg.ops.iter().map(|op| op.step.clone()).collect();
         let sim = replay_sim(&script);
-        let live = replay_live(&script);
         let net = replay_net(&script);
-        assert_eq!(sim, live, "{file}: sim and live diverged");
         assert_eq!(sim, net, "{file}: sim and net diverged");
         assert!(
             sim.contains(&common::StepOutcome::Hit),
