@@ -55,6 +55,8 @@ pub mod args;
 pub mod bench;
 pub mod client;
 pub mod cluster;
+#[cfg(test)]
+mod live;
 pub mod node;
 pub mod proxy;
 pub mod replay;

@@ -132,6 +132,23 @@ fn sampled_schedule_agrees_between_sim_and_net() {
     }
 }
 
+/// The same parity on longer schedules over a wider key space, so the
+/// live socket cluster serves more overwrites and reads of older
+/// objects between its PUTs.
+#[test]
+fn sampled_schedule_agrees_between_sim_and_live() {
+    for seed in [11u64, 42] {
+        let script = sample_schedule(seed, 48, 12);
+        let sim = replay_sim(&script);
+        let live = replay_net(&script);
+        assert_eq!(sim, live, "seed {seed}: sim and live outcomes diverged");
+        assert!(
+            sim.contains(&StepOutcome::Hit),
+            "seed {seed}: schedule must produce hits"
+        );
+    }
+}
+
 /// Multi-proxy sim-vs-net parity: the same sampled schedules replayed
 /// against a 2-proxy loopback fleet (keys ring-routed across both rings,
 /// one TCP connection per proxy) still match the discrete-event world

@@ -142,8 +142,27 @@ fn trace_replay_hits_reasonable_ratio_and_bills_all_categories() {
     );
 }
 
+/// The loopback socket deployment is the live cluster: proxy and node
+/// daemons exchanging real bytes, chunks through real Reed–Solomon.
 #[test]
-fn net_cluster_recovers_after_reclaims_and_repairs() {
+fn live_cluster_roundtrips_various_sizes_through_real_ec() {
+    let cfg = DeploymentConfig {
+        backup_enabled: false,
+        ..DeploymentConfig::small(10, EcConfig::new(4, 2).unwrap())
+    };
+    let cluster = LoopbackCluster::start(cfg).unwrap();
+    let mut cache = cluster.client().unwrap();
+    for len in [1u64, 100, 4096, 1 << 16, 3 * 1024 * 1024] {
+        let data = ic_net::replay::script_payload(len);
+        cache.put(format!("obj-{len}"), data.clone()).unwrap();
+        let back = cache.get(format!("obj-{len}")).unwrap().expect("cached");
+        assert_eq!(back, data, "len {len}");
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn live_cluster_recovers_after_reclaims_and_repairs() {
     let cfg = DeploymentConfig {
         backup_enabled: false,
         ..DeploymentConfig::small(12, EcConfig::new(6, 2).unwrap())
@@ -207,6 +226,18 @@ fn simulated_and_net_execution_agree_on_hit_miss_outcomes() {
         StepOutcome::Hit,
     ];
     assert_eq!(sim, expected, "script must store, hit, and miss as written");
+}
+
+/// The same script on a live two-proxy socket fleet: the client
+/// ring-routes its keys across both proxies' pools, and the outcomes
+/// still match the simulator's fleet and the script.
+#[test]
+fn simulated_and_live_execution_agree_on_hit_miss_outcomes() {
+    let script = parity_script();
+    let sim = ic_net::replay::replay_sim_proxies(&script, 2);
+    let live = ic_net::replay::replay_net_proxies(&script, 2);
+    assert_eq!(sim, live, "sim and live fleet outcomes diverged");
+    assert_eq!(sim, replay_sim(&script), "the proxy count changed outcomes");
 }
 
 /// What the read policy did over one scenario, as the proxy and the
