@@ -972,7 +972,9 @@ pub enum NbRead {
 /// Size of [`NbFrameReader`]'s staging buffer: one `read` drains every
 /// small frame a peer has queued (a GET's whole fan-in of control frames
 /// is a few hundred bytes), while chunk-scale bodies bypass the stage.
-const STAGE_LEN: usize = 16 * 1024;
+/// A writer that batches small frames for such a reader has nothing to
+/// gain past this size: the reader takes it in one `read` either way.
+pub const STAGE_LEN: usize = 16 * 1024;
 
 /// Incremental (resumable) frame decoder for nonblocking streams.
 ///

@@ -219,11 +219,23 @@ pub fn scaled_for_clients(base: &BenchConfig, clients: usize) -> BenchConfig {
 /// event-loop property: one thread per proxy while connections grow
 /// into the thousands.
 pub fn proxy_thread_count() -> Option<usize> {
+    threads_named("ic-proxy")
+}
+
+/// Counts this process's node-daemon threads (names starting with
+/// `ic-node`, i.e. each running daemon loop, however many node ids it
+/// hosts) the same way as [`proxy_thread_count`]: a loopback cluster
+/// runs one per proxy.
+pub fn node_thread_count() -> Option<usize> {
+    threads_named("ic-node")
+}
+
+fn threads_named(prefix: &str) -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     let mut count = 0;
     for task in tasks.flatten() {
         let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
-        if comm.trim_end().starts_with("ic-proxy") {
+        if comm.trim_end().starts_with(prefix) {
             count += 1;
         }
     }

@@ -1,16 +1,19 @@
-//! `ic-node`: one emulated Lambda cache node as a standalone process.
+//! `ic-node`: emulated Lambda cache nodes as a standalone process.
 //!
-//! Dials the proxy's node port and serves its instances until the proxy
-//! goes away or the process is killed. The daemon persists nothing:
-//! `kill <pid>` (SIGTERM, SIGKILL, a crash) loses every cached chunk —
-//! exactly a provider reclaim, which is how the README's fault-tolerance
+//! Dials the proxy's node port once per node id and serves their
+//! instances until the proxy goes away or the process is killed. One
+//! process hosts every `--id` it is given on a single thread (one
+//! readiness loop; each id keeps its own connection, as each Lambda
+//! does). The daemon persists nothing: `kill <pid>` (SIGTERM, SIGKILL, a
+//! crash) loses every cached chunk of every id it hosts — exactly a
+//! provider reclaim of each, which is how the README's fault-tolerance
 //! demo knocks chunks out from under an object.
 //!
 //! ```text
-//! ic-node --id N [--proxy ADDR] [--backup-secs N] [--retry-secs N]
+//! ic-node --id N [--id N]... [--proxy ADDR] [--backup-secs N] [--retry-secs N]
 //! ```
 //!
-//! `--id` is the node's *global* id: in a multi-proxy deployment, proxy
+//! `--id` is a node's *global* id: in a multi-proxy deployment, proxy
 //! `I` (of pool size P) owns ids `[I·P, (I+1)·P)`, and this daemon must
 //! dial that proxy's node port — an id outside the pool is refused at
 //! the handshake.
@@ -24,12 +27,18 @@ use ic_net::node::NetNode;
 
 fn run() -> Result<()> {
     let args = Args::parse();
-    let id: u32 = match args.opt("id") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| Error::Config(format!("--id {v} is not a number")))?,
-        None => return Err(Error::Config("ic-node requires --id N".into())),
-    };
+    let ids = args
+        .all("id")
+        .into_iter()
+        .map(|v| {
+            v.parse()
+                .map(LambdaId)
+                .map_err(|_| Error::Config(format!("--id {v} is not a number")))
+        })
+        .collect::<Result<Vec<LambdaId>>>()?;
+    if ids.is_empty() {
+        return Err(Error::Config("ic-node requires --id N (repeatable)".into()));
+    }
     let proxy = args.get("proxy", "127.0.0.1:7200");
     let backup_secs: u64 = args.num("backup-secs", 0)?;
     let retry_secs: u64 = args.num("retry-secs", 10)?;
@@ -39,15 +48,20 @@ fn run() -> Result<()> {
         backup_interval: SimDuration::from_secs(backup_secs.max(1)),
         ..RuntimeConfig::paper()
     };
+    let names = ids
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(", ");
     let node = NetNode::connect(
-        LambdaId(id),
+        &ids,
         proxy.as_str(),
         rt_cfg,
         Duration::from_secs(retry_secs),
     )?;
-    println!("ic-node: λ{id} connected to {proxy}");
+    println!("ic-node: {names} connected to {proxy}");
     node.run();
-    println!("ic-node: λ{id} shutting down");
+    println!("ic-node: {names} shutting down");
     Ok(())
 }
 

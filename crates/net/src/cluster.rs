@@ -6,6 +6,9 @@
 //! boundary is collapsed (daemons run on threads). This is what the
 //! parity tests and `netbench` use: same code paths as the `ic-proxy` /
 //! `ic-node` / `ic-cli` binaries, none of the subprocess management.
+//! Each proxy's whole pool is hosted by one node-daemon loop, so a
+//! deployment is one proxy thread and one node thread per proxy however
+//! many nodes it has — the paper's 400-node fleet included.
 //!
 //! Multi-proxy deployments (`DeploymentConfig::proxies > 1`) start one
 //! socket proxy per [`ic_common::ProxyId`], each owning its disjoint
@@ -27,7 +30,7 @@ use crate::node::{NetNode, NodeHandle};
 use crate::proxy::{self, NetProxyConfig, NetProxyHandle};
 
 /// A running loopback deployment: one socket proxy per configured
-/// `ProxyId` plus one in-process node daemon per pool member.
+/// `ProxyId`, each with one in-process node daemon hosting its pool.
 pub struct LoopbackCluster {
     cfg: DeploymentConfig,
     /// Indexed by `ProxyId.0`; `None` once killed.
@@ -49,10 +52,11 @@ impl LoopbackCluster {
         for p in 0..cfg.proxies {
             let proxy = ProxyId(p);
             let handle = proxy::start(NetProxyConfig::loopback_proxy(cfg.clone(), proxy))?;
-            for lambda in cfg.proxy_pool(proxy) {
-                let node =
-                    NetNode::spawn(lambda, handle.node_addr, rt_cfg, Duration::from_secs(5))?;
-                nodes.insert(lambda, node);
+            let pool: Vec<LambdaId> = cfg.proxy_pool(proxy).collect();
+            for node in
+                NetNode::spawn_many(&pool, handle.node_addr, rt_cfg, Duration::from_secs(5))?
+            {
+                nodes.insert(node.lambda, node);
             }
             proxies.push(Some(handle));
         }
@@ -156,8 +160,9 @@ impl LoopbackCluster {
         }
     }
 
-    /// Kills one node's daemon outright — the in-process equivalent of
-    /// `kill <ic-node pid>`: the socket drops, the proxy resets the
+    /// Kills one node outright — the in-process equivalent of `kill
+    /// <ic-node pid>` for a daemon hosting that id alone; the other ids
+    /// on its loop keep serving. The socket drops, the proxy resets the
     /// member connection — releasing the parity requests of any
     /// data-first GET waiting on it — and the node's chunks go silent
     /// (subsequent GETs find the home down, ask for the whole stripe, and
@@ -168,9 +173,9 @@ impl LoopbackCluster {
         }
     }
 
-    /// Restarts a killed node's daemon (fresh instance state, like the
-    /// provider placing the function on a new host). It reconnects to the
-    /// proxy that owns its id.
+    /// Restarts a killed node (fresh instance state, like the provider
+    /// placing the function on a new host), on a daemon loop of its own.
+    /// It reconnects to the proxy that owns its id.
     ///
     /// # Errors
     ///

@@ -10,9 +10,10 @@
 //!   instance-addressed delivery) over the shared length-prefixed codec
 //!   in [`ic_common::frame`];
 //! * [`node`] — [`node::NetNode`], the emulated Lambda node daemon: one
-//!   process per logical node, hosting its [`ic_lambda::Runtime`]
-//!   instances on real 100 ms billing cycles; killing the process is a
-//!   provider reclaim;
+//!   readiness loop hosting any number of logical nodes, each with its
+//!   own proxy connection and its [`ic_lambda::Runtime`] instances on
+//!   real 100 ms billing cycles; killing the process is a provider
+//!   reclaim of every node it hosts;
 //! * [`proxy`] — the socket-backed proxy: one run-to-completion
 //!   readiness loop (a single thread over the workspace [`polling`]
 //!   shim, however many connections) owning all client and node sockets

@@ -20,10 +20,13 @@
 //!    connection is torn down inside dispatch;
 //! 3. **flush** — every connection that gained frames is written with
 //!    one vectored write (byte-precise `WouldBlock` resumption, WRITABLE
-//!    interest armed exactly while a backlog remains). A connection
-//!    found dead while reading or flushing is removed and its
-//!    `on_client_disconnected` / `on_connection_lost` actions go back
-//!    through dispatch; the pass repeats until no connection is dirty.
+//!    interest armed exactly while a backlog remains), except a client
+//!    still waiting on the data chunks of a data-first GET: its answers
+//!    are held until the last one is in and then leave together (see
+//!    `EventLoop::holds`). A connection found dead while reading or
+//!    flushing is removed and its `on_client_disconnected` /
+//!    `on_connection_lost` actions go back through dispatch; the pass
+//!    repeats until no connection is dirty.
 //!
 //! A message therefore crosses no thread, channel, mutex or waker on its
 //! way through the proxy. More cores are used the way the paper uses
@@ -57,7 +60,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ic_common::frame::{FrameWriteQueue, NbFrameReader, NbRead};
+use ic_common::frame::{FrameWriteQueue, NbFrameReader, NbRead, STAGE_LEN};
 use ic_common::msg::{InvokePayload, Msg};
 use ic_common::{ClientId, DeploymentConfig, Error, LambdaId, ProxyId, RelayId, Result, SimTime};
 use ic_proxy::{Proxy, ProxyAction, ProxyConfig, ProxyStats};
@@ -348,6 +351,9 @@ struct EventLoop {
     /// to nonempty, broke or outgrew the backlog bound, or their socket
     /// reported writable. Duplicates are harmless.
     dirty: Vec<usize>,
+    /// Client connections the flush pass held back (see
+    /// [`EventLoop::holds`]); every flush pass looks at them again.
+    held: Vec<usize>,
     client_ids: ClientIds,
     /// Handshaken clients' connections.
     clients: HashMap<ClientId, usize>,
@@ -414,6 +420,7 @@ impl EventLoop {
             conns: HashMap::new(),
             next_token: TOKEN_FIRST_CONN,
             dirty: Vec::new(),
+            held: Vec::new(),
             client_ids: ClientIds::default(),
             clients: HashMap::new(),
             nodes: HashMap::new(),
@@ -611,14 +618,45 @@ impl EventLoop {
         }
     }
 
-    /// The flush pass: one vectored write per dirty connection. Closing a
-    /// dead one dispatches its disconnect actions, which may dirty
-    /// others; the pass ends when none is left.
+    /// The flush pass: one vectored write per dirty connection, except
+    /// those it [holds](EventLoop::holds). Closing a dead one dispatches
+    /// its disconnect actions, which may dirty others or end a hold; the
+    /// pass ends when none is left.
     fn flush_dirty(&mut self) {
+        self.dirty.append(&mut self.held);
         while let Some(token) = self.dirty.pop() {
-            if !self.flush_conn(token) {
+            if self.holds(token) {
+                self.held.push(token);
+            } else if !self.flush_conn(token) {
                 self.close_conn(token);
+                self.dirty.append(&mut self.held);
             }
+        }
+    }
+
+    /// Whether the flush pass skips this connection for now: its client
+    /// still waits on a data chunk of a GET admitted data-first. Such a
+    /// client cannot decode before the last data chunk lands, so holding
+    /// its answers costs it nothing, and they then reach it in one write
+    /// and one wake-up instead of trickling in. Anything that ends the
+    /// wait — the last data chunk, or a release on a miss, a bounce or a
+    /// lost connection — ends the hold. A queue of a reader stage or
+    /// more goes out anyway (the reader gains nothing from waiting:
+    /// large chunks stream), and so does one whose socket is already
+    /// backlogged (WRITABLE is armed, and level-triggered readiness
+    /// would spin the loop).
+    fn holds(&self, token: usize) -> bool {
+        let Some(conn) = self.conns.get(&token) else {
+            return false;
+        };
+        match conn.state {
+            PeerState::Client(client) => {
+                !conn.broken
+                    && !conn.want_write
+                    && conn.queue.queued_bytes() < STAGE_LEN
+                    && self.proxy.holds_parity_for(client)
+            }
+            _ => false,
         }
     }
 
@@ -858,10 +896,11 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    /// A client that dies mid-PUT and a node connection that dies mid-GET,
-    /// both between a read pass and its flush pass, are torn down *by the
-    /// flush pass*: their disconnect actions run, a bystander's reads stay
-    /// byte-identical throughout, and the state machine's invariants hold.
+    /// A client that dies mid-PUT with a GET's answer unread, and a node
+    /// connection that dies mid-GET, both between a read pass and its
+    /// flush pass, are torn down *by the flush pass*: their disconnect
+    /// actions run, a bystander's reads stay byte-identical throughout,
+    /// and the state machine's invariants hold.
     #[test]
     fn peers_dying_before_the_flush_pass_are_torn_down_by_it() {
         let dep = DeploymentConfig {
@@ -872,13 +911,9 @@ mod tests {
         let client_addr = lp.client_listener.local_addr().unwrap();
         let node_addr = lp.node_listener.local_addr().unwrap();
         let mut events = Events::with_capacity(64);
-        let _daemons: Vec<_> = dep
-            .proxy_pool(ProxyId(0))
-            .map(|l| {
-                let rt = RuntimeConfig::for_deployment(&dep);
-                NetNode::spawn(l, node_addr, rt, Duration::from_secs(5)).unwrap()
-            })
-            .collect();
+        let pool: Vec<LambdaId> = dep.proxy_pool(ProxyId(0)).collect();
+        let rt = RuntimeConfig::for_deployment(&dep);
+        let _daemons = NetNode::spawn_many(&pool, node_addr, rt, Duration::from_secs(5)).unwrap();
 
         // The bystander: one PUT, then verified GETs until told to stop.
         let stored = Arc::new(AtomicBool::new(false));
@@ -934,10 +969,23 @@ mod tests {
             };
             Frame::App { msg }.write_to(&mut x).unwrap();
         }
-        let x_has_frames = |lp: &EventLoop| !lp.conns[&x_token].queue.is_empty();
-        read_until(&mut lp, &mut events, "X's GetAccepted", x_has_frames);
-        lp.flush_dirty(); // GetAccepted now sits unread in X's socket
-        read_until(&mut lp, &mut events, "X's chunks", x_has_frames);
+        // Wait for the GET's last data chunk: from then on nothing holds
+        // X's answer back.
+        let x_answered = |lp: &EventLoop| {
+            !lp.conns[&x_token].queue.is_empty() && !lp.proxy.holds_parity_for(x_id)
+        };
+        read_until(&mut lp, &mut events, "X's answer", x_answered);
+        lp.flush_dirty(); // the answer now sits unread in X's socket
+                          // A miss holds nothing back: its answer is due in the very flush
+                          // pass X dies before.
+        let miss = Msg::GetObject {
+            key: ObjectKey::new("absent"),
+            data_chunks: dep.ec.data as u32,
+        };
+        Frame::App { msg: miss }.write_to(&mut x).unwrap();
+        read_until(&mut lp, &mut events, "X's miss", |lp| {
+            !lp.conns[&x_token].queue.is_empty()
+        });
         die_with_unread_bytes(x);
         lp.flush_dirty();
         assert!(!lp.conns.contains_key(&x_token), "the flush pass closes X");
@@ -1022,8 +1070,11 @@ mod tests {
         // The lost connection is the evidence the stalled read was
         // waiting for: its parity requests went out with the teardown,
         // and it completes — bounded by the connection's death, not by
-        // the client's timeout.
+        // the client's timeout. The teardown also ended the hold on the
+        // reader's answers, which left in that same flush pass: nothing
+        // is left for a later loop iteration that may never come.
         assert_eq!(lp.proxy.held_parity_total(), 0);
+        assert!(lp.held.is_empty(), "the reader's answers are flushed");
         read_until(&mut lp, &mut events, "the stalled GET", |_| {
             verified.load(Ordering::SeqCst) > stalled_at
         });
@@ -1047,6 +1098,514 @@ mod tests {
             lp.flush_dirty();
         }
         bystander.join().expect("every bystander GET verified");
+        assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
+    }
+
+    /// One full loop iteration: poll, read pass, flush pass.
+    fn crank(lp: &mut EventLoop, events: &mut Events) {
+        let _ = lp.poller.poll(events, Some(Duration::from_millis(1)));
+        lp.read_ready(events);
+        lp.flush_dirty();
+    }
+
+    /// `true` while `peer` has nothing to read.
+    fn nothing_to_read(peer: &TcpStream) -> bool {
+        peer.set_nonblocking(true).unwrap();
+        let empty = matches!(
+            peer.peek(&mut [0u8]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+        );
+        peer.set_nonblocking(false).unwrap();
+        empty
+    }
+
+    /// Cranks the loop until `peer` has a frame, and reads it.
+    fn next_frame(lp: &mut EventLoop, events: &mut Events, peer: &mut TcpStream) -> Frame {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while nothing_to_read(peer) {
+            assert!(Instant::now() < deadline, "no frame came");
+            crank(lp, events);
+        }
+        Frame::read_from(peer).unwrap()
+    }
+
+    /// The object every [`Scripted`] proxy stores.
+    fn o(seq: u32) -> ChunkId {
+        ChunkId::new(ObjectKey::new("o"), seq)
+    }
+
+    /// A hand-cranked proxy whose client and node connections are plain
+    /// sockets the test writes every frame of, so each protocol step
+    /// happens exactly when the test says. Node `λl` holds chunk `l` of
+    /// object `o`, stored through the real PUT path, and answers as
+    /// instance `100 + l`.
+    struct Scripted {
+        lp: EventLoop,
+        events: Events,
+        client: TcpStream,
+        client_id: ClientId,
+        nodes: Vec<TcpStream>,
+        chunk: usize,
+    }
+
+    impl Scripted {
+        fn start(d: usize, p: usize, chunk: usize) -> Scripted {
+            let n = d + p;
+            let dep = DeploymentConfig {
+                backup_enabled: false,
+                ..DeploymentConfig::small(n as u32, EcConfig::new(d, p).unwrap())
+            };
+            let mut lp = EventLoop::bind(&NetProxyConfig::loopback(dep)).unwrap();
+            let mut events = Events::with_capacity(64);
+            let connect = |addr: SocketAddr, hello: Frame| {
+                let mut peer = TcpStream::connect(addr).unwrap();
+                peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                hello.write_to(&mut peer).unwrap();
+                peer
+            };
+            let node_addr = lp.node_listener.local_addr().unwrap();
+            let mut nodes: Vec<TcpStream> = (0..n as u32)
+                .map(|l| {
+                    connect(
+                        node_addr,
+                        Frame::HelloNode {
+                            lambda: LambdaId(l),
+                        },
+                    )
+                })
+                .collect();
+            let client_addr = lp.client_listener.local_addr().unwrap();
+            let mut client = connect(client_addr, Frame::HelloClient);
+            let Frame::Welcome {
+                client: client_id, ..
+            } = next_frame(&mut lp, &mut events, &mut client)
+            else {
+                panic!("expected Welcome");
+            };
+            for seq in 0..n as u32 {
+                let msg = Msg::PutChunk {
+                    id: o(seq),
+                    lambda: LambdaId(seq),
+                    payload: Payload::bytes(vec![seq as u8; chunk]),
+                    object_size: (d * chunk) as u64,
+                    total_chunks: n as u32,
+                    repair: false,
+                    put_epoch: 1,
+                };
+                Frame::App { msg }.write_to(&mut client).unwrap();
+            }
+            for (l, node) in nodes.iter_mut().enumerate() {
+                let invoke = next_frame(&mut lp, &mut events, node);
+                assert!(matches!(invoke, Frame::Invoke { .. }), "{invoke:?}");
+                let instance = InstanceId(100 + l as u64);
+                let msg = Msg::Pong {
+                    instance,
+                    stored_bytes: 0,
+                };
+                Frame::FromInstance { instance, msg }
+                    .write_to(node)
+                    .unwrap();
+            }
+            for node in &mut nodes {
+                let Frame::ToInstance {
+                    instance,
+                    msg: Msg::ChunkPut { id, epoch, .. },
+                } = next_frame(&mut lp, &mut events, node)
+                else {
+                    panic!("expected a ChunkPut");
+                };
+                let msg = Msg::PutAck {
+                    id,
+                    stored_bytes: chunk as u64,
+                    epoch,
+                };
+                Frame::FromInstance { instance, msg }
+                    .write_to(node)
+                    .unwrap();
+            }
+            let done = next_frame(&mut lp, &mut events, &mut client);
+            assert!(
+                matches!(
+                    done,
+                    Frame::App {
+                        msg: Msg::PutDone { .. }
+                    }
+                ),
+                "{done:?}"
+            );
+            Scripted {
+                lp,
+                events,
+                client,
+                client_id,
+                nodes,
+                chunk,
+            }
+        }
+
+        fn client_token(&self) -> usize {
+            self.lp.clients[&self.client_id]
+        }
+
+        fn crank_until(&mut self, what: &str, cond: impl Fn(&EventLoop) -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond(&self.lp) {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                crank(&mut self.lp, &mut self.events);
+            }
+        }
+
+        /// A data-first GET of `o`: the `d` data homes get their
+        /// queries, and the client's `GetAccepted` is held.
+        fn get(&mut self, d: u32) {
+            let msg = Msg::GetObject {
+                key: ObjectKey::new("o"),
+                data_chunks: d,
+            };
+            Frame::App { msg }.write_to(&mut self.client).unwrap();
+            for l in 0..d {
+                let query = next_frame(&mut self.lp, &mut self.events, &mut self.nodes[l as usize]);
+                assert!(
+                    matches!(&query, Frame::ToInstance { msg: Msg::ChunkGet { id }, .. } if *id == o(l)),
+                    "{query:?}"
+                );
+            }
+            assert!(self.lp.proxy.holds_parity_for(self.client_id));
+            assert!(self.lp.held.contains(&self.client_token()));
+            assert!(nothing_to_read(&self.client), "GetAccepted is held");
+        }
+
+        /// Node `λl` answers `msg` as its instance; returns once the loop
+        /// has read it.
+        fn answer(&mut self, l: u32, msg: Msg) {
+            let instance = InstanceId(100 + l as u64);
+            let frame = Frame::FromInstance { instance, msg };
+            frame.write_to(&mut self.nodes[l as usize]).unwrap();
+            self.crank_until("the answer", |lp| lp.proxy.inflight_for(&o(l)) == 0);
+        }
+
+        fn answer_data(&mut self, l: u32) {
+            let payload = Payload::bytes(vec![l as u8; self.chunk]);
+            self.answer(l, Msg::ChunkData { id: o(l), payload });
+        }
+
+        fn client_frame(&mut self) -> Msg {
+            match next_frame(&mut self.lp, &mut self.events, &mut self.client) {
+                Frame::App { msg } => msg,
+                other => panic!("expected an App frame, got {other:?}"),
+            }
+        }
+
+        /// Reads what the client has been sent: `GetAccepted` and then
+        /// `ChunkToClient` for each of `chunks`.
+        fn expect_answers(&mut self, chunks: impl IntoIterator<Item = u32>) {
+            let accepted = self.client_frame();
+            assert!(
+                matches!(accepted, Msg::GetAccepted { requested: 4, .. }),
+                "{accepted:?}"
+            );
+            for l in chunks {
+                let chunk = self.client_frame();
+                assert!(
+                    matches!(&chunk, Msg::ChunkToClient { id, .. } if *id == o(l)),
+                    "{chunk:?}"
+                );
+            }
+        }
+    }
+
+    /// A 4+2 GET admitted data-first reaches its client in exactly one
+    /// `writev`: `GetAccepted` and the four `ChunkToClient`s, held back
+    /// until the last data chunk is in.
+    #[test]
+    fn a_data_first_get_reaches_its_client_in_one_write() {
+        let mut s = Scripted::start(4, 2, 1024);
+        s.get(4);
+        for l in 0..3 {
+            s.answer_data(l);
+            assert!(nothing_to_read(&s.client), "held after chunk {l}");
+            assert_eq!(s.lp.conns[&s.client_token()].queue.len(), 2 + l as usize);
+        }
+        let before = s.lp.proxy.stats;
+        s.answer_data(3);
+        let after = s.lp.proxy.stats;
+        assert_eq!(after.vectored_writes - before.vectored_writes, 1);
+        assert_eq!(after.frames_written - before.frames_written, 5);
+        assert!(!s.lp.proxy.holds_parity_for(s.client_id));
+        s.expect_answers(0..4);
+        assert!(s.lp.held.is_empty());
+        assert!(
+            s.nodes[4..].iter().all(nothing_to_read),
+            "parity never asked"
+        );
+    }
+
+    /// Evidence that a data chunk may not come — a miss, a bounce, a lost
+    /// connection — releases the parity requests and ends the hold: the
+    /// answers held so far leave in the flush pass of the very iteration
+    /// that read the evidence.
+    #[test]
+    fn a_miss_a_bounce_or_a_lost_connection_flushes_at_once() {
+        for case in ["miss", "bounce", "lost connection"] {
+            let mut s = Scripted::start(4, 2, 1024);
+            s.get(4);
+            s.answer_data(0);
+            assert!(nothing_to_read(&s.client), "{case}: held");
+            let node = &mut s.nodes[1];
+            match case {
+                "miss" => {
+                    let instance = InstanceId(101);
+                    let msg = Msg::ChunkMiss { id: o(1) };
+                    Frame::FromInstance { instance, msg }
+                        .write_to(node)
+                        .unwrap();
+                }
+                "bounce" => {
+                    let msg = Msg::ChunkGet { id: o(1) };
+                    Frame::Unreachable { msg }.write_to(node).unwrap();
+                }
+                _ => node.shutdown(std::net::Shutdown::Both).unwrap(),
+            }
+            let id = s.client_id;
+            s.crank_until(case, |lp| !lp.proxy.holds_parity_for(id));
+            assert!(
+                s.lp.conns[&s.client_token()].queue.is_empty(),
+                "{case}: flushed in the iteration that ended the hold"
+            );
+            s.expect_answers([0]);
+            if case == "miss" {
+                let miss = s.client_frame();
+                assert!(
+                    matches!(&miss, Msg::ChunkMiss { id } if *id == o(1)),
+                    "{miss:?}"
+                );
+            }
+            for l in [4, 5] {
+                let query = next_frame(&mut s.lp, &mut s.events, &mut s.nodes[l as usize]);
+                assert!(
+                    matches!(&query, Frame::ToInstance { msg: Msg::ChunkGet { id }, .. } if *id == o(l)),
+                    "{case}: {query:?}"
+                );
+            }
+        }
+    }
+
+    /// Holding buys nothing once a client's queue fills a reader stage
+    /// (the reader takes that in one `read` either way), so it goes out
+    /// at once — chunks of large objects stream — and the hold resumes
+    /// for what comes after.
+    #[test]
+    fn a_held_queue_of_one_reader_stage_goes_out_at_once() {
+        let mut s = Scripted::start(4, 2, STAGE_LEN / 2);
+        s.get(4);
+        s.answer_data(0);
+        assert!(nothing_to_read(&s.client), "below one stage: held");
+        s.answer_data(1);
+        assert!(s.lp.proxy.holds_parity_for(s.client_id));
+        s.expect_answers([0, 1]);
+        s.answer_data(2);
+        assert!(nothing_to_read(&s.client), "below one stage again: held");
+        s.answer_data(3);
+        let last = s.client_frame();
+        assert!(matches!(&last, Msg::ChunkToClient { id, .. } if *id == o(2)));
+        let last = s.client_frame();
+        assert!(matches!(&last, Msg::ChunkToClient { id, .. } if *id == o(3)));
+    }
+
+    /// A data home whose death only the flush pass finds (its socket
+    /// fails the write) releases the parity of the GETs waiting on it,
+    /// and the answers those GETs held leave in that same pass — the loop
+    /// may block in its next poll for a long time.
+    #[test]
+    fn a_teardown_in_the_flush_pass_flushes_what_it_releases() {
+        let mut s = Scripted::start(4, 2, 1024);
+        s.get(4);
+        s.answer_data(0);
+        // A second reader's query sits unread in λ1's socket, and its
+        // re-issued GET queues another one behind the read pass.
+        let client_addr = s.lp.client_listener.local_addr().unwrap();
+        let mut b = TcpStream::connect(client_addr).unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        Frame::HelloClient.write_to(&mut b).unwrap();
+        let welcome = next_frame(&mut s.lp, &mut s.events, &mut b);
+        assert!(matches!(welcome, Frame::Welcome { .. }), "{welcome:?}");
+        let get = Frame::App {
+            msg: Msg::GetObject {
+                key: ObjectKey::new("o"),
+                data_chunks: 4,
+            },
+        };
+        get.write_to(&mut b).unwrap();
+        while nothing_to_read(&s.nodes[1]) {
+            crank(&mut s.lp, &mut s.events);
+        }
+        get.write_to(&mut b).unwrap();
+        let node1 = s.lp.nodes[&LambdaId(1)];
+        read_until(&mut s.lp, &mut s.events, "the re-issued query", |lp| {
+            !lp.conns[&node1].queue.is_empty()
+        });
+        die_with_unread_bytes(s.nodes.remove(1));
+        s.lp.flush_dirty();
+        assert!(
+            !s.lp.nodes.contains_key(&LambdaId(1)),
+            "the flush pass closes λ1"
+        );
+        assert!(!s.lp.proxy.holds_parity_for(s.client_id));
+        assert!(s.lp.held.is_empty(), "released answers are flushed at once");
+        s.expect_answers([0]);
+    }
+
+    /// An orderly shutdown drains held answers too, and its `Shutdown`
+    /// notice follows them rather than waiting behind the hold.
+    #[test]
+    fn shutdown_drains_held_answers_and_then_says_so() {
+        let mut s = Scripted::start(4, 2, 1024);
+        s.get(4);
+        s.answer_data(0);
+        assert!(nothing_to_read(&s.client), "held");
+        let Scripted { lp, mut client, .. } = s;
+        lp.stop(true);
+        let frames: Vec<Frame> = (0..3)
+            .map(|_| Frame::read_from(&mut client).unwrap())
+            .collect();
+        assert!(
+            matches!(
+                &frames[0],
+                Frame::App {
+                    msg: Msg::GetAccepted { .. }
+                }
+            ),
+            "{frames:?}"
+        );
+        assert!(
+            matches!(&frames[1], Frame::App { msg: Msg::ChunkToClient { id, .. } } if *id == o(0)),
+            "{frames:?}"
+        );
+        assert_eq!(frames[2], Frame::Shutdown);
+    }
+
+    /// Eight node ids on one daemon loop against a hand-cranked proxy:
+    /// killing one id is exactly one lost connection, the seven siblings
+    /// keep serving data-first reads of the stripes that avoid it, every
+    /// read stays byte-identical, and the id comes back on restart.
+    #[test]
+    fn a_killed_node_id_is_one_lost_connection_and_its_siblings_serve_on() {
+        let dep = DeploymentConfig {
+            backup_enabled: false,
+            ..DeploymentConfig::small(8, EcConfig::new(4, 2).unwrap())
+        };
+        let mut lp = EventLoop::bind(&NetProxyConfig::loopback(dep.clone())).unwrap();
+        let client_addr = lp.client_listener.local_addr().unwrap();
+        let node_addr = lp.node_listener.local_addr().unwrap();
+        let mut events = Events::with_capacity(64);
+        let pool: Vec<LambdaId> = dep.proxy_pool(ProxyId(0)).collect();
+        let rt = RuntimeConfig::for_deployment(&dep);
+        let mut daemons =
+            NetNode::spawn_many(&pool, node_addr, rt, Duration::from_secs(5)).unwrap();
+
+        // The reader: stores 16 objects, then reads whatever key lists
+        // it is sent, verifying every byte; each finished batch counts.
+        let keys: Vec<String> = (0..16).map(|i| format!("k{i}")).collect();
+        let (batches, batch_rx) = std::sync::mpsc::channel::<Vec<String>>();
+        let done = Arc::new(AtomicU64::new(0));
+        let reader = {
+            let (keys, done) = (keys.clone(), done.clone());
+            std::thread::spawn(move || {
+                let object = |key: &str| crate::bench::pattern_bytes(key, 0, 4096);
+                let mut client = NetClient::connect(client_addr, dep.ec, 7).unwrap();
+                for key in &keys {
+                    client.put(key, object(key)).unwrap();
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+                for batch in batch_rx {
+                    for key in batch {
+                        let got = client.get(&key).unwrap().expect("cached");
+                        assert_eq!(got, object(&key), "{key}");
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+        let mut batch = 0;
+        let mut read = |lp: &mut EventLoop, events: &mut Events, keys: Vec<String>| {
+            batches.send(keys).unwrap();
+            batch += 1;
+            let want = batch + 1;
+            read_until(lp, events, "a read batch", |_| {
+                done.load(Ordering::SeqCst) >= want
+            });
+            lp.flush_dirty();
+        };
+        read_until(&mut lp, &mut events, "the PUTs", |_| {
+            done.load(Ordering::SeqCst) == 1
+        });
+        lp.flush_dirty();
+
+        // The victim: the node the most stripes avoid (16 stripes of 6
+        // over 8 nodes avoid 32 times, so some node at least 4 times).
+        let homes = |lp: &EventLoop, key: &str| -> Vec<LambdaId> {
+            (0..6)
+                .filter_map(|seq| {
+                    lp.proxy
+                        .chunk_owner(&ChunkId::new(ObjectKey::new(key), seq))
+                })
+                .collect()
+        };
+        let avoiding = |lp: &EventLoop, l: LambdaId| -> Vec<String> {
+            keys.iter()
+                .filter(|k| !homes(lp, k).contains(&l))
+                .cloned()
+                .collect()
+        };
+        let victim = *pool
+            .iter()
+            .max_by_key(|&&l| avoiding(&lp, l).len())
+            .unwrap();
+        let spared = avoiding(&lp, victim);
+        assert!(spared.len() >= 4, "{spared:?}");
+
+        // Kill it with no traffic in flight: exactly one connection is
+        // lost, and it is the victim's.
+        let lost_before = lp.proxy.stats.delivery_failures;
+        daemons[victim.0 as usize].kill();
+        read_until(&mut lp, &mut events, "the lost connection", |lp| {
+            !lp.nodes.contains_key(&victim)
+        });
+        lp.flush_dirty();
+        assert_eq!(lp.proxy.stats.delivery_failures, lost_before + 1);
+        assert_eq!(lp.nodes.len(), 7);
+
+        // The siblings serve the stripes that avoid the victim data-first.
+        let data_first = lp.proxy.stats.data_first_gets;
+        for _ in 0..3 {
+            read(&mut lp, &mut events, spared.clone());
+        }
+        assert!(
+            lp.proxy.stats.data_first_gets >= data_first + spared.len() as u64,
+            "{} data-first GETs of {} stripes read three times",
+            lp.proxy.stats.data_first_gets - data_first,
+            spared.len()
+        );
+        // Every other stripe is read around the victim.
+        read(&mut lp, &mut events, keys.clone());
+        assert_eq!(lp.nodes.len(), 7);
+
+        // The victim comes back and is read again (its chunks are gone:
+        // missed and repaired).
+        let _restarted = NetNode::spawn(victim, node_addr, rt, Duration::from_secs(5)).unwrap();
+        read_until(&mut lp, &mut events, "the reconnect", |lp| {
+            lp.nodes.contains_key(&victim)
+        });
+        read(&mut lp, &mut events, keys.clone());
+        read(&mut lp, &mut events, keys.clone());
+        assert_eq!(lp.nodes.len(), 8);
+
+        drop(batches);
+        while !reader.is_finished() {
+            read_until(&mut lp, &mut events, "one more turn", |_| true);
+            lp.flush_dirty();
+        }
+        reader.join().expect("every read verified");
         assert_eq!(lp.proxy.check_invariants(), Vec::<String>::new());
     }
 }

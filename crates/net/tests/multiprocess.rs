@@ -2,7 +2,8 @@
 //! cluster — `ic-proxy` + 3 × `ic-node` + `ic-cli`, each a separate OS
 //! process on loopback — round-trips a multi-chunk object
 //! byte-identically and recovers it via EC decode after one node process
-//! is killed.
+//! is killed. Further fleets split the node ids over two proxies, and
+//! host several ids in one `ic-node` process.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -230,4 +231,96 @@ fn multiprocess_two_proxy_fleet_survives_a_proxy_kill() {
             );
         }
     }
+}
+
+/// Open file descriptors of a child process (its sockets among them).
+fn open_fds(child: &Child) -> usize {
+    std::fs::read_dir(format!("/proc/{}/fd", child.id()))
+        .expect("procfs")
+        .count()
+}
+
+/// One `ic-node` process hosts three node ids on one thread. Killing it
+/// loses all three at once — the proxy tears down exactly three
+/// connections — and an object that lost three chunks to it, within its
+/// parity, still reads back byte-identically.
+#[test]
+fn one_node_process_hosting_three_ids_dies_as_three_nodes() {
+    let proxy = Command::new(env!("CARGO_BIN_EXE_ic-proxy"))
+        .args(["--clients", "127.0.0.1:0", "--nodes", "127.0.0.1:0"])
+        .args(["--pool", "5", "--warmup-secs", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("ic-proxy spawns");
+    let mut procs = Reaper(vec![proxy]);
+    let (client_addr, node_addr) = read_proxy_addrs(&mut procs.0[0]);
+
+    // λ0–λ2 in one process, λ3–λ4 in another.
+    for ids in [&["0", "1", "2"][..], &["3", "4"]] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_ic-node"));
+        for id in ids {
+            cmd.args(["--id", id]);
+        }
+        let node = cmd
+            .args(["--proxy", &node_addr])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("ic-node spawns");
+        procs.0.push(node);
+    }
+
+    // RS(2+3): five chunks on five nodes, any two of them decode.
+    let cli = |args: &[&str]| cli_fleet(&[&client_addr], "2+3", args);
+    assert_ok(
+        &cli(&["put", "shared-host", "--size", "200000"]),
+        "ic-cli put",
+    );
+    let get = cli(&["get", "shared-host", "--verify"]);
+    assert_ok(&get, "ic-cli get (healthy cluster)");
+    assert!(String::from_utf8_lossy(&get.stdout).contains("verify OK"));
+
+    let status = std::fs::read_to_string(format!("/proc/{}/status", procs.0[1].id())).unwrap();
+    assert!(
+        status
+            .lines()
+            .any(|l| l.split_whitespace().eq(["Threads:", "1"])),
+        "three ids, one thread:\n{status}"
+    );
+
+    // With no client connected, the proxy's descriptors settle; killing
+    // the three-id process takes exactly three of them (one connection
+    // per id), and the two-id process keeps its two.
+    let settled = Instant::now() + Duration::from_secs(10);
+    let mut before = open_fds(&procs.0[0]);
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = open_fds(&procs.0[0]);
+        if now == before {
+            break;
+        }
+        assert!(Instant::now() < settled, "proxy descriptors never settle");
+        before = now;
+    }
+    let mut victim = procs.0.remove(1);
+    victim.kill().expect("kill ic-node");
+    victim.wait().expect("reap ic-node");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while open_fds(&procs.0[0]) != before - 3 {
+        assert!(
+            Instant::now() < deadline,
+            "proxy holds {} descriptors, expected {}",
+            open_fds(&procs.0[0]),
+            before - 3
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(open_fds(&procs.0[0]), before - 3, "three connections lost");
+
+    let get = cli(&["get", "shared-host", "--verify"]);
+    assert_ok(&get, "ic-cli get (three of five chunks lost)");
+    let stdout = String::from_utf8_lossy(&get.stdout);
+    assert!(stdout.contains("verify OK"), "{stdout}");
 }

@@ -1,5 +1,6 @@
-//! Connection-scaling properties of the readiness event loop: a proxy
-//! is exactly one thread however many connections it holds, and a slow
+//! Connection-scaling properties of the readiness event loops: a proxy
+//! is exactly one thread however many connections it holds, a node
+//! daemon is one thread however many node ids it hosts, and a slow
 //! reader is closed (backpressure) without harming its neighbours.
 
 use std::net::TcpStream;
@@ -8,15 +9,16 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ic_common::msg::Msg;
-use ic_common::{DeploymentConfig, EcConfig, ObjectKey, ProxyId};
+use ic_common::{DeploymentConfig, EcConfig, LambdaId, ObjectKey, ProxyId};
 use ic_lambda::runtime::RuntimeConfig;
 use ic_net::bench;
 use ic_net::node::NetNode;
 use ic_net::proxy::{self, NetProxyConfig};
-use ic_net::{Frame, NetClient};
+use ic_net::{Frame, LoopbackCluster, NetClient};
 
-/// The thread-count test counts `ic-proxy*` threads process-wide, so the
-/// tests of this binary (each runs a proxy) take turns.
+/// The thread-count tests count `ic-proxy*` and `ic-node*` threads
+/// process-wide, so the tests of this binary (each runs a proxy) take
+/// turns.
 static ONE_PROXY_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn one_proxy_at_a_time() -> MutexGuard<'static, ()> {
@@ -167,4 +169,56 @@ fn idle_connection_horde_leaves_the_proxy_at_one_thread() {
     drop(horde);
     drop(nodes);
     handle.shutdown();
+}
+
+/// The paper's deployment on real sockets: a 400-node 10+2 loopback
+/// cluster runs on one proxy thread and one node thread — each node id
+/// keeps its own connection, but they share one daemon loop. Objects
+/// round-trip byte-identically, and reclaimed nodes are decoded around.
+#[test]
+fn paper_scale_fleet_is_one_proxy_thread_and_one_node_thread() {
+    let _turn = one_proxy_at_a_time();
+    let dep = DeploymentConfig {
+        backup_enabled: false,
+        ..DeploymentConfig::small(400, EcConfig::new(10, 2).unwrap())
+    };
+    let cluster = LoopbackCluster::start(dep).expect("400-node cluster starts");
+    let mut client = cluster.client().expect("client connects");
+    let objects: Vec<(String, Bytes)> = (0..20)
+        .map(|i| {
+            let key = format!("paper-{i}");
+            let data = bench::pattern_bytes(&key, 0, 100_000 + i * 4_099);
+            (key, data)
+        })
+        .collect();
+    for (key, data) in &objects {
+        client.put(key, data.clone()).unwrap();
+    }
+    for (key, data) in &objects {
+        assert_eq!(client.get(key).unwrap().as_ref(), Some(data), "{key}");
+    }
+    // Counted once both loops have served (a thread names itself as it
+    // starts running).
+    assert_eq!(bench::proxy_thread_count(), Some(1));
+    assert_eq!(bench::node_thread_count(), Some(1));
+
+    // Reclaim two nodes at a time until a pair held a chunk of one of
+    // the objects (placement is the client's random draw), reading every
+    // object back byte-identically after each pair: the lost chunks are
+    // found by the reads and repaired.
+    let mut reclaimed = 0;
+    while client.stats().repaired_chunks == 0 {
+        assert!(reclaimed < 400, "no reclaim ever cost an object a chunk");
+        for l in [reclaimed, reclaimed + 1] {
+            cluster.reclaim_node(LambdaId(l));
+        }
+        reclaimed += 2;
+        std::thread::sleep(Duration::from_millis(20));
+        for (key, data) in &objects {
+            assert_eq!(client.get(key).unwrap().as_ref(), Some(data), "{key}");
+        }
+    }
+    assert_eq!(bench::proxy_thread_count(), Some(1));
+    assert_eq!(bench::node_thread_count(), Some(1));
+    cluster.shutdown();
 }

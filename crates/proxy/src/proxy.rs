@@ -197,26 +197,100 @@ fn fanout_to_waiters<T: Clone>(
         .collect()
 }
 
-/// Removes and returns the held-parity entries of `key` that `pick`
-/// selects.
-fn take_held(
-    held_parity: &mut HashMap<ObjectKey, Vec<HeldParity>>,
-    key: &ObjectKey,
-    pick: impl Fn(&HeldParity) -> bool,
-) -> Vec<HeldParity> {
-    let Some(entries) = held_parity.get_mut(key) else {
-        return Vec::new();
-    };
-    if !entries.iter().any(&pick) {
-        return Vec::new(); // the common case allocates nothing
+/// The GETs whose parity requests are held back, per object, plus how
+/// many entries each client has open. The count is derived state, kept
+/// beside the entries so that "does this client still wait on a data
+/// chunk of a data-first GET?" is O(1) — the socket substrate asks it
+/// of every client connection it is about to flush.
+#[derive(Debug, Default)]
+struct HeldTable {
+    by_key: HashMap<ObjectKey, Vec<HeldParity>>,
+    per_client: HashMap<ClientId, u32>,
+}
+
+impl HeldTable {
+    fn insert(&mut self, key: ObjectKey, h: HeldParity) {
+        *self.per_client.entry(h.client).or_default() += 1;
+        self.by_key.entry(key).or_default().push(h);
     }
-    let (taken, kept): (Vec<_>, Vec<_>) = std::mem::take(entries).into_iter().partition(pick);
-    if kept.is_empty() {
-        held_parity.remove(key);
-    } else {
-        *entries = kept;
+
+    fn contains_key(&self, key: &ObjectKey) -> bool {
+        self.by_key.contains_key(key)
     }
-    taken
+
+    fn holds(&self, client: ClientId) -> bool {
+        self.per_client.contains_key(&client)
+    }
+
+    fn total(&self) -> usize {
+        self.by_key.values().map(Vec::len).sum()
+    }
+
+    /// One entry of `client` closed.
+    fn forget(&mut self, client: ClientId) {
+        if let Some(n) = self.per_client.get_mut(&client) {
+            *n -= 1;
+            if *n == 0 {
+                self.per_client.remove(&client);
+            }
+        }
+    }
+
+    /// Removes and returns the entries of `key` that `pick` selects.
+    fn take(&mut self, key: &ObjectKey, pick: impl Fn(&HeldParity) -> bool) -> Vec<HeldParity> {
+        let Some(entries) = self.by_key.get_mut(key) else {
+            return Vec::new();
+        };
+        if !entries.iter().any(&pick) {
+            return Vec::new(); // the common case allocates nothing
+        }
+        let (taken, kept): (Vec<_>, Vec<_>) = std::mem::take(entries).into_iter().partition(pick);
+        if kept.is_empty() {
+            self.by_key.remove(key);
+        } else {
+            *entries = kept;
+        }
+        for h in &taken {
+            self.forget(h.client);
+        }
+        taken
+    }
+
+    /// Data chunk `id` reached `answered`: each of their entries counts
+    /// it off, and an entry goes with its last pending data chunk.
+    fn retire(&mut self, id: &ChunkId, answered: &[ClientId]) {
+        let Some(entries) = self.by_key.get_mut(&id.key) else {
+            return;
+        };
+        let mut closed = Vec::new();
+        entries.retain_mut(|h| {
+            if id.seq >= h.held.start || !answered.contains(&h.client) {
+                return true;
+            }
+            h.data_pending -= 1;
+            if h.data_pending == 0 {
+                closed.push(h.client);
+            }
+            h.data_pending > 0
+        });
+        if entries.is_empty() {
+            self.by_key.remove(&id.key);
+        }
+        for client in closed {
+            self.forget(client);
+        }
+    }
+
+    /// Drops every entry of a client that is gone.
+    fn remove_client(&mut self, client: ClientId) {
+        if self.per_client.remove(&client).is_none() {
+            return;
+        }
+        self.by_key.retain(|_, entries| {
+            entries.retain(|h| h.client != client);
+            !entries.is_empty()
+        });
+    }
 }
 
 /// The proxy.
@@ -235,7 +309,7 @@ pub struct Proxy {
     /// key with no evidence yet that one may not come: a miss, a bounce
     /// or a lost connection on a data home releases the parity requests,
     /// the last data answer retires them unasked.
-    held_parity: HashMap<ObjectKey, Vec<HeldParity>>,
+    held_parity: HeldTable,
     puts: HashMap<ObjectKey, PutProgress>,
     /// Tombstones for PUTs aborted while part of their stripe was still
     /// in flight from the client: `(client, key, put_epoch)` → chunks yet
@@ -274,7 +348,7 @@ impl Proxy {
             lru: ClockQueue::new(),
             used_bytes: 0,
             inflight_gets: HashMap::new(),
-            held_parity: HashMap::new(),
+            held_parity: HeldTable::default(),
             puts: HashMap::new(),
             aborted_puts: HashMap::new(),
             next_epoch: 1,
@@ -405,7 +479,7 @@ impl Proxy {
         }
         // A GET re-issued while its predecessor still held parity takes
         // over: whatever it does not ask for itself is held afresh below.
-        take_held(&mut self.held_parity, &key, |h| h.client == client);
+        self.held_parity.take(&key, |h| h.client == client);
 
         let mut actions = vec![ProxyAction::ToClient {
             client,
@@ -421,11 +495,14 @@ impl Proxy {
             self.request_chunk(client, chunk, &mut actions);
         }
         if requested < total {
-            self.held_parity.entry(key).or_default().push(HeldParity {
-                client,
-                held: requested..total,
-                data_pending: requested,
-            });
+            self.held_parity.insert(
+                key,
+                HeldParity {
+                    client,
+                    held: requested..total,
+                    data_pending: requested,
+                },
+            );
         }
         actions
     }
@@ -475,7 +552,7 @@ impl Proxy {
         let Some(waiters) = self.inflight_gets.get(id) else {
             return 0;
         };
-        let released = take_held(&mut self.held_parity, &id.key, |h| {
+        let released = self.held_parity.take(&id.key, |h| {
             id.seq < h.held.start && waiters.contains(&h.client)
         });
         for h in &released {
@@ -484,25 +561,6 @@ impl Proxy {
             }
         }
         released.len() as u64
-    }
-
-    /// Data chunk `id` reached `answered` with its bytes: each of their
-    /// data-first GETs counts it off, and the last data answer retires
-    /// the held parity unasked — nothing came up for it to mask.
-    fn retire_held(&mut self, id: &ChunkId, answered: &[ClientId]) {
-        let Some(entries) = self.held_parity.get_mut(&id.key) else {
-            return;
-        };
-        entries.retain_mut(|h| {
-            if id.seq >= h.held.start || !answered.contains(&h.client) {
-                return true;
-            }
-            h.data_pending -= 1;
-            h.data_pending > 0
-        });
-        if entries.is_empty() {
-            self.held_parity.remove(&id.key);
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -656,7 +714,7 @@ impl Proxy {
             Msg::ChunkData { id, payload } => match self.mapping.get(&id).copied() {
                 Some(home) if home == lambda => {
                     let clients = self.inflight_gets.remove(&id).unwrap_or_default();
-                    self.retire_held(&id, &clients);
+                    self.held_parity.retire(&id, &clients);
                     fanout_to_waiters(clients, (id, payload), |client, (id, payload)| {
                         ProxyAction::DataToClient {
                             client,
@@ -843,10 +901,7 @@ impl Proxy {
             actions.extend(self.abort_put(&key));
         }
         // Nobody is left to read the parity its GETs held back.
-        self.held_parity.retain(|_, entries| {
-            entries.retain(|h| h.client != client);
-            !entries.is_empty()
-        });
+        self.held_parity.remove_client(client);
         // A reader delivers its connection's messages before the
         // disconnect, so no more chunks from this session can arrive:
         // its tombstones would never drain.
@@ -1046,7 +1101,15 @@ impl Proxy {
     /// GETs whose parity requests are currently held back (auditing;
     /// must drain to zero once every data chunk is answered).
     pub fn held_parity_total(&self) -> usize {
-        self.held_parity.values().map(Vec::len).sum()
+        self.held_parity.total()
+    }
+
+    /// `true` while `client` waits on a data chunk of a GET admitted
+    /// data-first: it cannot decode until the last one arrives, so a
+    /// substrate may hold its answers back and deliver them together.
+    /// O(1).
+    pub fn holds_parity_for(&self, client: ClientId) -> bool {
+        self.held_parity.holds(client)
     }
 
     /// Number of PUTs currently awaiting acks (auditing).
@@ -1072,7 +1135,9 @@ impl Proxy {
     /// * every held-parity entry holds back exactly the tail of a live
     ///   object's stripe, once per client, and counts exactly the data
     ///   chunks its client still waits on — at least one, or nothing
-    ///   would ever release or retire it.
+    ///   would ever release or retire it;
+    /// * the per-client count behind [`Proxy::holds_parity_for`] recounts
+    ///   exactly to those entries.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let expected: u64 = self.objects.values().map(ObjectMeta::stored_len).sum();
@@ -1104,7 +1169,8 @@ impl Proxy {
                 ));
             }
         }
-        for (key, entries) in &self.held_parity {
+        let mut open: HashMap<ClientId, u32> = HashMap::new();
+        for (key, entries) in &self.held_parity.by_key {
             let total = self.objects.get(key).map(|m| m.total_chunks);
             for (i, h) in entries.iter().enumerate() {
                 let waiting = (0..h.held.start)
@@ -1133,7 +1199,14 @@ impl Proxy {
                         self.cfg.id, h.client
                     ));
                 }
+                *open.entry(h.client).or_default() += 1;
             }
+        }
+        if open != self.held_parity.per_client {
+            violations.push(format!(
+                "{}: per-client held-parity counts {:?} do not recount to {open:?}",
+                self.cfg.id, self.held_parity.per_client
+            ));
         }
         for (key, p) in &self.puts {
             if !self.objects.contains_key(key) {
@@ -1183,8 +1256,11 @@ impl Proxy {
             chunk.hash(h);
             waiters.hash(h);
         }
+        // The per-client counts are derived from these entries: hashing
+        // them would add nothing.
         let mut held: Vec<_> = self
             .held_parity
+            .by_key
             .iter()
             .flat_map(|(key, entries)| entries.iter().map(move |h| (key, h)))
             .collect();
@@ -2270,6 +2346,7 @@ mod tests {
 
     fn assert_nothing_held(px: &Proxy) {
         assert_eq!(px.held_parity_total(), 0);
+        assert!(!px.holds_parity_for(ClientId(7)));
         assert_eq!(px.check_invariants(), Vec::<String>::new());
     }
 
@@ -2285,6 +2362,8 @@ mod tests {
             // The last data answer retires the held parity unasked.
             for seq in 0..d {
                 assert_eq!(px.held_parity_total(), 1);
+                assert!(px.holds_parity_for(ClientId(7)));
+                assert!(!px.holds_parity_for(ClientId(8)));
                 let acts = data(&mut px, seq);
                 assert!(queried(&acts).is_empty());
                 assert_eq!(acts.len(), 1, "one ChunkToClient");
@@ -2463,8 +2542,12 @@ mod tests {
             get(&mut px, 8, d);
             px.on_client_disconnected(ClientId(7));
             assert_eq!(px.held_parity_total(), 1, "client 8 still reads");
+            assert!(!px.holds_parity_for(ClientId(7)));
+            assert!(px.holds_parity_for(ClientId(8)));
+            assert_eq!(px.check_invariants(), Vec::<String>::new());
             px.on_client_disconnected(ClientId(8));
             assert_eq!(px.held_parity_total(), 0);
+            assert!(!px.holds_parity_for(ClientId(8)));
 
             // A re-issued GET takes over what its predecessor held.
             let mut px = healthy(d, p);
@@ -2490,6 +2573,24 @@ mod tests {
         let violations = px.check_invariants();
         assert!(
             violations.iter().any(|v| v.contains("never released")),
+            "{violations:?}"
+        );
+    }
+
+    /// The per-client count is derived from the entries, and audited
+    /// against them: a count that drifts would hold a client's answers
+    /// back forever, or not at all.
+    #[test]
+    fn the_auditor_recounts_the_per_client_holds() {
+        let mut px = healthy(4, 2);
+        get(&mut px, 7, 4);
+        get(&mut px, 8, 4);
+        assert_eq!(px.check_invariants(), Vec::<String>::new());
+        px.held_parity.forget(ClientId(8));
+        assert!(!px.holds_parity_for(ClientId(8)));
+        let violations = px.check_invariants();
+        assert!(
+            violations.iter().any(|v| v.contains("do not recount")),
             "{violations:?}"
         );
     }
