@@ -1,26 +1,15 @@
-//! Criterion: micro-operations of the building blocks — GF(2^8) kernels,
-//! consistent-hash routing, CLOCK queue churn, chunk-store ops, the DES
-//! event queue, and workload synthesis.
+//! Criterion: micro-operations of the building blocks — consistent-hash
+//! routing, CLOCK queue churn, chunk-store ops, the DES event queue, and
+//! workload synthesis. (The GF(2^8) kernels have their own bench,
+//! `ec_kernels`.)
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use ic_common::clock::ClockQueue;
 use ic_common::ring::Ring;
 use ic_common::{ChunkId, ObjectKey, Payload, SimTime};
-use ic_ec::gf256;
 use ic_lambda::store::ChunkStore;
 use ic_simfaas::EventQueue;
 use ic_workload::{generate, WorkloadSpec};
-
-fn bench_gf256(c: &mut Criterion) {
-    let input: Vec<u8> = (0..(1usize << 20)).map(|i| (i % 251) as u8).collect();
-    let mut out = vec![0u8; input.len()];
-    let mut g = c.benchmark_group("gf256");
-    g.throughput(Throughput::Bytes(input.len() as u64));
-    g.bench_function("mul_slice_xor", |b| {
-        b.iter(|| gf256::mul_slice_xor(0x8e, &input, &mut out))
-    });
-    g.finish();
-}
 
 fn bench_ring(c: &mut Criterion) {
     let mut ring: Ring<u16> = Ring::new(128);
@@ -108,7 +97,6 @@ fn bench_workload(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_gf256,
     bench_ring,
     bench_clock,
     bench_store,

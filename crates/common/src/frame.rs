@@ -17,30 +17,32 @@
 //! messages); synthetic payloads cross the wire as their length only, so
 //! trace-scale object sizes (terabytes) never materialize.
 //!
-//! ## The zero-copy data plane
+//! ## One frame path, zero-copy
 //!
-//! Chunk payloads are the bulk of every frame, and they are never
-//! memcpy'd by this codec:
+//! There is one encoder, one decoder, one reader and one writer, and
+//! chunk payloads — the bulk of every frame — are never memcpy'd by any
+//! of them:
 //!
 //! * **Encode** — [`Enc`] builds a scatter/gather [`FrameParts`]: small
 //!   owned buffers for headers and metadata, interleaved with borrowed
-//!   [`Bytes`] payload segments (an O(1) refcount bump each).
-//!   [`write_frame_parts`]/[`write_frame_batch`] push the whole frame —
-//!   envelope, metadata, and payload segments — through one vectored
-//!   write, so a 256 KiB chunk reaches the socket without ever being
-//!   copied into a contiguous body buffer. (Payloads under
-//!   [`INLINE_PAYLOAD_MAX`] are inlined: for a few dozen bytes the
+//!   [`Bytes`] payload segments (an O(1) refcount bump each). (Payloads
+//!   under [`INLINE_PAYLOAD_MAX`] are inlined: for a few dozen bytes the
 //!   memcpy is cheaper than an extra scatter segment.)
-//! * **Decode** — [`read_frame`] (and the per-connection
-//!   [`FrameReader`], which reuses one header buffer) returns the frame
-//!   body as a shared [`Bytes`] allocation; [`Dec`] in shared mode
-//!   ([`Dec::new_shared`], [`decode_msg_shared`]) decodes
+//! * **Write** — [`FrameWriteQueue`] prebuilds each frame's envelope and
+//!   pushes envelopes, metadata and payload segments through batched
+//!   vectored writes, so a 256 KiB chunk reaches the socket without ever
+//!   being copied into a contiguous body buffer. It resumes partial
+//!   writes byte-exactly and reports `WouldBlock` instead of blocking.
+//! * **Read** — [`NbFrameReader`] returns each frame body as a shared
+//!   [`Bytes`] allocation and keeps its progress across `WouldBlock`.
+//! * **Decode** — [`Dec`] (via [`decode_msg_shared`]) decodes
 //!   `Payload::Bytes` as zero-copy *slices* of that allocation. The one
 //!   unavoidable copy per direction is the socket read itself.
 //!
 //! Nothing here performs socket I/O beyond `Read`/`Write`; the framing is
-//! equally usable over files or in-memory buffers (which is how the
-//! round-trip tests exercise it).
+//! equally usable over in-memory buffers (which is how the round-trip
+//! tests exercise it). A blocking caller — a handshake, a test peer —
+//! drives the same reader and writer; `ic_net::wire` has the helper.
 
 #[doc = include_str!("../../../docs/WIRE.md")]
 pub mod wire_spec {}
@@ -155,9 +157,8 @@ impl Seg {
 /// Append-only scatter/gather encoder for frame bodies.
 ///
 /// Fixed-width fields accumulate in owned buffers; payload bytes are
-/// recorded as borrowed [`Bytes`] segments (see the module docs). Use
-/// [`Enc::into_parts`] for vectored writing or [`Enc::into_vec`] when a
-/// contiguous body is needed.
+/// recorded as borrowed [`Bytes`] segments (see the module docs);
+/// [`Enc::into_parts`] hands the body over for writing.
 #[derive(Default)]
 pub struct Enc {
     segs: Vec<Seg>,
@@ -180,14 +181,8 @@ impl Enc {
         self.len == 0
     }
 
-    /// The encoded bytes as one contiguous buffer (copies borrowed
-    /// payload segments; the vectored write path never calls this).
-    pub fn into_vec(self) -> Vec<u8> {
-        self.into_parts().to_vec()
-    }
-
     /// The encoded body as scatter/gather parts, ready for
-    /// [`write_frame_parts`].
+    /// [`FrameWriteQueue::push`].
     pub fn into_parts(self) -> FrameParts {
         FrameParts {
             segs: self.segs,
@@ -452,9 +447,9 @@ impl Enc {
 /// A fully encoded frame body as scatter/gather segments: owned
 /// header/metadata buffers interleaved with borrowed payload [`Bytes`].
 ///
-/// Produced by [`Enc::into_parts`], consumed by [`write_frame_parts`] /
-/// [`write_frame_batch`] via vectored writes — the payload bytes travel
-/// from the producer's allocation straight into the socket.
+/// Produced by [`Enc::into_parts`], consumed by [`FrameWriteQueue`] via
+/// vectored writes — the payload bytes travel from the producer's
+/// allocation straight into the socket.
 #[derive(Clone, Debug, Default)]
 pub struct FrameParts {
     segs: Vec<Seg>,
@@ -486,8 +481,8 @@ impl FrameParts {
         })
     }
 
-    /// Concatenates the body into one contiguous buffer (tests, and
-    /// callers that need an owned body; copies payload segments).
+    /// Concatenates the body into one contiguous buffer (tests and
+    /// in-memory stand-ins for a socket; copies payload segments).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
         for s in self.as_slices() {
@@ -501,35 +496,22 @@ impl FrameParts {
 // Body decoding
 // ----------------------------------------------------------------------
 
-/// Cursor over a frame body.
-///
-/// In *shared* mode ([`Dec::new_shared`]) the cursor additionally holds
-/// the frame's [`Bytes`] allocation, and [`Dec::payload`] yields
-/// zero-copy slices of it; in plain mode ([`Dec::new`]) payloads are
-/// copied out (used by tests and non-wire callers).
+/// Cursor over a shared frame body: it holds the frame's [`Bytes`]
+/// allocation, and [`Dec::payload`] yields zero-copy slices of it.
 pub struct Dec<'a> {
     buf: &'a [u8],
     /// Backing allocation for zero-copy payload slices.
-    frame: Option<&'a Bytes>,
+    frame: &'a Bytes,
     /// Offset of `buf[0]` within `frame`.
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    /// Starts decoding `buf`; payloads are copied.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Dec {
-            buf,
-            frame: None,
-            pos: 0,
-        }
-    }
-
     /// Starts decoding a shared frame body; payloads alias `frame`.
     pub fn new_shared(frame: &'a Bytes) -> Self {
         Dec {
             buf: frame,
-            frame: Some(frame),
+            frame,
             pos: 0,
         }
     }
@@ -617,19 +599,15 @@ impl<'a> Dec<'a> {
         Ok(n as usize)
     }
 
-    /// Reads a payload. In shared mode, byte payloads are zero-copy
-    /// slices of the frame allocation.
+    /// Reads a payload; byte payloads are zero-copy slices of the frame
+    /// allocation.
     pub fn payload(&mut self) -> FrameResult<Payload> {
         match self.u8()? {
             0 => {
                 let len = self.u32()? as usize;
                 let start = self.pos;
-                let raw = self.take(len)?;
-                let bytes = match self.frame {
-                    Some(frame) => frame.slice(start..start + len),
-                    None => Bytes::from(raw.to_vec()),
-                };
-                Ok(Payload::Bytes(bytes))
+                self.take(len)?;
+                Ok(Payload::Bytes(self.frame.slice(start..start + len)))
             }
             1 => Ok(Payload::synthetic(self.u64()?)),
             _ => Err(FrameError::Malformed("unknown payload kind")),
@@ -788,179 +766,11 @@ fn header_for(len: usize) -> FrameResult<[u8; HEADER_LEN]> {
     Ok(h)
 }
 
-/// Writes every byte of `slices` through vectored writes, handling
-/// partial progress.
-fn write_all_slices<W: Write>(w: &mut W, mut slices: &mut [IoSlice<'_>]) -> FrameResult<()> {
-    let mut remaining: usize = slices.iter().map(|s| s.len()).sum();
-    while remaining > 0 {
-        let n = match w.write_vectored(slices) {
-            Ok(0) => {
-                return Err(FrameError::Io(std::io::Error::new(
-                    ErrorKind::WriteZero,
-                    "socket accepted zero bytes",
-                )))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        };
-        remaining -= n;
-        IoSlice::advance_slices(&mut slices, n);
-    }
-    Ok(())
-}
-
-/// Writes one frame: version byte, length prefix, body.
-///
-/// # Errors
-///
-/// [`FrameError::TooLarge`] when the body exceeds [`MAX_FRAME_LEN`],
-/// [`FrameError::Io`] on write failure.
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> FrameResult<()> {
-    let header = header_for(body.len())?;
-    let mut slices = [IoSlice::new(&header), IoSlice::new(body)];
-    write_all_slices(w, &mut slices)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes one scatter/gather frame: the envelope, metadata buffers, and
-/// borrowed payload segments go out in a single vectored write — payload
-/// bytes are never copied into a contiguous body first.
-///
-/// # Errors
-///
-/// See [`write_frame`].
-pub fn write_frame_parts<W: Write>(w: &mut W, parts: &FrameParts) -> FrameResult<()> {
-    write_frame_batch(w, std::slice::from_ref(parts))
-}
-
-/// Writes a batch of frames in one vectored write (one syscall for the
-/// common case) — the writer-thread coalescing path: frames queued while
-/// the previous write was in flight all leave together.
-///
-/// # Errors
-///
-/// See [`write_frame`]; on error, how much of the batch reached the
-/// socket is unspecified (callers treat the connection as dead).
-pub fn write_frame_batch<W: Write>(w: &mut W, frames: &[FrameParts]) -> FrameResult<()> {
-    let mut headers = Vec::with_capacity(frames.len());
-    for f in frames {
-        headers.push(header_for(f.len())?);
-    }
-    let mut slices = Vec::with_capacity(frames.len() * 3);
-    for (f, h) in frames.iter().zip(&headers) {
-        slices.push(IoSlice::new(h));
-        for s in f.as_slices() {
-            if !s.is_empty() {
-                slices.push(IoSlice::new(s));
-            }
-        }
-    }
-    write_all_slices(w, &mut slices)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads one frame body into a shared [`Bytes`] allocation.
-///
-/// # Errors
-///
-/// [`FrameError::Closed`] on clean EOF at a frame boundary,
-/// [`FrameError::Version`] on wire-version skew, [`FrameError::TooLarge`]
-/// when the length prefix exceeds [`MAX_FRAME_LEN`], and
-/// [`FrameError::Malformed`] on mid-frame truncation.
-pub fn read_frame<R: Read>(r: &mut R) -> FrameResult<Bytes> {
-    let mut header = [0u8; HEADER_LEN];
-    read_frame_with(r, &mut header)
-}
-
-/// [`read_frame`] against a caller-owned header buffer — the
-/// per-connection reuse path (see [`FrameReader`]).
-fn read_frame_with<R: Read>(r: &mut R, header: &mut [u8; HEADER_LEN]) -> FrameResult<Bytes> {
-    // One read for the whole envelope (version + length) instead of two:
-    // zero bytes at the frame boundary is a clean close; a nonzero
-    // partial read is truncation — unless byte 0 already reveals version
-    // skew, which is the more useful diagnosis.
-    let mut got = 0;
-    while got < HEADER_LEN {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Err(FrameError::Closed);
-                }
-                if header[0] != FRAME_VERSION {
-                    return Err(FrameError::Version(header[0]));
-                }
-                return Err(FrameError::Malformed("truncated length prefix"));
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    if header[0] != FRAME_VERSION {
-        return Err(FrameError::Version(header[0]));
-    }
-    let len = u32::from_le_bytes(header[1..].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge(len as u64));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)
-        .map_err(|e| map_truncation(e, "truncated frame body"))?;
-    Ok(Bytes::from(body))
-}
-
-/// A per-connection frame reader: owns the reusable header buffer so the
-/// hot read loop allocates exactly once per frame — the body, which is
-/// handed onward as a shared [`Bytes`].
-pub struct FrameReader<R> {
-    inner: R,
-    header: [u8; HEADER_LEN],
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wraps a byte stream.
-    pub fn new(inner: R) -> Self {
-        FrameReader {
-            inner,
-            header: [0u8; HEADER_LEN],
-        }
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
-
-    /// Reads the next frame body.
-    ///
-    /// # Errors
-    ///
-    /// See [`read_frame`].
-    pub fn read_frame(&mut self) -> FrameResult<Bytes> {
-        read_frame_with(&mut self.inner, &mut self.header)
-    }
-}
-
-fn map_truncation(e: std::io::Error, what: &'static str) -> FrameError {
-    if e.kind() == ErrorKind::UnexpectedEof {
-        FrameError::Malformed(what)
-    } else {
-        FrameError::Io(e)
-    }
-}
-
-// ----------------------------------------------------------------------
-// Nonblocking framed I/O (readiness event loops)
-// ----------------------------------------------------------------------
-
 /// Outcome of one [`NbFrameReader::read`] attempt against a nonblocking
 /// stream.
 #[derive(Debug)]
 pub enum NbRead {
-    /// A complete frame body (shared allocation, like [`read_frame`]).
+    /// A complete frame body, in its own shared allocation.
     Frame(Bytes),
     /// The stream has no more bytes right now; the decoder holds its
     /// partial state — call again on the next readable event.
@@ -976,22 +786,23 @@ pub enum NbRead {
 /// gain past this size: the reader takes it in one `read` either way.
 pub const STAGE_LEN: usize = 16 * 1024;
 
-/// Incremental (resumable) frame decoder for nonblocking streams.
+/// Incremental (resumable) frame decoder — the one frame reader.
 ///
-/// The blocking [`FrameReader`] loops inside `read_frame` until a frame
-/// completes; an event loop cannot block, so this decoder instead
+/// An event loop cannot block until a frame completes, so this decoder
 /// *persists* its progress across `WouldBlock` and resumes on the next
-/// readiness event. Bytes are pulled through a fixed staging buffer, so
+/// readiness event (a blocking caller simply calls again). Bytes are
+/// pulled through a fixed staging buffer, so
 /// a burst of small frames costs one `read`, not two or three each: a
 /// frame that is complete in the stage is copied out into its own
 /// right-sized allocation; a frame whose body is not (a body larger than
 /// the stage, or one straddling its end) gets its allocation up front,
 /// takes the staged prefix, and has the remainder read straight into it —
 /// so chunk-scale payloads are still written once, by the kernel, into
-/// the buffer the decoded [`Payload`] aliases. Framing semantics are
-/// identical to [`read_frame`]: clean EOF only at a frame boundary,
-/// version skew diagnosed before truncation, the [`MAX_FRAME_LEN`] guard
-/// applied to the length prefix before anything is allocated.
+/// the buffer the decoded [`Payload`] aliases. The framing rules: clean
+/// EOF only at a frame boundary ([`NbRead::Closed`]), EOF inside a frame
+/// is [`FrameError::Malformed`], version skew is diagnosed before
+/// truncation, and the [`MAX_FRAME_LEN`] guard applies to the length
+/// prefix before anything is allocated.
 pub struct NbFrameReader {
     /// `stage[start..end]` holds bytes read but not yet returned.
     stage: Box<[u8]>,
@@ -1059,9 +870,12 @@ impl NbFrameReader {
     ///
     /// # Errors
     ///
-    /// As [`read_frame`], minus the boundary cases that are [`NbRead`]
-    /// variants here. After an error the decoder state is unspecified;
-    /// callers must discard the connection.
+    /// [`FrameError::Version`] on wire-version skew,
+    /// [`FrameError::TooLarge`] when the length prefix exceeds
+    /// [`MAX_FRAME_LEN`], [`FrameError::Malformed`] on EOF inside a frame,
+    /// and [`FrameError::Io`] on any stream failure other than
+    /// `WouldBlock`/`Interrupted`. After an error the decoder state is
+    /// unspecified; callers must discard the connection.
     pub fn read<R: Read>(&mut self, r: &mut R) -> FrameResult<NbRead> {
         loop {
             if let Some(body) = self.body.as_mut() {
@@ -1158,8 +972,8 @@ pub struct Flush {
 /// per write.
 const WRITE_BATCH_SLICES: usize = 128;
 
-/// Per-connection outbound frame queue for nonblocking sinks: the
-/// `WouldBlock`-safe counterpart of [`write_frame_batch`].
+/// Per-connection outbound frame queue — the one frame writer,
+/// `WouldBlock`-safe for nonblocking sinks.
 ///
 /// Frames are queued as scatter/gather [`FrameParts`] (payloads stay
 /// uncopied) with their envelopes prebuilt; [`FrameWriteQueue::write_to`]
@@ -1280,14 +1094,6 @@ impl FrameWriteQueue {
     }
 }
 
-/// Encodes `msg` into a standalone contiguous body buffer (copies
-/// payload bytes; the wire path uses [`encode_msg_parts`]).
-pub fn encode_msg(msg: &Msg) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.msg(msg);
-    e.into_vec()
-}
-
 /// Encodes `msg` as scatter/gather parts — payload bytes are borrowed,
 /// not copied.
 pub fn encode_msg_parts(msg: &Msg) -> FrameParts {
@@ -1296,24 +1102,12 @@ pub fn encode_msg_parts(msg: &Msg) -> FrameParts {
     e.into_parts()
 }
 
-/// Decodes a full body buffer as exactly one message (copying payloads).
-///
-/// # Errors
-///
-/// [`FrameError::Malformed`] on parse failure or trailing bytes.
-pub fn decode_msg(body: &[u8]) -> FrameResult<Msg> {
-    let mut d = Dec::new(body);
-    let msg = d.msg()?;
-    d.finish()?;
-    Ok(msg)
-}
-
 /// Decodes a shared frame body as exactly one message; byte payloads
 /// alias the frame allocation.
 ///
 /// # Errors
 ///
-/// See [`decode_msg`].
+/// [`FrameError::Malformed`] on parse failure or trailing bytes.
 pub fn decode_msg_shared(frame: &Bytes) -> FrameResult<Msg> {
     let mut d = Dec::new_shared(frame);
     let msg = d.msg()?;
@@ -1321,35 +1115,45 @@ pub fn decode_msg_shared(frame: &Bytes) -> FrameResult<Msg> {
     Ok(msg)
 }
 
-/// Writes `msg` as one frame (vectored; payload bytes uncopied).
-///
-/// # Errors
-///
-/// See [`write_frame`].
-pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> FrameResult<()> {
-    write_frame_parts(w, &encode_msg_parts(msg))
-}
-
-/// Reads one framed message; byte payloads alias the frame allocation.
-///
-/// # Errors
-///
-/// See [`read_frame`] and [`decode_msg`].
-pub fn read_msg<R: Read>(r: &mut R) -> FrameResult<Msg> {
-    decode_msg_shared(&read_frame(r)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::ProxyId;
 
+    /// The wire bytes of `msgs`, framed through the one writer.
+    fn wire_of(msgs: &[Msg]) -> Vec<u8> {
+        let mut queue = FrameWriteQueue::new();
+        for m in msgs {
+            queue.push(encode_msg_parts(m)).unwrap();
+        }
+        let mut wire = Vec::new();
+        assert!(queue.write_to(&mut wire).unwrap().drained);
+        wire
+    }
+
+    /// Every frame body in `wire`, read through the one reader; the
+    /// stream must end cleanly at a frame boundary.
+    fn read_all(wire: &[u8]) -> Vec<Bytes> {
+        let mut reader = NbFrameReader::new();
+        let mut src = wire;
+        let mut frames = Vec::new();
+        loop {
+            match reader.read(&mut src).unwrap() {
+                NbRead::Frame(body) => frames.push(body),
+                NbRead::WouldBlock => {}
+                NbRead::Closed => return frames,
+            }
+        }
+    }
+
+    /// Decodes a body given as plain bytes.
+    fn decode(body: &[u8]) -> FrameResult<Msg> {
+        decode_msg_shared(&Bytes::copy_from_slice(body))
+    }
+
     fn roundtrip(msg: Msg) {
-        let body = encode_msg(&msg);
-        let back = decode_msg(&body).expect("decodes");
-        assert_eq!(back, msg);
-        // The scatter/gather encoding concatenates to the same body.
-        assert_eq!(encode_msg_parts(&msg).to_vec(), body);
+        let body = encode_msg_parts(&msg).to_vec();
+        assert_eq!(decode(&body).expect("decodes"), msg);
     }
 
     #[test]
@@ -1395,30 +1199,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn framed_io_roundtrips_through_a_buffer() {
-        let msgs = [
-            Msg::InitBackup,
-            Msg::Pong {
-                instance: InstanceId(5),
-                stored_bytes: 1 << 40,
-            },
-            Msg::ChunkData {
-                id: ChunkId::new(ObjectKey::new("x"), 2),
-                payload: Payload::bytes(vec![7u8; 10_000]),
-            },
-        ];
-        let mut wire = Vec::new();
-        for m in &msgs {
-            write_msg(&mut wire, m).unwrap();
-        }
-        let mut r = &wire[..];
-        for m in &msgs {
-            assert_eq!(&read_msg(&mut r).unwrap(), m);
-        }
-        assert!(matches!(read_msg(&mut r), Err(FrameError::Closed)));
-    }
-
     /// The zero-copy invariants of the data plane: encode borrows
     /// chunk-scale payload allocations; decode yields slices of the frame
     /// allocation.
@@ -1438,10 +1218,9 @@ mod tests {
         assert_eq!(shared[0].as_ptr(), payload.as_ptr(), "encode must borrow");
 
         // Decode: the payload is a sub-slice of the frame buffer.
-        let mut wire = Vec::new();
-        write_frame_parts(&mut wire, &parts).unwrap();
-        let frame = read_frame(&mut &wire[..]).unwrap();
-        let back = decode_msg_shared(&frame).unwrap();
+        let frames = read_all(&wire_of(std::slice::from_ref(&msg)));
+        let frame = &frames[0];
+        let back = decode_msg_shared(frame).unwrap();
         let Msg::ChunkData {
             payload: Payload::Bytes(got),
             ..
@@ -1466,132 +1245,7 @@ mod tests {
         };
         let parts = encode_msg_parts(&msg);
         assert_eq!(parts.shared_segments().count(), 0);
-        assert_eq!(decode_msg(&parts.to_vec()).unwrap(), msg);
-    }
-
-    #[test]
-    fn frame_batches_concatenate_cleanly() {
-        let msgs = [
-            Msg::InitBackup,
-            Msg::ChunkData {
-                id: ChunkId::new(ObjectKey::new("b"), 1),
-                payload: Payload::bytes(vec![3u8; 4096]),
-            },
-            Msg::InitBackup,
-        ];
-        let parts: Vec<FrameParts> = msgs.iter().map(encode_msg_parts).collect();
-        let mut wire = Vec::new();
-        write_frame_batch(&mut wire, &parts).unwrap();
-        let mut r = &wire[..];
-        for m in &msgs {
-            assert_eq!(&read_msg(&mut r).unwrap(), m);
-        }
-        assert!(matches!(read_msg(&mut r), Err(FrameError::Closed)));
-    }
-
-    /// A sink whose `write`/`write_vectored` accept only a
-    /// pseudo-random prefix per call: every partial-progress branch of
-    /// the vectored writer gets exercised.
-    struct ChaoticSink {
-        out: Vec<u8>,
-        state: u64,
-    }
-
-    impl ChaoticSink {
-        fn budget(&mut self) -> usize {
-            self.state = self
-                .state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            1 + ((self.state >> 33) % 5000) as usize
-        }
-    }
-
-    impl Write for ChaoticSink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.budget());
-            self.out.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-            let mut budget = self.budget();
-            let mut written = 0;
-            for b in bufs {
-                if budget == 0 {
-                    break;
-                }
-                let n = b.len().min(budget);
-                self.out.extend_from_slice(&b[..n]);
-                written += n;
-                budget -= n;
-                if n < b.len() {
-                    break;
-                }
-            }
-            Ok(written)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn batched_frames_survive_chaotic_partial_writes() {
-        let msgs: Vec<Msg> = (0..60u32)
-            .map(|i| Msg::ChunkData {
-                id: ChunkId::new(ObjectKey::new(format!("k{i}")), i),
-                payload: Payload::bytes(
-                    (0..(i as usize * 977 + 1))
-                        .map(|j| ((j * 131 + i as usize) % 256) as u8)
-                        .collect::<Vec<u8>>(),
-                ),
-            })
-            .collect();
-        let mut sink = ChaoticSink {
-            out: Vec::new(),
-            state: 0xfeed_f00d,
-        };
-        let mut i = 0;
-        while i < msgs.len() {
-            let take = 1 + (i % 7);
-            let batch: Vec<FrameParts> = msgs[i..(i + take).min(msgs.len())]
-                .iter()
-                .map(encode_msg_parts)
-                .collect();
-            write_frame_batch(&mut sink, &batch).unwrap();
-            i += take;
-        }
-        let mut r = &sink.out[..];
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(&read_msg(&mut r).unwrap(), m, "frame {i}");
-        }
-        assert!(matches!(read_msg(&mut r), Err(FrameError::Closed)));
-    }
-
-    #[test]
-    fn frame_reader_reuses_across_frames() {
-        let mut wire = Vec::new();
-        for i in 0..3u8 {
-            write_msg(
-                &mut wire,
-                &Msg::ChunkData {
-                    id: ChunkId::new(ObjectKey::new("r"), i as u32),
-                    payload: Payload::bytes(vec![i; 2000]),
-                },
-            )
-            .unwrap();
-        }
-        let mut reader = FrameReader::new(&wire[..]);
-        for i in 0..3u8 {
-            let frame = reader.read_frame().unwrap();
-            let msg = decode_msg_shared(&frame).unwrap();
-            let Msg::ChunkData { id, payload } = msg else {
-                panic!("wrong kind");
-            };
-            assert_eq!(id.seq, i as u32);
-            assert_eq!(payload.len(), 2000);
-        }
-        assert!(matches!(reader.read_frame(), Err(FrameError::Closed)));
+        assert_eq!(decode(&parts.to_vec()).unwrap(), msg);
     }
 
     #[test]
@@ -1609,75 +1263,26 @@ mod tests {
         ] {
             let mut e = Enc::new();
             e.invoke(&p);
-            let body = e.into_vec();
-            let mut d = Dec::new(&body);
+            let body = Bytes::from(e.into_parts().to_vec());
+            let mut d = Dec::new_shared(&body);
             assert_eq!(d.invoke().unwrap(), p);
             d.finish().unwrap();
         }
     }
 
     #[test]
-    fn version_skew_is_rejected() {
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::InitBackup).unwrap();
-        wire[0] = FRAME_VERSION + 1;
-        assert!(matches!(
-            read_msg(&mut &wire[..]),
-            Err(FrameError::Version(_))
-        ));
-        // Skew is diagnosed even when the envelope itself is truncated.
-        assert!(matches!(
-            read_frame(&mut &[FRAME_VERSION + 1][..]),
-            Err(FrameError::Version(_))
-        ));
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_before_allocation() {
-        let mut wire = vec![FRAME_VERSION];
-        wire.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            read_msg(&mut &wire[..]),
-            Err(FrameError::TooLarge(_))
-        ));
-    }
-
-    #[test]
-    fn truncation_mid_frame_is_malformed_not_closed() {
-        let mut wire = Vec::new();
-        write_msg(
-            &mut wire,
-            &Msg::GetObject {
-                key: ObjectKey::new("abcdef"),
-                data_chunks: 0,
-            },
-        )
-        .unwrap();
-        wire.truncate(wire.len() - 3);
-        assert!(matches!(
-            read_msg(&mut &wire[..]),
-            Err(FrameError::Malformed(_))
-        ));
-        // Truncation inside the 5-byte envelope is also malformed.
-        assert!(matches!(
-            read_frame(&mut &[FRAME_VERSION, 1][..]),
-            Err(FrameError::Malformed(_))
-        ));
-    }
-
-    #[test]
     fn trailing_bytes_are_rejected() {
-        let mut body = encode_msg(&Msg::InitBackup);
+        let mut body = encode_msg_parts(&Msg::InitBackup).to_vec();
         body.push(0);
-        assert!(matches!(decode_msg(&body), Err(FrameError::Malformed(_))));
+        assert!(matches!(decode(&body), Err(FrameError::Malformed(_))));
     }
 
     #[test]
     fn unknown_tags_are_rejected() {
-        assert!(matches!(decode_msg(&[200]), Err(FrameError::Malformed(_))));
+        assert!(matches!(decode(&[200]), Err(FrameError::Malformed(_))));
         // Tag 7 was the preflight `Ping`, retired in v3 and never reused.
-        assert!(matches!(decode_msg(&[7]), Err(FrameError::Malformed(_))));
-        assert!(decode_msg(&[]).is_err());
+        assert!(matches!(decode(&[7]), Err(FrameError::Malformed(_))));
+        assert!(decode(&[]).is_err());
     }
 
     /// Tiny deterministic LCG so the chaos tests need no RNG dependency.
@@ -1695,7 +1300,7 @@ mod tests {
 
     /// A `Write` sink that accepts a random prefix of each write and
     /// interleaves `WouldBlock`/`Interrupted` — the worst-case
-    /// nonblocking socket (unlike [`ChaoticSink`], which never blocks).
+    /// nonblocking socket.
     struct FlakySink {
         accepted: Vec<u8>,
         rng: Lcg,
@@ -1745,9 +1350,13 @@ mod tests {
             let msgs = sample_msgs(&mut rng, count);
             let parts: Vec<FrameParts> = msgs.iter().map(encode_msg_parts).collect();
 
-            // Reference byte stream: the blocking batch writer.
+            // Reference byte stream, straight from the envelope rule.
             let mut reference = Vec::new();
-            write_frame_batch(&mut reference, &parts).unwrap();
+            for p in &parts {
+                reference.push(FRAME_VERSION);
+                reference.extend_from_slice(&(p.len() as u32).to_le_bytes());
+                reference.extend_from_slice(&p.to_vec());
+            }
 
             let mut queue = FrameWriteQueue::new();
             let mut expect_bytes = 0usize;
@@ -1795,10 +1404,7 @@ mod tests {
             flush.vectored_writes, 1,
             "10 frames coalesce into one syscall"
         );
-        let mut r = &sink[..];
-        for m in &msgs {
-            assert_eq!(&read_msg(&mut r).unwrap(), m);
-        }
+        assert_eq!(decode_all(&read_all(&sink)), msgs);
     }
 
     #[test]
@@ -1849,10 +1455,7 @@ mod tests {
             let mut rng = Lcg(seed.wrapping_add(99));
             let count = 1 + (rng.next() as usize % 30);
             let msgs = sample_msgs(&mut rng, count);
-            let mut wire = Vec::new();
-            for m in &msgs {
-                write_msg(&mut wire, m).unwrap();
-            }
+            let wire = wire_of(&msgs);
             let mut src = ChaoticSource {
                 data: wire,
                 pos: 0,
@@ -1951,12 +1554,13 @@ mod tests {
         panic!("reader never settled on {wire:?}");
     }
 
+    /// The end-of-stream and envelope rules of the wire format, as the
+    /// one reader applies them.
     #[test]
     fn nb_reader_maps_boundary_cases_like_the_blocking_reader() {
         // Clean close at a frame boundary — also after whole frames.
         assert!(matches!(verdict(&[]).unwrap(), NbRead::Closed));
-        let mut unit = Vec::new();
-        write_msg(&mut unit, &Msg::InitBackup).unwrap();
+        let unit = wire_of(&[Msg::InitBackup]);
         let mut reader = NbFrameReader::new();
         let mut src = &unit[..];
         let (frames, end) = drain(&mut reader, &mut src);
@@ -2002,16 +1606,13 @@ mod tests {
     /// syscall), then truncation — not a clean close, not a hang.
     #[test]
     fn nb_reader_reports_eof_after_a_partial_frame_on_the_next_call() {
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::InitBackup).unwrap();
-        write_msg(
-            &mut wire,
-            &Msg::GetObject {
+        let mut wire = wire_of(&[
+            Msg::InitBackup,
+            Msg::GetObject {
                 key: ObjectKey::new("cut-short"),
                 data_chunks: 0,
             },
-        )
-        .unwrap();
+        ]);
         wire.truncate(wire.len() - 4);
         let mut src = MockSocket::new(wire);
         src.eof = true;
@@ -2030,10 +1631,7 @@ mod tests {
     #[test]
     fn nb_reader_decodes_byte_at_a_time_delivery_identically() {
         let msgs = sample_msgs(&mut Lcg(31), 25);
-        let mut wire = Vec::new();
-        for m in &msgs {
-            write_msg(&mut wire, m).unwrap();
-        }
+        let wire = wire_of(&msgs);
         let mut src = MockSocket::new(wire);
         src.max_read = 1;
         src.eof = true;
@@ -2057,10 +1655,7 @@ mod tests {
                 data_chunks: 0,
             })
             .collect();
-        let mut wire = Vec::new();
-        for m in &msgs {
-            write_msg(&mut wire, m).unwrap();
-        }
+        let wire = wire_of(&msgs);
         assert!(wire.len() < STAGE_LEN, "the burst must fit the stage");
         let mut src = MockSocket::new(wire);
         let mut reader = NbFrameReader::new();
@@ -2088,7 +1683,7 @@ mod tests {
             id: ChunkId::new(ObjectKey::new("straddler"), 3),
             payload: Payload::bytes((0..=255u8).cycle().take(700).collect::<Vec<u8>>()),
         };
-        let filler_len = HEADER_LEN + encode_msg(&filler).len();
+        let filler_len = HEADER_LEN + encode_msg_parts(&filler).len();
         for pad in 0..filler_len {
             let mut msgs = vec![Msg::ChunkToClient {
                 id: ChunkId::new(ObjectKey::new("pad"), 0),
@@ -2097,10 +1692,7 @@ mod tests {
             msgs.extend(std::iter::repeat_n(filler.clone(), STAGE_LEN / filler_len));
             msgs.push(straddler.clone());
             msgs.push(Msg::InitBackup);
-            let mut wire = Vec::new();
-            for m in &msgs {
-                write_msg(&mut wire, m).unwrap();
-            }
+            let wire = wire_of(&msgs);
             let mut src = MockSocket::new(wire);
             let mut reader = NbFrameReader::new();
             let (frames, end) = drain(&mut reader, &mut src);
@@ -2121,10 +1713,9 @@ mod tests {
             id: ChunkId::new(ObjectKey::new("big"), 1),
             payload: Payload::bytes(payload.clone()),
         };
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &Msg::InitBackup).unwrap();
+        let mut wire = wire_of(&[Msg::InitBackup]);
         let big_at = wire.len();
-        write_msg(&mut wire, &msg).unwrap();
+        wire.extend(wire_of(&[msg]));
         let body_len = wire.len() - big_at - HEADER_LEN;
         let mut src = MockSocket::new(wire);
         src.max_read = 100_000; // the body arrives over several wake-ups

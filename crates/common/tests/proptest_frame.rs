@@ -1,10 +1,11 @@
 //! Property tests for the wire-frame codec: every randomly generated
-//! message must survive encode → frame → read → decode exactly, and the
+//! message must survive encode → write → read → decode exactly, and the
 //! framing must reject corrupted headers without panicking.
 
+use bytes::Bytes;
 use ic_common::frame::{
-    decode_msg, decode_msg_shared, encode_msg, encode_msg_parts, read_frame, read_msg, write_msg,
-    FrameError, NbFrameReader, NbRead, FRAME_VERSION, INLINE_PAYLOAD_MAX,
+    decode_msg_shared, encode_msg_parts, FrameError, FrameWriteQueue, NbFrameReader, NbRead,
+    FRAME_VERSION, INLINE_PAYLOAD_MAX,
 };
 use ic_common::msg::{BackupKey, Msg};
 use ic_common::{ChunkId, InstanceId, LambdaId, ObjectKey, Payload, RelayId};
@@ -136,6 +137,30 @@ fn aliases(outer: &[u8], inner: &[u8]) -> bool {
     o <= i && i + inner.len() <= o + outer.len()
 }
 
+/// The wire bytes of `msgs`, framed through the frame writer.
+fn wire_of(msgs: &[Msg]) -> Vec<u8> {
+    let mut queue = FrameWriteQueue::new();
+    for m in msgs {
+        queue.push(encode_msg_parts(m)).expect("frame fits");
+    }
+    let mut wire = Vec::new();
+    queue.write_to(&mut wire).expect("a Vec takes every byte");
+    wire
+}
+
+/// The frame reader's first verdict on the complete stream `wire` (its
+/// short-read shortcut may defer a verdict by one call).
+fn first_read(wire: &[u8]) -> Result<NbRead, FrameError> {
+    let mut reader = NbFrameReader::new();
+    let mut src = wire;
+    loop {
+        match reader.read(&mut src) {
+            Ok(NbRead::WouldBlock) => {}
+            verdict => return verdict,
+        }
+    }
+}
+
 /// A nonblocking stream delivering `data` in pieces of the given sizes
 /// (cycled), `WouldBlock` between pieces, EOF after the last byte.
 struct Pieces<'a> {
@@ -168,17 +193,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// However the byte stream is cut into deliveries, the staged
-    /// nonblocking reader yields exactly the frames the blocking reader
-    /// sees in the whole stream, then a clean close.
+    /// nonblocking reader yields exactly the frames written, then a clean
+    /// close.
     #[test]
     fn nb_reader_is_insensitive_to_delivery_splits(
         msgs in vec(arb_msg(), 1..12),
         sizes in vec(1usize..6000, 1..24),
     ) {
-        let mut wire = Vec::new();
-        for m in &msgs {
-            write_msg(&mut wire, m).expect("frame fits");
-        }
+        let wire = wire_of(&msgs);
         let mut src = Pieces { data: &wire, sizes: &sizes, next: 0, piece_left: 0 };
         let mut reader = NbFrameReader::new();
         let mut decoded = Vec::new();
@@ -196,24 +218,9 @@ proptest! {
     /// Encode → decode is the identity on every message variant.
     #[test]
     fn any_message_roundtrips_the_body_codec(msg in arb_msg()) {
-        let body = encode_msg(&msg);
-        let back = decode_msg(&body).expect("well-formed body must decode");
+        let body = Bytes::from(encode_msg_parts(&msg).to_vec());
+        let back = decode_msg_shared(&body).expect("well-formed body must decode");
         prop_assert_eq!(back, msg);
-    }
-
-    /// Full framed I/O (version byte + length prefix) round-trips message
-    /// sequences and reports a clean close at the end.
-    #[test]
-    fn framed_streams_roundtrip(msgs in vec(arb_msg(), 1..8)) {
-        let mut wire = Vec::new();
-        for m in &msgs {
-            write_msg(&mut wire, m).expect("frame fits");
-        }
-        let mut r = &wire[..];
-        for m in &msgs {
-            prop_assert_eq!(&read_msg(&mut r).expect("frame reads back"), m);
-        }
-        prop_assert!(matches!(read_msg(&mut r), Err(FrameError::Closed)));
     }
 
     /// The zero-copy regression guard: for every message variant that
@@ -241,9 +248,9 @@ proptest! {
             }
         }
         // Decode side: the payload is a slice of the frame buffer.
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &msg).expect("frame fits");
-        let frame = read_frame(&mut &wire[..]).expect("frame reads back");
+        let Ok(NbRead::Frame(frame)) = first_read(&wire_of(std::slice::from_ref(&msg))) else {
+            panic!("frame reads back");
+        };
         let back = decode_msg_shared(&frame).expect("decodes");
         if let Some(Payload::Bytes(b)) = payload_of(&back) {
             prop_assert!(
@@ -258,16 +265,15 @@ proptest! {
     /// prefixes that happen to be valid — succeed).
     #[test]
     fn garbage_bodies_never_panic(body in vec(0u8..=255, 0..128)) {
-        let _ = decode_msg(&body);
+        let _ = decode_msg_shared(&Bytes::from(body));
     }
 
     /// A flipped version byte is always rejected.
     #[test]
     fn wrong_version_is_always_rejected(msg in arb_msg(), v in 0u8..=255) {
         let v = if v == FRAME_VERSION { v.wrapping_add(1) } else { v };
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &msg).expect("frame fits");
+        let mut wire = wire_of(&[msg]);
         wire[0] = v;
-        prop_assert!(matches!(read_msg(&mut &wire[..]), Err(FrameError::Version(_))));
+        prop_assert!(matches!(first_read(&wire), Err(FrameError::Version(_))));
     }
 }

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ic_client::{ClientLib, GetReport};
-use ic_common::frame::{FrameError, FrameWriteQueue, NbFrameReader, NbRead};
+use ic_common::frame::{FrameWriteQueue, NbFrameReader, NbRead};
 use ic_common::msg::Msg;
 use ic_common::{
     ClientId, EcConfig, Error, LambdaId, ObjectKey, Payload, ProxyId, Result, SimTime,
@@ -56,7 +56,11 @@ use ic_common::{
 use infinicache::dispatch::{self, ClientOutcome, ClientTransport};
 use polling::{Events, Interest, Mode, Poller, Token};
 
-use crate::wire::Frame;
+use crate::wire::{Frame, FrameStream};
+
+/// How long an operation — and a connection's handshake — may take
+/// before the client gives up on it (see [`NetClient::set_op_timeout`]).
+const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What the polled I/O pass feeds the blocking facade.
 enum ClientEvent {
@@ -203,7 +207,7 @@ impl NetClient {
             }
         }
         let lib = ClientLib::new(client, ec, pools, 64, seed);
-        Ok(NetClient {
+        let mut net = NetClient {
             lib,
             conns,
             poller,
@@ -211,9 +215,17 @@ impl NetClient {
             pending: VecDeque::new(),
             client,
             epoch: Instant::now(),
-            op_timeout: Duration::from_secs(10),
+            op_timeout: DEFAULT_OP_TIMEOUT,
             outcomes: Vec::new(),
-        })
+        };
+        // Frames that arrived with a `Welcome` are staged in the reader
+        // the handshake handed over, and staged bytes raise no readiness.
+        for i in 0..net.conns.len() {
+            if net.conns[i].reader.has_staged() {
+                net.read_conn(i);
+            }
+        }
+        Ok(net)
     }
 
     /// The identity the first reachable proxy assigned to this client.
@@ -512,10 +524,6 @@ impl NetClient {
                     self.fail_conn(i, "proxy closed the connection".into());
                     return;
                 }
-                Err(FrameError::Closed) => {
-                    self.fail_conn(i, "proxy closed the connection".into());
-                    return;
-                }
                 Err(e) => {
                     self.fail_conn(i, e.to_string());
                     return;
@@ -574,17 +582,22 @@ impl NetClient {
     }
 }
 
-/// Performs the (blocking) client handshake on a fresh connection.
+/// Performs the (blocking) client handshake on a fresh connection. A
+/// proxy that does not answer within [`DEFAULT_OP_TIMEOUT`] fails it.
+/// The reader that took the `Welcome` stays the connection's reader, so
+/// whatever arrived behind it is kept.
 fn handshake(
-    mut stream: TcpStream,
+    stream: TcpStream,
     expected: ProxyId,
     ec: EcConfig,
 ) -> Result<(Conn, Vec<LambdaId>, ClientId)> {
     stream
         .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(Some(DEFAULT_OP_TIMEOUT)))
         .map_err(|e| Error::Transport(e.to_string()))?;
-    Frame::HelloClient.write_to(&mut stream)?;
-    let (client, proxy, pool) = match Frame::read_from(&mut stream)? {
+    let mut framed = FrameStream::new(stream);
+    framed.send(&Frame::HelloClient)?;
+    let (client, proxy, pool) = match framed.recv()? {
         Frame::Welcome {
             client,
             proxy,
@@ -610,11 +623,12 @@ fn handshake(
             ec.shards()
         )));
     }
+    let (stream, reader) = framed.into_parts();
     Ok((
         Conn {
             proxy,
             stream: Some(stream),
-            reader: NbFrameReader::new(),
+            reader,
             queue: FrameWriteQueue::new(),
             want_write: false,
             down: None,
@@ -711,5 +725,70 @@ impl std::fmt::Debug for NetClient {
             )
             .field("stats", &self.lib.stats)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::sync::mpsc::channel;
+
+    use super::*;
+
+    fn one_node() -> EcConfig {
+        EcConfig::new(1, 0).unwrap()
+    }
+
+    /// A listener that takes the connection into its backlog but never
+    /// answers fails `connect` once the handshake deadline passes,
+    /// instead of hanging it.
+    #[test]
+    fn connect_to_a_silent_listener_times_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, outcome) = channel();
+        let connecting = std::thread::spawn(move || {
+            let _ = done.send(NetClient::connect(addr, one_node(), 1).map(drop));
+        });
+        let result = outcome
+            .recv_timeout(Duration::from_secs(15))
+            .expect("connect hung on a silent listener");
+        assert!(matches!(result, Err(Error::Transport(_))), "{result:?}");
+        connecting.join().unwrap();
+        drop(listener);
+    }
+
+    /// The reader that took the `Welcome` stays the connection's reader:
+    /// a `Shutdown` that arrived in the same write is not lost with the
+    /// handshake, and the proxy is down from the start.
+    #[test]
+    fn a_shutdown_sent_with_the_welcome_downs_the_proxy() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let proxy = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut conn = FrameStream::new(conn);
+            assert_eq!(conn.recv().unwrap(), Frame::HelloClient);
+            let welcome = Frame::Welcome {
+                client: ClientId(0),
+                proxy: ProxyId(0),
+                pool: vec![LambdaId(0)],
+            };
+            let mut queue = FrameWriteQueue::new();
+            for frame in [welcome, Frame::Shutdown] {
+                queue.push(frame.encode_parts()).unwrap();
+            }
+            let (mut conn, _) = conn.into_parts();
+            let flush = queue.write_to(&mut conn).unwrap();
+            assert_eq!(flush.vectored_writes, 1, "both frames in one write");
+            // Stay connected until the client hangs up.
+            let _ = std::io::copy(&mut conn, &mut std::io::sink());
+        });
+        let mut client = NetClient::connect(addr, one_node(), 1).unwrap();
+        assert!(client.proxy_down(ProxyId(0)));
+        let err = client.get("k").unwrap_err();
+        assert!(err.to_string().contains("proxy shut down"), "{err}");
+        drop(client);
+        proxy.join().unwrap();
     }
 }

@@ -67,4 +67,4 @@ pub use client::NetClient;
 pub use cluster::LoopbackCluster;
 pub use node::{NetNode, NodeHandle};
 pub use proxy::{NetProxyConfig, NetProxyHandle, WireSnapshot};
-pub use wire::Frame;
+pub use wire::{Frame, FrameStream};

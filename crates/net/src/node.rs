@@ -266,15 +266,12 @@ impl NetNode {
         let deadline = Instant::now() + retry_for;
         let mut slots = Vec::with_capacity(lambdas.len());
         for (i, &lambda) in lambdas.iter().enumerate() {
-            let mut stream = dial(&proxy, deadline)?;
-            // The hello is the only blocking write; the steady state is
-            // polled and nonblocking.
-            Frame::HelloNode { lambda }.write_to(&mut stream)?;
+            let stream = dial(&proxy, deadline)?;
             stream.set_nonblocking(true).map_err(trans)?;
             poller
                 .register(&stream, Token(i + 1), Interest::READABLE, Mode::Level)
                 .map_err(trans)?;
-            slots.push(Some(Slot {
+            let mut slot = Slot {
                 reader: NbFrameReader::new(),
                 want_write: false,
                 host: NodeHost::new(
@@ -286,7 +283,16 @@ impl NetNode {
                         dead: false,
                     },
                 ),
-            }));
+            };
+            // The hello leaves like every other frame: queued, then
+            // flushed (the loop finishes it if the socket is full).
+            slot.host.io.send(Frame::HelloNode { lambda });
+            if !slot.flush(&poller, i + 1) {
+                return Err(Error::Transport(format!(
+                    "{lambda}'s hello to {proxy:?} failed"
+                )));
+            }
+            slots.push(Some(slot));
         }
         let (control, events) = channel::<NodeEvent>();
         Ok(NetNode {
@@ -492,6 +498,9 @@ mod tests {
     use ic_common::ProxyId;
 
     use super::*;
+    use crate::wire::FrameStream;
+
+    type Peer = FrameStream<TcpStream>;
 
     /// The daemon tells the proxy of a reclaim exactly when it took a
     /// running instance — whose own connection would have broken — and
@@ -505,11 +514,12 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let node = NetNode::spawn(LambdaId(3), addr, rt_cfg, Duration::from_secs(5)).unwrap();
-        let (mut proxy, _) = listener.accept().unwrap();
+        let (proxy, _) = listener.accept().unwrap();
         proxy
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let hello = Frame::read_from(&mut proxy).unwrap();
+        let mut proxy = FrameStream::new(proxy);
+        let hello = proxy.recv().unwrap();
         assert_eq!(
             hello,
             Frame::HelloNode {
@@ -519,9 +529,9 @@ mod tests {
         let invoke = Frame::Invoke {
             payload: InvokePayload::ping(ProxyId(0)),
         };
-        let next_pong = |proxy: &mut TcpStream| {
-            invoke.write_to(proxy).unwrap();
-            match Frame::read_from(proxy).unwrap() {
+        let next_pong = |proxy: &mut Peer| {
+            proxy.send(&invoke).unwrap();
+            match proxy.recv().unwrap() {
                 Frame::FromInstance {
                     instance,
                     msg: Msg::Pong { .. },
@@ -537,13 +547,13 @@ mod tests {
         // That instance is running now: its reclaim is reported, and the
         // next invoke cold-starts another.
         node.reclaim();
-        assert_eq!(Frame::read_from(&mut proxy).unwrap(), Frame::Reclaimed);
+        assert_eq!(proxy.recv().unwrap(), Frame::Reclaimed);
         let second = next_pong(&mut proxy);
         assert_ne!(first, second);
         // Once it has returned (BYE) it is idle: reclaimed silently again
         // (if the invoke overtakes the reclaim it wakes the same instance;
         // either way a PONG is the next frame).
-        match Frame::read_from(&mut proxy).unwrap() {
+        match proxy.recv().unwrap() {
             Frame::FromInstance {
                 msg: Msg::Bye { .. },
                 ..
@@ -555,10 +565,11 @@ mod tests {
     }
 
     /// Accepts one daemon connection (reads bounded) and reads its hello.
-    fn accept_node(listener: &TcpListener) -> (LambdaId, TcpStream) {
-        let (mut conn, _) = listener.accept().unwrap();
+    fn accept_node(listener: &TcpListener) -> (LambdaId, Peer) {
+        let (conn, _) = listener.accept().unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        match Frame::read_from(&mut conn).unwrap() {
+        let mut conn = FrameStream::new(conn);
+        match conn.recv().unwrap() {
             Frame::HelloNode { lambda } => (lambda, conn),
             other => panic!("expected a hello, got {other:?}"),
         }
@@ -566,13 +577,13 @@ mod tests {
 
     /// Invokes a node and waits for the PONG, passing over the BYEs of
     /// instances whose billing cycle ended meanwhile.
-    fn pong(conn: &mut TcpStream) {
+    fn pong(conn: &mut Peer) {
         let invoke = Frame::Invoke {
             payload: InvokePayload::ping(ProxyId(0)),
         };
-        invoke.write_to(conn).unwrap();
+        conn.send(&invoke).unwrap();
         loop {
-            match Frame::read_from(conn).unwrap() {
+            match conn.recv().unwrap() {
                 Frame::FromInstance {
                     msg: Msg::Pong { .. },
                     ..
@@ -587,14 +598,14 @@ mod tests {
     }
 
     /// `Reclaimed` notices that arrive on `conn` within 50 ms.
-    fn reclaim_notices(conn: &mut TcpStream) -> usize {
-        conn.set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
+    fn reclaim_notices(conn: &mut Peer) -> usize {
+        let timeout = |conn: &Peer, t| conn.stream().set_read_timeout(Some(t)).unwrap();
+        timeout(conn, Duration::from_millis(50));
         let mut notices = 0;
-        while let Ok(frame) = Frame::read_from(conn) {
+        while let Ok(frame) = conn.recv() {
             notices += usize::from(frame == Frame::Reclaimed);
         }
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        timeout(conn, Duration::from_secs(5));
         notices
     }
 
@@ -613,7 +624,7 @@ mod tests {
         };
         let ids: Vec<LambdaId> = (10..18).map(LambdaId).collect();
         let mut handles = NetNode::spawn_many(&ids, addr, rt_cfg, Duration::from_secs(5)).unwrap();
-        let mut conns: HashMap<LambdaId, TcpStream> =
+        let mut conns: HashMap<LambdaId, Peer> =
             ids.iter().map(|_| accept_node(&listener)).collect();
         assert_eq!(conns.len(), 8, "one connection per id");
         for conn in conns.values_mut() {
@@ -632,7 +643,7 @@ mod tests {
         handles[5].kill();
         let mut dead = conns.remove(&LambdaId(15)).unwrap();
         loop {
-            match Frame::read_from(&mut dead) {
+            match dead.recv() {
                 Ok(_) => {} // sent before the kill
                 Err(FrameError::Closed) => break,
                 Err(e) => panic!("expected λ15's connection to close, got {e}"),

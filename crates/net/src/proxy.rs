@@ -865,6 +865,10 @@ mod tests {
     use super::*;
     use crate::client::NetClient;
     use crate::node::NetNode;
+    use crate::wire::FrameStream;
+
+    /// A peer the test plays by hand.
+    type Peer = FrameStream<TcpStream>;
 
     /// Cranks the loop by hand — poll, read pass, flush pass — until a
     /// read pass leaves `cond` true, and returns *before* that
@@ -891,7 +895,7 @@ mod tests {
     /// Closing a socket that holds unread bytes sends a RST, so the
     /// proxy's *next write* to it fails — the one teardown no read pass
     /// announces first.
-    fn die_with_unread_bytes(peer: TcpStream) {
+    fn die_with_unread_bytes(peer: Peer) {
         drop(peer);
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -939,13 +943,13 @@ mod tests {
         });
 
         // --- A client dies mid-PUT -----------------------------------
-        let mut x = TcpStream::connect(client_addr).unwrap();
-        Frame::HelloClient.write_to(&mut x).unwrap();
+        let mut x = FrameStream::new(TcpStream::connect(client_addr).unwrap());
+        x.send(&Frame::HelloClient).unwrap();
         read_until(&mut lp, &mut events, "X's Welcome", |lp| {
             lp.clients.len() == 2
         });
         lp.flush_dirty();
-        let Frame::Welcome { client: x_id, .. } = Frame::read_from(&mut x).unwrap() else {
+        let Frame::Welcome { client: x_id, .. } = x.recv().unwrap() else {
             panic!("expected Welcome");
         };
         let x_token = lp.clients[&x_id];
@@ -956,7 +960,7 @@ mod tests {
             key: ObjectKey::new("for-x"),
             data_chunks: dep.ec.data as u32,
         };
-        Frame::App { msg: get }.write_to(&mut x).unwrap();
+        x.send(&Frame::App { msg: get }).unwrap();
         for seq in 0..2 {
             let msg = Msg::PutChunk {
                 id: ChunkId::new(ObjectKey::new("doomed"), seq),
@@ -967,7 +971,7 @@ mod tests {
                 repair: false,
                 put_epoch: 1,
             };
-            Frame::App { msg }.write_to(&mut x).unwrap();
+            x.send(&Frame::App { msg }).unwrap();
         }
         // Wait for the GET's last data chunk: from then on nothing holds
         // X's answer back.
@@ -982,7 +986,7 @@ mod tests {
             key: ObjectKey::new("absent"),
             data_chunks: dep.ec.data as u32,
         };
-        Frame::App { msg: miss }.write_to(&mut x).unwrap();
+        x.send(&Frame::App { msg: miss }).unwrap();
         read_until(&mut lp, &mut events, "X's miss", |lp| {
             !lp.conns[&x_token].queue.is_empty()
         });
@@ -1003,20 +1007,17 @@ mod tests {
             .chunk_owner(&ChunkId::new(ObjectKey::new("kept"), 0))
             .expect("stored");
         let daemon_token = lp.nodes[&victim];
-        let mut fake = TcpStream::connect(node_addr).unwrap();
-        Frame::HelloNode { lambda: victim }
-            .write_to(&mut fake)
-            .unwrap();
+        let mut fake = FrameStream::new(TcpStream::connect(node_addr).unwrap());
+        fake.send(&Frame::HelloNode { lambda: victim }).unwrap();
         let instance = InstanceId(77);
         let pong = Msg::Pong {
             instance,
             stored_bytes: 0,
         };
-        Frame::FromInstance {
+        fake.send(&Frame::FromInstance {
             instance,
             msg: pong,
-        }
-        .write_to(&mut fake)
+        })
         .unwrap();
         read_until(&mut lp, &mut events, "the replacement's PONG", |lp| {
             lp.proxy.member(victim).and_then(|m| m.instance()) == Some(instance)
@@ -1048,13 +1049,13 @@ mod tests {
         // for the whole stripe if the homes the stall left idle have
         // returned: either way one more query for the victim, still
         // queued when the victim dies.
-        let mut y = TcpStream::connect(client_addr).unwrap();
-        Frame::HelloClient.write_to(&mut y).unwrap();
+        let mut y = FrameStream::new(TcpStream::connect(client_addr).unwrap());
+        y.send(&Frame::HelloClient).unwrap();
         let get = Msg::GetObject {
             key: ObjectKey::new("kept"),
             data_chunks: dep.ec.data as u32,
         };
-        Frame::App { msg: get }.write_to(&mut y).unwrap();
+        y.send(&Frame::App { msg: get }).unwrap();
         read_until(&mut lp, &mut events, "Y's query", fake_has_frames);
         die_with_unread_bytes(fake);
         let closed = Instant::now();
@@ -1108,25 +1109,27 @@ mod tests {
         lp.flush_dirty();
     }
 
-    /// `true` while `peer` has nothing to read.
-    fn nothing_to_read(peer: &TcpStream) -> bool {
-        peer.set_nonblocking(true).unwrap();
+    /// `true` while `peer` has nothing to read: no bytes in its reader,
+    /// none in its socket.
+    fn nothing_to_read(peer: &Peer) -> bool {
+        let socket = peer.stream();
+        socket.set_nonblocking(true).unwrap();
         let empty = matches!(
-            peer.peek(&mut [0u8]),
+            socket.peek(&mut [0u8]),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
         );
-        peer.set_nonblocking(false).unwrap();
-        empty
+        socket.set_nonblocking(false).unwrap();
+        empty && !peer.buffered()
     }
 
     /// Cranks the loop until `peer` has a frame, and reads it.
-    fn next_frame(lp: &mut EventLoop, events: &mut Events, peer: &mut TcpStream) -> Frame {
+    fn next_frame(lp: &mut EventLoop, events: &mut Events, peer: &mut Peer) -> Frame {
         let deadline = Instant::now() + Duration::from_secs(10);
         while nothing_to_read(peer) {
             assert!(Instant::now() < deadline, "no frame came");
             crank(lp, events);
         }
-        Frame::read_from(peer).unwrap()
+        peer.recv().unwrap()
     }
 
     /// The object every [`Scripted`] proxy stores.
@@ -1142,9 +1145,9 @@ mod tests {
     struct Scripted {
         lp: EventLoop,
         events: Events,
-        client: TcpStream,
+        client: Peer,
         client_id: ClientId,
-        nodes: Vec<TcpStream>,
+        nodes: Vec<Peer>,
         chunk: usize,
     }
 
@@ -1158,13 +1161,14 @@ mod tests {
             let mut lp = EventLoop::bind(&NetProxyConfig::loopback(dep)).unwrap();
             let mut events = Events::with_capacity(64);
             let connect = |addr: SocketAddr, hello: Frame| {
-                let mut peer = TcpStream::connect(addr).unwrap();
+                let peer = TcpStream::connect(addr).unwrap();
                 peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-                hello.write_to(&mut peer).unwrap();
+                let mut peer = FrameStream::new(peer);
+                peer.send(&hello).unwrap();
                 peer
             };
             let node_addr = lp.node_listener.local_addr().unwrap();
-            let mut nodes: Vec<TcpStream> = (0..n as u32)
+            let mut nodes: Vec<Peer> = (0..n as u32)
                 .map(|l| {
                     connect(
                         node_addr,
@@ -1192,7 +1196,7 @@ mod tests {
                     repair: false,
                     put_epoch: 1,
                 };
-                Frame::App { msg }.write_to(&mut client).unwrap();
+                client.send(&Frame::App { msg }).unwrap();
             }
             for (l, node) in nodes.iter_mut().enumerate() {
                 let invoke = next_frame(&mut lp, &mut events, node);
@@ -1202,9 +1206,7 @@ mod tests {
                     instance,
                     stored_bytes: 0,
                 };
-                Frame::FromInstance { instance, msg }
-                    .write_to(node)
-                    .unwrap();
+                node.send(&Frame::FromInstance { instance, msg }).unwrap();
             }
             for node in &mut nodes {
                 let Frame::ToInstance {
@@ -1219,9 +1221,7 @@ mod tests {
                     stored_bytes: chunk as u64,
                     epoch,
                 };
-                Frame::FromInstance { instance, msg }
-                    .write_to(node)
-                    .unwrap();
+                node.send(&Frame::FromInstance { instance, msg }).unwrap();
             }
             let done = next_frame(&mut lp, &mut events, &mut client);
             assert!(
@@ -1262,7 +1262,7 @@ mod tests {
                 key: ObjectKey::new("o"),
                 data_chunks: d,
             };
-            Frame::App { msg }.write_to(&mut self.client).unwrap();
+            self.client.send(&Frame::App { msg }).unwrap();
             for l in 0..d {
                 let query = next_frame(&mut self.lp, &mut self.events, &mut self.nodes[l as usize]);
                 assert!(
@@ -1280,7 +1280,7 @@ mod tests {
         fn answer(&mut self, l: u32, msg: Msg) {
             let instance = InstanceId(100 + l as u64);
             let frame = Frame::FromInstance { instance, msg };
-            frame.write_to(&mut self.nodes[l as usize]).unwrap();
+            self.nodes[l as usize].send(&frame).unwrap();
             self.crank_until("the answer", |lp| lp.proxy.inflight_for(&o(l)) == 0);
         }
 
@@ -1356,15 +1356,13 @@ mod tests {
                 "miss" => {
                     let instance = InstanceId(101);
                     let msg = Msg::ChunkMiss { id: o(1) };
-                    Frame::FromInstance { instance, msg }
-                        .write_to(node)
-                        .unwrap();
+                    node.send(&Frame::FromInstance { instance, msg }).unwrap();
                 }
                 "bounce" => {
                     let msg = Msg::ChunkGet { id: o(1) };
-                    Frame::Unreachable { msg }.write_to(node).unwrap();
+                    node.send(&Frame::Unreachable { msg }).unwrap();
                 }
-                _ => node.shutdown(std::net::Shutdown::Both).unwrap(),
+                _ => node.stream().shutdown(std::net::Shutdown::Both).unwrap(),
             }
             let id = s.client_id;
             s.crank_until(case, |lp| !lp.proxy.holds_parity_for(id));
@@ -1424,9 +1422,10 @@ mod tests {
         // A second reader's query sits unread in λ1's socket, and its
         // re-issued GET queues another one behind the read pass.
         let client_addr = s.lp.client_listener.local_addr().unwrap();
-        let mut b = TcpStream::connect(client_addr).unwrap();
+        let b = TcpStream::connect(client_addr).unwrap();
         b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        Frame::HelloClient.write_to(&mut b).unwrap();
+        let mut b = FrameStream::new(b);
+        b.send(&Frame::HelloClient).unwrap();
         let welcome = next_frame(&mut s.lp, &mut s.events, &mut b);
         assert!(matches!(welcome, Frame::Welcome { .. }), "{welcome:?}");
         let get = Frame::App {
@@ -1435,11 +1434,11 @@ mod tests {
                 data_chunks: 4,
             },
         };
-        get.write_to(&mut b).unwrap();
+        b.send(&get).unwrap();
         while nothing_to_read(&s.nodes[1]) {
             crank(&mut s.lp, &mut s.events);
         }
-        get.write_to(&mut b).unwrap();
+        b.send(&get).unwrap();
         let node1 = s.lp.nodes[&LambdaId(1)];
         read_until(&mut s.lp, &mut s.events, "the re-issued query", |lp| {
             !lp.conns[&node1].queue.is_empty()
@@ -1465,9 +1464,7 @@ mod tests {
         assert!(nothing_to_read(&s.client), "held");
         let Scripted { lp, mut client, .. } = s;
         lp.stop(true);
-        let frames: Vec<Frame> = (0..3)
-            .map(|_| Frame::read_from(&mut client).unwrap())
-            .collect();
+        let frames: Vec<Frame> = (0..3).map(|_| client.recv().unwrap()).collect();
         assert!(
             matches!(
                 &frames[0],

@@ -6,7 +6,9 @@
 //! a frame to the node daemon emulating the platform), instance-addressed
 //! delivery, and the connection-reset back-channel. Frames are encoded
 //! with the shared [`ic_common::frame`] codec — same version byte, same
-//! length prefix, same max-frame guard.
+//! length prefix, same max-frame guard. The event loops read and write
+//! frames through its [`NbFrameReader`] and [`FrameWriteQueue`];
+//! [`FrameStream`] drives the same two over a blocking socket.
 //!
 //! Connection establishment:
 //!
@@ -23,11 +25,11 @@
 //!   [`Frame::Reclaimed`] reports a running instance lost to the
 //!   provider.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 use bytes::Bytes;
 use ic_common::frame::{
-    read_frame, write_frame_parts, Dec, Enc, FrameError, FrameParts, FrameReader, FrameResult,
+    Dec, Enc, FrameError, FrameParts, FrameResult, FrameWriteQueue, NbFrameReader, NbRead,
 };
 use ic_common::msg::{InvokePayload, Msg};
 use ic_common::{ClientId, InstanceId, LambdaId, ProxyId};
@@ -93,13 +95,6 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Encodes the frame body as one contiguous buffer (copies chunk
-    /// payloads; tests and diagnostics only — the wire path uses
-    /// [`Frame::encode_parts`]).
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_parts().to_vec()
-    }
-
     /// Encodes the frame body as scatter/gather parts: chunk payloads
     /// inside `msg` fields are *borrowed* [`bytes::Bytes`] segments, so
     /// relaying an already-decoded payload re-wraps the same allocation
@@ -153,28 +148,16 @@ impl Frame {
         e.into_parts()
     }
 
-    /// Decodes one frame body (payloads are copied out of `body`).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Malformed`] on unknown tags, parse failures, or
-    /// trailing bytes.
-    pub fn decode(body: &[u8]) -> FrameResult<Frame> {
-        Frame::decode_with(Dec::new(body))
-    }
-
     /// Decodes one shared frame body: chunk payloads inside `msg` fields
     /// are zero-copy slices of `frame`'s allocation.
     ///
     /// # Errors
     ///
-    /// See [`Frame::decode`].
+    /// [`FrameError::Malformed`] on unknown tags, parse failures, or
+    /// trailing bytes.
     pub fn decode_shared(frame: &Bytes) -> FrameResult<Frame> {
-        Frame::decode_with(Dec::new_shared(frame))
-    }
-
-    fn decode_with(mut d: Dec<'_>) -> FrameResult<Frame> {
-        let frame = match d.u8()? {
+        let mut d = Dec::new_shared(frame);
+        let decoded = match d.u8()? {
             0 => Frame::HelloClient,
             1 => {
                 let client = ClientId(d.u16()?);
@@ -214,41 +197,112 @@ impl Frame {
             _ => return Err(FrameError::Malformed("unknown frame tag")),
         };
         d.finish()?;
-        Ok(frame)
+        Ok(decoded)
+    }
+}
+
+/// Blocking frame I/O over one blocking stream: the client handshake,
+/// and tests that play a peer by hand. It runs on the event loops' own
+/// framing — each frame leaves through a [`FrameWriteQueue`], and
+/// frames arrive through one [`NbFrameReader`] per connection, so bytes
+/// read past a frame wait for the next [`FrameStream::recv`] (or, after
+/// [`FrameStream::into_parts`], for the event loop that takes the
+/// connection over).
+pub struct FrameStream<S> {
+    stream: S,
+    reader: NbFrameReader,
+}
+
+impl<S: Read + Write> FrameStream<S> {
+    /// Wraps a stream positioned at a frame boundary.
+    pub fn new(stream: S) -> FrameStream<S> {
+        FrameStream {
+            stream,
+            reader: NbFrameReader::new(),
+        }
     }
 
-    /// Writes the frame (version byte + length prefix + body) to `w` in
-    /// one vectored write; chunk payloads go out uncopied.
+    /// The wrapped stream (socket options, shutdown).
+    pub fn stream(&self) -> &S {
+        &self.stream
+    }
+
+    /// `true` while bytes read off the stream wait in the reader: the
+    /// next [`FrameStream::recv`] may not need the stream at all.
+    pub fn buffered(&self) -> bool {
+        self.reader.mid_frame()
+    }
+
+    /// The stream and its reader, with whatever the reader holds.
+    pub fn into_parts(self) -> (S, NbFrameReader) {
+        (self.stream, self.reader)
+    }
+
+    /// Writes one frame; returns once every byte is written.
     ///
     /// # Errors
     ///
-    /// See [`ic_common::frame::write_frame_parts`].
-    pub fn write_to<W: Write>(&self, w: &mut W) -> FrameResult<()> {
-        write_frame_parts(w, &self.encode_parts())
+    /// [`FrameError::TooLarge`] for an oversized body, [`FrameError::Io`]
+    /// on a write failure — `TimedOut` when a write timeout expires.
+    pub fn send(&mut self, frame: &Frame) -> FrameResult<()> {
+        let mut queue = FrameWriteQueue::new();
+        queue.push(frame.encode_parts())?;
+        if queue.write_to(&mut self.stream)?.drained {
+            Ok(())
+        } else {
+            Err(FrameError::Io(ErrorKind::TimedOut.into()))
+        }
     }
 
-    /// Reads one frame from `r`; chunk payloads alias the frame buffer.
+    /// Reads the next frame, blocking until it is complete.
     ///
     /// # Errors
     ///
-    /// See [`ic_common::frame::read_frame`] and [`Frame::decode`].
-    pub fn read_from<R: Read>(r: &mut R) -> FrameResult<Frame> {
-        Frame::decode_shared(&read_frame(r)?)
+    /// [`FrameError::Closed`] when the peer closed the stream at a frame
+    /// boundary, [`FrameError::Io`] with `TimedOut` when the stream's read
+    /// timeout expires (the frame in progress is kept; calling again
+    /// resumes it), and otherwise as [`NbFrameReader::read`] and
+    /// [`Frame::decode_shared`].
+    pub fn recv(&mut self) -> FrameResult<Frame> {
+        loop {
+            let mut src = WouldBlockProbe {
+                inner: &mut self.stream,
+                would_block: false,
+            };
+            match self.reader.read(&mut src)? {
+                NbRead::Frame(body) => return Frame::decode_shared(&body),
+                NbRead::Closed => return Err(FrameError::Closed),
+                // After a short read the reader answers `WouldBlock`
+                // without reading; only the stream's own is a timeout.
+                NbRead::WouldBlock if src.would_block => {
+                    return Err(FrameError::Io(ErrorKind::TimedOut.into()))
+                }
+                NbRead::WouldBlock => {}
+            }
+        }
     }
+}
 
-    /// Reads one frame through a per-connection [`FrameReader`] (reused
-    /// header buffer; the hot-loop form of [`Frame::read_from`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Frame::read_from`].
-    pub fn read(reader: &mut FrameReader<impl Read>) -> FrameResult<Frame> {
-        Frame::decode_shared(&reader.read_frame()?)
+/// A reader that notes whether its last `read` reported `WouldBlock`.
+struct WouldBlockProbe<'a, R> {
+    inner: &'a mut R,
+    would_block: bool,
+}
+
+impl<R: Read> Read for WouldBlockProbe<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let got = self.inner.read(buf);
+        self.would_block = matches!(&got, Err(e) if e.kind() == ErrorKind::WouldBlock);
+        got
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
     use super::*;
     use ic_common::msg::BackupInvoke;
     use ic_common::{ObjectKey, Payload, RelayId};
@@ -303,15 +357,15 @@ mod tests {
             Frame::Shutdown,
             Frame::Reclaimed,
         ];
-        let mut wire = Vec::new();
+        // A `VecDeque` reads back what was written to it, then ends.
+        let mut echo = FrameStream::new(VecDeque::new());
         for f in &frames {
-            f.write_to(&mut wire).unwrap();
+            echo.send(f).unwrap();
         }
-        let mut r = &wire[..];
         for f in &frames {
-            assert_eq!(&Frame::read_from(&mut r).unwrap(), f);
+            assert_eq!(&echo.recv().unwrap(), f);
         }
-        assert!(matches!(Frame::read_from(&mut r), Err(FrameError::Closed)));
+        assert!(matches!(echo.recv(), Err(FrameError::Closed)));
     }
 
     #[test]
@@ -322,16 +376,45 @@ mod tests {
                 payload: Payload::bytes(vec![0xABu8; 1 << 16]),
             },
         };
-        let mut wire = Vec::new();
-        f.write_to(&mut wire).unwrap();
-        assert_eq!(Frame::read_from(&mut &wire[..]).unwrap(), f);
+        let mut echo = FrameStream::new(VecDeque::new());
+        echo.send(&f).unwrap();
+        assert_eq!(echo.recv().unwrap(), f);
     }
 
     #[test]
     fn unknown_frame_tag_is_malformed() {
         assert!(matches!(
-            Frame::decode(&[99]),
+            Frame::decode_shared(&Bytes::from_static(&[99])),
             Err(FrameError::Malformed(_))
         ));
+    }
+
+    /// A read timeout on a silent peer is an error, reported once the
+    /// timeout has run out — not at once (the reader's `WouldBlock` after
+    /// a short read is not the socket's), and not never (no spinning).
+    #[test]
+    fn a_read_timeout_is_an_error_not_a_spin() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer =
+            FrameStream::new(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let (conn, _) = listener.accept().unwrap();
+        let timeout = Duration::from_millis(50);
+        conn.set_read_timeout(Some(timeout)).unwrap();
+        let mut conn = FrameStream::new(conn);
+        // One frame first: its short read leaves the reader expecting
+        // `WouldBlock`, which must not pass for the timeout.
+        peer.send(&Frame::Shutdown).unwrap();
+        assert_eq!(conn.recv().unwrap(), Frame::Shutdown);
+        let start = Instant::now();
+        match conn.recv() {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), ErrorKind::TimedOut),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+        let waited = start.elapsed();
+        assert!(waited >= timeout * 9 / 10, "gave up after {waited:?}");
+        assert!(waited < timeout * 2, "took {waited:?}");
+        // The connection survives the timeout.
+        peer.send(&Frame::Reclaimed).unwrap();
+        assert_eq!(conn.recv().unwrap(), Frame::Reclaimed);
     }
 }

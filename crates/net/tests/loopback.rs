@@ -10,7 +10,7 @@ use ic_common::msg::Msg;
 use ic_common::{ChunkId, DeploymentConfig, EcConfig, Error, LambdaId, ObjectKey, Payload};
 use ic_net::bench::{self, BenchConfig};
 use ic_net::proxy::{self, NetProxyConfig};
-use ic_net::{Frame, LoopbackCluster};
+use ic_net::{Frame, FrameStream, LoopbackCluster};
 
 fn cluster(nodes: u32, d: usize, p: usize) -> LoopbackCluster {
     let cfg = DeploymentConfig {
@@ -423,13 +423,14 @@ fn net_two_proxies_reclaim_repairs_within_the_owning_pool() {
 
 /// A hand-driven client connection, handshake done, reads bounded so a
 /// failing test cannot hang.
-fn raw_client(addr: std::net::SocketAddr) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+fn raw_client(addr: std::net::SocketAddr) -> FrameStream<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    Frame::HelloClient.write_to(&mut stream).expect("hello");
-    match Frame::read_from(&mut stream).expect("welcome") {
+    let mut stream = FrameStream::new(stream);
+    stream.send(&Frame::HelloClient).expect("hello");
+    match stream.recv().expect("welcome") {
         Frame::Welcome { .. } => stream,
         other => panic!("expected Welcome, got {other:?}"),
     }
@@ -466,12 +467,10 @@ fn net_rude_peers_leave_a_bystanders_reads_byte_identical() {
             key: ObjectKey::new("kept"),
             data_chunks: 4,
         };
-        Frame::App { msg: get }.write_to(&mut rude).unwrap();
+        rude.send(&Frame::App { msg: get }).unwrap();
         for seq in 0..2 {
             let key = format!("doomed-{round}");
-            put_chunk(&key, seq, LambdaId(seq))
-                .write_to(&mut rude)
-                .unwrap();
+            rude.send(&put_chunk(&key, seq, LambdaId(seq))).unwrap();
         }
         drop(rude);
         assert_eq!(client.get("kept").unwrap().unwrap(), data, "round {round}");
@@ -497,19 +496,19 @@ fn net_rude_peers_leave_a_bystanders_reads_byte_identical() {
 /// Starts a one-node proxy and returns a client and a node connection
 /// that are both demonstrably past their handshakes: the chunk the client
 /// sends makes the proxy invoke λ0, and the node reads that invoke.
-fn handshaken_peers(handle: &proxy::NetProxyHandle) -> (TcpStream, TcpStream) {
-    let mut node = TcpStream::connect(handle.node_addr).expect("connect");
+fn handshaken_peers(
+    handle: &proxy::NetProxyHandle,
+) -> (FrameStream<TcpStream>, FrameStream<TcpStream>) {
+    let node = TcpStream::connect(handle.node_addr).expect("connect");
     node.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    Frame::HelloNode {
+    let mut node = FrameStream::new(node);
+    node.send(&Frame::HelloNode {
         lambda: LambdaId(0),
-    }
-    .write_to(&mut node)
+    })
     .unwrap();
     let mut client = raw_client(handle.client_addr);
-    put_chunk("k", 0, LambdaId(0))
-        .write_to(&mut client)
-        .unwrap();
-    match Frame::read_from(&mut node).expect("the invoke") {
+    client.send(&put_chunk("k", 0, LambdaId(0))).unwrap();
+    match node.recv().expect("the invoke") {
         Frame::Invoke { .. } => (client, node),
         other => panic!("expected Invoke, got {other:?}"),
     }
@@ -535,21 +534,19 @@ fn net_reclaimed_notice_puts_the_node_to_sleep() {
         instance,
         msg: pong,
     };
-    pong.write_to(&mut node).unwrap();
+    node.send(&pong).unwrap();
     // Awake: the chunk that caused the invoke arrives, instance-addressed.
-    match Frame::read_from(&mut node).expect("the queued chunk") {
+    match node.recv().expect("the queued chunk") {
         Frame::ToInstance { instance: to, .. } => assert_eq!(to, instance),
         other => panic!("expected ToInstance, got {other:?}"),
     }
-    Frame::Reclaimed.write_to(&mut node).unwrap();
+    node.send(&Frame::Reclaimed).unwrap();
     // The notice and the client's chunks travel different sockets: keep
     // sending until one finds the node asleep (bounded by the sockets'
     // read timeouts — a proxy deaf to the notice never invokes again).
     for seq in 1.. {
-        put_chunk("k", seq, LambdaId(0))
-            .write_to(&mut client)
-            .unwrap();
-        match Frame::read_from(&mut node).expect("a chunk or an invoke") {
+        client.send(&put_chunk("k", seq, LambdaId(0))).unwrap();
+        match node.recv().expect("a chunk or an invoke") {
             Frame::ToInstance { .. } => {} // sent before the notice landed
             Frame::Invoke { .. } => break,
             other => panic!("expected ToInstance or Invoke, got {other:?}"),
@@ -560,9 +557,9 @@ fn net_reclaimed_notice_puts_the_node_to_sleep() {
 
 /// Reads a peer's stream to its end; `true` if a `Shutdown` notice came
 /// before the socket dropped.
-fn saw_shutdown_notice(mut peer: TcpStream) -> bool {
+fn saw_shutdown_notice(mut peer: FrameStream<TcpStream>) -> bool {
     loop {
-        match Frame::read_from(&mut peer) {
+        match peer.recv() {
             Ok(Frame::Shutdown) => return true,
             Ok(_) => {}
             Err(_) => return false,

@@ -14,7 +14,7 @@ use ic_lambda::runtime::RuntimeConfig;
 use ic_net::bench;
 use ic_net::node::NetNode;
 use ic_net::proxy::{self, NetProxyConfig};
-use ic_net::{Frame, LoopbackCluster, NetClient};
+use ic_net::{Frame, FrameStream, LoopbackCluster, NetClient};
 
 /// The thread-count tests count `ic-proxy*` and `ic-node*` threads
 /// process-wide, so the tests of this binary (each runs a proxy) take
@@ -37,11 +37,12 @@ fn deployment(nodes: u32) -> DeploymentConfig {
 
 /// Performs a raw client handshake, returning the connected socket
 /// (blocking mode) — a "client" that can then behave arbitrarily badly.
-fn raw_client(addr: std::net::SocketAddr) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+fn raw_client(addr: std::net::SocketAddr) -> FrameStream<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).unwrap();
-    Frame::HelloClient.write_to(&mut stream).expect("hello");
-    match Frame::read_from(&mut stream).expect("welcome") {
+    let mut stream = FrameStream::new(stream);
+    stream.send(&Frame::HelloClient).expect("hello");
+    match stream.recv().expect("welcome") {
         Frame::Welcome { .. } => stream,
         other => panic!("expected Welcome, got {other:?}"),
     }
@@ -101,7 +102,7 @@ fn slow_reader_is_closed_without_harming_neighbours() {
                 data_chunks: dep.ec.data as u32,
             },
         };
-        if frame.write_to(&mut slow).is_err() {
+        if slow.send(&frame).is_err() {
             closed = true;
             break;
         }
@@ -149,7 +150,8 @@ fn idle_connection_horde_leaves_the_proxy_at_one_thread() {
     // Each idle connection costs two fds (one per side) plus headroom
     // for the cluster itself; cap the horde to what the fd limit holds.
     let conns = 1000.min(max_open_files().saturating_sub(200) / 2);
-    let horde: Vec<TcpStream> = (0..conns).map(|_| raw_client(handle.client_addr)).collect();
+    let horde: Vec<FrameStream<TcpStream>> =
+        (0..conns).map(|_| raw_client(handle.client_addr)).collect();
     assert!(horde.len() >= 100, "environment too small to mean anything");
 
     let after = bench::proxy_thread_count().expect("procfs thread count");

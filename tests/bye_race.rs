@@ -27,7 +27,7 @@ use ic_common::{
 };
 use ic_lambda::runtime::RuntimeConfig;
 use ic_net::replay::script_payload;
-use ic_net::{Frame, LoopbackCluster};
+use ic_net::{Frame, FrameStream, LoopbackCluster};
 use ic_simfaas::reclaim::NoReclaim;
 use infinicache::event::{Ev, Op};
 use infinicache::metrics::{OpKind, Outcome};
@@ -233,10 +233,11 @@ struct DaemonLog {
 /// then delivers them. `r_seq` reports which shard of object `r` it was
 /// last given to store.
 fn scripted_daemon(proxy: SocketAddr, armed: Arc<AtomicBool>, r_seq: Arc<AtomicU32>) -> DaemonLog {
-    let mut stream = TcpStream::connect(proxy).expect("proxy node port");
+    let stream = TcpStream::connect(proxy).expect("proxy node port");
     stream.set_nodelay(true).expect("nodelay");
-    Frame::HelloNode { lambda: VICTIM }
-        .write_to(&mut stream)
+    let mut stream = FrameStream::new(stream);
+    stream
+        .send(&Frame::HelloNode { lambda: VICTIM })
         .expect("hello");
     let rt_cfg = RuntimeConfig::for_deployment(&deployment());
     let mut host = NodeHost::new(VICTIM, rt_cfg, Outbox::default());
@@ -245,7 +246,7 @@ fn scripted_daemon(proxy: SocketAddr, armed: Arc<AtomicBool>, r_seq: Arc<AtomicU
     let epoch = std::time::Instant::now();
     let now = || SimTime::from_micros(epoch.elapsed().as_micros() as u64);
     loop {
-        let frame = match Frame::read_from(&mut stream) {
+        let frame = match stream.recv() {
             Ok(Frame::Shutdown) | Err(_) => return log,
             Ok(frame) => frame,
         };
@@ -293,11 +294,11 @@ fn scripted_daemon(proxy: SocketAddr, armed: Arc<AtomicBool>, r_seq: Arc<AtomicU
         }
         for (instance, msg) in std::mem::take(&mut host.io.0) {
             let frame = Frame::FromInstance { instance, msg };
-            frame.write_to(&mut stream).expect("proxy reads");
+            stream.send(&frame).expect("proxy reads");
         }
         for msg in bounces {
             let frame = Frame::Unreachable { msg };
-            frame.write_to(&mut stream).expect("proxy reads");
+            stream.send(&frame).expect("proxy reads");
         }
     }
 }
