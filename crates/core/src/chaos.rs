@@ -30,11 +30,9 @@
 //!
 //! The same seed always reproduces the same schedule, so a violation
 //! reported by CI is replayable locally with
-//! `run_chaos(&ChaosConfig::small(seed))`. A companion
-//! [`sample_schedule`] generates fault-free scripts that the workspace
-//! test layer replays through both `SimWorld` and the `ic-net` loopback
-//! cluster to check sim-vs-net parity on randomized (not just
-//! hand-written) traffic.
+//! `run_chaos(&ChaosConfig::small(seed))`. A [`Schedule`] (a trace
+//! prefix, say) can replace the sampled traffic; the faults stay
+//! seeded.
 
 use std::collections::HashMap;
 
@@ -45,26 +43,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::event::Op;
 use crate::params::SimParams;
+use crate::schedule::Schedule;
 use crate::world::SimWorld;
-
-/// One step of an externally-sourced chaos schedule — a trace prefix
-/// projected into chaos time. The trace engine (`ic-trace`) converts its
-/// records into this neutral shape, so trace replay and chaos stop being
-/// disjoint input languages: the same production request stream that the
-/// replay engine paces through the substrates can drive the fault
-/// injector and its invariant auditor.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceStep {
-    /// Milliseconds after the schedule's base time (non-decreasing).
-    pub at_ms: u64,
-    /// Object key.
-    pub key: String,
-    /// Object size in bytes (PUT size; also the refetch size of a GET
-    /// that misses cold).
-    pub size: u64,
-    /// `true` for a GET, `false` for a PUT.
-    pub get: bool,
-}
 
 /// Shape and intensity of one chaos schedule.
 #[derive(Clone, Debug)]
@@ -111,12 +91,14 @@ pub struct ChaosConfig {
     /// must span a few warm-up ticks so queued messages flush.
     pub drain: SimDuration,
     /// Externally-sourced schedule: when set, traffic (keys, sizes, op
-    /// kinds, arrival gaps) comes from these steps instead of the seeded
-    /// sampler — `steps`, `gap_ms`, `key_space`, `object_bytes` and
-    /// `get_fraction` are ignored. Fault injection (reclaim bursts,
-    /// policy churn) and the invariant audits stay seeded exactly as in
-    /// sampled mode.
-    pub trace: Option<Vec<TraceStep>>,
+    /// kinds, arrival times after a one-second base) comes from its
+    /// steps instead of the seeded sampler — `steps`, `gap_ms`,
+    /// `key_space`, `object_bytes` and `get_fraction` are ignored, and
+    /// clients take the steps in rotation. Fault injection (reclaim
+    /// bursts, policy churn) and the invariant audits stay seeded
+    /// exactly as in sampled mode; the schedule's own fault steps are
+    /// skipped.
+    pub trace: Option<Schedule>,
 }
 
 impl ChaosConfig {
@@ -150,7 +132,7 @@ impl ChaosConfig {
 
     /// [`ChaosConfig::small`] driven by a trace-sourced schedule instead
     /// of the seeded sampler (see [`ChaosConfig::trace`]).
-    pub fn from_trace(seed: u64, trace: Vec<TraceStep>) -> Self {
+    pub fn from_trace(seed: u64, trace: Schedule) -> Self {
         ChaosConfig {
             trace: Some(trace),
             ..ChaosConfig::small(seed)
@@ -242,28 +224,20 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let mut t = SimTime::from_secs(1);
 
     let base = t;
-    let steps = cfg.trace.as_ref().map_or(cfg.steps, Vec::len);
+    let trace: Option<Vec<_>> = cfg
+        .trace
+        .as_ref()
+        .map(|s| s.ops().map(|(step, op)| (step.at, op)).collect());
+    let steps = trace.as_ref().map_or(cfg.steps, Vec::len);
     for step in 0..steps {
-        if let Some(trace) = &cfg.trace {
+        if let Some(trace) = &trace {
             // Trace-sourced schedule: arrivals, keys, sizes and op kinds
             // come from the trace; clients rotate deterministically.
-            let ts = &trace[step];
-            t = (base + SimDuration::from_millis(ts.at_ms)).max(t);
+            let (at, op) = &trace[step];
+            t = (base + at.since(SimTime::ZERO)).max(t);
             let client = ClientId((step % cfg.clients as usize) as u16);
-            let key = ObjectKey::new(&ts.key);
-            if ts.get {
-                let size = sizes.get(&key).copied().unwrap_or(ts.size);
-                world.submit(t, client, Op::Get { key, size });
-            } else {
-                sizes.insert(key.clone(), ts.size);
-                world.submit(
-                    t,
-                    client,
-                    Op::Put {
-                        key,
-                        payload: Payload::synthetic(ts.size),
-                    },
-                );
+            if let Some(op) = op {
+                world.submit(t, client, op.clone());
             }
         } else {
             t += SimDuration::from_millis(rng.gen_range(cfg.gap_ms.0..=cfg.gap_ms.1));
@@ -405,108 +379,9 @@ pub fn audit_termination(world: &SimWorld) -> Vec<String> {
     violations
 }
 
-/// One step of a fault-free parity script (see [`sample_schedule`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScriptStep {
-    /// Store `size` bytes under `key` (an overwrite if the key exists).
-    Put {
-        /// Object key.
-        key: String,
-        /// Object size in bytes.
-        size: u64,
-    },
-    /// Read `key`; misses if it was never stored.
-    Get {
-        /// Object key.
-        key: String,
-    },
-}
-
-/// Samples a deterministic PUT/GET/overwrite script over a small key
-/// space. The workspace chaos suite replays the same script through the
-/// discrete-event world and the loopback socket cluster and asserts the
-/// application-visible outcomes (stored / hit / miss) agree — the
-/// sim-vs-net parity leg of the chaos harness.
-pub fn sample_schedule(seed: u64, steps: usize, key_space: usize) -> Vec<ScriptStep> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5c71_0700);
-    let mut known = Vec::new();
-    (0..steps)
-        .map(|_| {
-            let k = rng.gen_range(0..key_space);
-            let key = format!("pk{k}");
-            // Bias early steps toward PUTs so later GETs mostly hit, but
-            // keep never-written keys possible (miss coverage).
-            if !known.contains(&k) && rng.gen::<f64>() < 0.7 {
-                known.push(k);
-                ScriptStep::Put {
-                    key,
-                    size: rng.gen_range(10_000..120_000),
-                }
-            } else if rng.gen::<f64>() < 0.35 {
-                ScriptStep::Put {
-                    key,
-                    size: rng.gen_range(10_000..120_000),
-                }
-            } else {
-                ScriptStep::Get { key }
-            }
-        })
-        .collect()
-}
-
-/// A seeded multi-proxy fault plan: a fault-free PUT/GET/overwrite
-/// script plus one proxy kill injected mid-run. The net substrate's
-/// parity leg (`ic_net::replay::replay_net_proxy_kill`) executes it
-/// against a real multi-proxy socket cluster, kills the victim's
-/// process ensemble at the planned step, and checks that keys owned by
-/// the surviving proxies still match the simulator's outcomes
-/// byte-for-byte while the victim's keys fail fast.
-#[derive(Clone, Debug)]
-pub struct ProxyKillPlan {
-    /// The traffic schedule (see [`sample_schedule`]).
-    pub script: Vec<ScriptStep>,
-    /// Steps executed before the kill: the victim dies just before step
-    /// `kill_after` (always past the first quarter of the schedule, so
-    /// both rings hold data by then).
-    pub kill_after: usize,
-    /// Which proxy of the deployment is killed.
-    pub victim: u16,
-}
-
-/// Samples a deterministic [`ProxyKillPlan`] over `proxies` proxies.
-/// Same seed, same plan — a CI failure replays locally.
-pub fn sample_proxy_kill_plan(
-    seed: u64,
-    steps: usize,
-    key_space: usize,
-    proxies: u16,
-) -> ProxyKillPlan {
-    assert!(proxies > 0, "a deployment needs at least one proxy");
-    let script = sample_schedule(seed, steps, key_space);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9bad_c0de);
-    let lo = (steps / 4).max(1);
-    let hi = (steps * 3 / 4).max(lo + 1);
-    ProxyKillPlan {
-        script,
-        kill_after: rng.gen_range(lo..hi),
-        victim: rng.gen_range(0..proxies),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn proxy_kill_plan_is_deterministic_and_mid_run() {
-        let a = sample_proxy_kill_plan(9, 40, 8, 2);
-        let b = sample_proxy_kill_plan(9, 40, 8, 2);
-        assert_eq!(a.script, b.script);
-        assert_eq!(a.kill_after, b.kill_after);
-        assert_eq!(a.victim, b.victim);
-        assert!((10..30).contains(&a.kill_after));
-        assert!(a.victim < 2);
-    }
 
     #[test]
     fn chaos_is_deterministic_per_seed() {
@@ -516,14 +391,5 @@ mod tests {
         assert_eq!(a.overwrites, b.overwrites);
         assert_eq!(a.injected_reclaims, b.injected_reclaims);
         assert_eq!(a.violations, b.violations);
-    }
-
-    #[test]
-    fn sample_schedule_is_deterministic_and_mixed() {
-        let s1 = sample_schedule(3, 40, 6);
-        let s2 = sample_schedule(3, 40, 6);
-        assert_eq!(s1, s2);
-        assert!(s1.iter().any(|s| matches!(s, ScriptStep::Put { .. })));
-        assert!(s1.iter().any(|s| matches!(s, ScriptStep::Get { .. })));
     }
 }

@@ -22,8 +22,8 @@
 //! bytes through the real Reed–Solomon codec, registered against the
 //! identical [`dispatch`] engines (it cannot live here — `ic-net`
 //! depends on this crate for the dispatch layer). The substrate-parity
-//! tests in the workspace root replay one script through both and
-//! demand identical outcomes; `examples/quickstart.rs` runs the socket
+//! tests in the workspace root replay one [`schedule::Schedule`] through
+//! both and demand identical outcomes; `examples/quickstart.rs` runs the socket
 //! cluster in-process.
 
 #![warn(missing_docs)]
@@ -35,6 +35,7 @@ pub mod experiments;
 pub mod metrics;
 pub mod nodehost;
 pub mod params;
+pub mod schedule;
 pub mod scheduler;
 pub mod world;
 

@@ -1,51 +1,14 @@
 //! What the checker explores: deployment shape, workload, fault budget,
 //! and search bounds.
 
-use ic_common::{ClientId, DeploymentConfig, EcConfig, ObjectKey, Payload, SimDuration, SimTime};
+use ic_common::{ClientId, DeploymentConfig, EcConfig, SimDuration, SimTime};
 use ic_simfaas::reclaim::NoReclaim;
-use infinicache::chaos::ScriptStep;
+use infinicache::schedule::Schedule;
 use infinicache::{Op, SimParams, SimWorld};
 
 /// When [`McConfig::settle_prefix`] > 0, the sim horizon the settled
 /// operations run to before the explored operations are submitted.
 const SETTLE_HORIZON: SimTime = SimTime::from_secs(10);
-
-/// One workload operation, pinned to the client that issues it.
-///
-/// All operations are submitted to the world up front; the *scheduler*
-/// decides when each submission actually executes, subject only to
-/// per-client program order (a client's second call cannot start before
-/// its first).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct McOp {
-    /// The issuing client.
-    pub client: u16,
-    /// The operation (reuses the parity-script vocabulary).
-    pub step: ScriptStep,
-}
-
-impl McOp {
-    /// `client` PUTs `size` bytes under `key`.
-    pub fn put(client: u16, key: &str, size: u64) -> Self {
-        McOp {
-            client,
-            step: ScriptStep::Put {
-                key: key.to_string(),
-                size,
-            },
-        }
-    }
-
-    /// `client` GETs `key`.
-    pub fn get(client: u16, key: &str) -> Self {
-        McOp {
-            client,
-            step: ScriptStep::Get {
-                key: key.to_string(),
-            },
-        }
-    }
-}
 
 /// Which revert-detection hooks to arm in the explored worlds (each
 /// resurrects one historical protocol bug; see the `set_debug_*` hooks
@@ -92,7 +55,12 @@ pub struct McConfig {
     /// small).
     pub ec: EcConfig,
     /// The workload, submitted up front; delivery order is explored.
-    pub ops: Vec<McOp>,
+    /// All operations are submitted at once (their `at` is ignored): the
+    /// *scheduler* decides when each executes, subject only to
+    /// per-client program order (a client's second call cannot start
+    /// before its first). Fault steps are ignored: the scheduler injects
+    /// its own.
+    pub ops: Schedule,
     /// How many leading `ops` are *settled* — run to completion under
     /// the production time-ordered scheduler — before exploration
     /// starts. The explored state space then covers only the remaining
@@ -153,7 +121,7 @@ impl McConfig {
             clients: 1,
             lambdas_per_proxy: 3,
             ec: EcConfig::new(2, 1).expect("valid code"),
-            ops: vec![McOp::put(0, "k0", 6_000), McOp::get(0, "k0")],
+            ops: "0 put k0 6000\n0 get k0".parse().expect("valid schedule"),
             settle_prefix: 1,
             settle_warm: false,
             depth: 40,
@@ -176,7 +144,7 @@ impl McConfig {
         McConfig {
             clients: 2,
             lambdas_per_proxy: 4,
-            ops: vec![McOp::put(0, "k0", 6_000), McOp::get(1, "k0")],
+            ops: "0 put k0 6000\n1 get k0".parse().expect("valid schedule"),
             max_reclaims: 1,
             ..McConfig::tiny(seed)
         }
@@ -193,11 +161,9 @@ impl McConfig {
         McConfig {
             clients: 2,
             lambdas_per_proxy: 4,
-            ops: vec![
-                McOp::put(0, "k0", 6_000),
-                McOp::put(0, "k0", 6_000),
-                McOp::get(1, "k0"),
-            ],
+            ops: "0 put k0 6000\n0 put k0 6000\n1 get k0"
+                .parse()
+                .expect("valid schedule"),
             depth: 48,
             ..McConfig::tiny(seed)
         }
@@ -210,7 +176,7 @@ impl McConfig {
     /// skip; this is the smallest space that contains a whole one.
     pub fn put(seed: u64) -> Self {
         McConfig {
-            ops: vec![McOp::put(0, "k0", 6_000)],
+            ops: "0 put k0 6000".parse().expect("valid schedule"),
             settle_prefix: 0,
             ..McConfig::tiny(seed)
         }
@@ -235,20 +201,6 @@ impl McConfig {
             max_timer_fires: 1,
             ..McConfig::tiny(seed)
         }
-    }
-
-    /// The object size a GET of `key` should expect: the size of the
-    /// last PUT of that key in program order (0 when never written —
-    /// the GET will miss).
-    pub fn expected_size(&self, key: &str) -> u64 {
-        self.ops
-            .iter()
-            .rev()
-            .find_map(|op| match &op.step {
-                ScriptStep::Put { key: k, size } if k == key => Some(*size),
-                _ => None,
-            })
-            .unwrap_or(0)
     }
 
     /// Builds the world this config describes, settles the first
@@ -287,32 +239,19 @@ impl McConfig {
         if self.hooks.any() {
             world.set_debug_bug_hooks(self.hooks.drop_early_answers, self.hooks.drop_stale_requery);
         }
-        let settle = self.settle_prefix.min(self.ops.len());
-        let submit = |world: &mut SimWorld, base: SimTime, ops: &[McOp]| {
-            for (i, op) in ops.iter().enumerate() {
+        let ops: Vec<(ClientId, Op)> = self
+            .ops
+            .ops()
+            .filter_map(|(step, op)| Some((ClientId(step.client), op?)))
+            .collect();
+        let settle = self.settle_prefix.min(ops.len());
+        let submit = |world: &mut SimWorld, base: SimTime, ops: &[(ClientId, Op)]| {
+            for (i, (client, op)) in ops.iter().enumerate() {
                 let at = base + SimDuration::from_millis(1 + i as u64);
-                let client = ClientId(op.client);
-                match &op.step {
-                    ScriptStep::Put { key, size } => world.submit(
-                        at,
-                        client,
-                        Op::Put {
-                            key: ObjectKey::new(key),
-                            payload: Payload::synthetic(*size),
-                        },
-                    ),
-                    ScriptStep::Get { key } => world.submit(
-                        at,
-                        client,
-                        Op::Get {
-                            key: ObjectKey::new(key),
-                            size: self.expected_size(key),
-                        },
-                    ),
-                }
+                world.submit(at, *client, op.clone());
             }
         };
-        submit(&mut world, SimTime::ZERO, &self.ops[..settle]);
+        submit(&mut world, SimTime::ZERO, &ops[..settle]);
         let mut settled_at = SETTLE_HORIZON;
         if settle > 0 && self.settle_warm {
             settled_at = SimTime::ZERO;
@@ -332,7 +271,7 @@ impl McConfig {
             // fingerprint.
             world.run_until(SETTLE_HORIZON);
         }
-        submit(&mut world, settled_at, &self.ops[settle..]);
+        submit(&mut world, settled_at, &ops[settle..]);
         world
     }
 }

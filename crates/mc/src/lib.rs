@@ -42,6 +42,6 @@ pub mod config;
 pub mod explore;
 pub mod trace;
 
-pub use config::{BugHooks, McConfig, McOp, SearchMode};
+pub use config::{BugHooks, McConfig, SearchMode};
 pub use explore::{enabled_choices, explore, replay_violates, run_time_ordered, Report, Spent};
 pub use trace::{load_trace, minimize, parse_trace, Trace, Violation, ViolationKind};

@@ -2,10 +2,11 @@
 //! `mc replay` and `dbg_replay --trace` consume.
 //!
 //! A trace file is self-contained: it embeds the deployment shape, the
-//! workload (as `op` lines in the parity-script vocabulary, so the
-//! cross-substrate harness can replay the *schedule* through the sim and
-//! real sockets), the choice sequence that reaches the
-//! violation, and the violation messages for the record. Lines:
+//! workload (as `op` lines: each is `op ` followed by one line of the
+//! `Schedule` text form, so the cross-substrate harness can replay the
+//! *schedule* through the sim and real sockets), the choice sequence
+//! that reaches the violation, and the violation messages for the
+//! record. Lines:
 //!
 //! ```text
 //! # free-form comments
@@ -24,7 +25,7 @@ use std::path::Path;
 use ic_common::{ClientId, EcConfig, InstanceId};
 use infinicache::scheduler::Choice;
 
-use crate::config::{BugHooks, McConfig, McOp};
+use crate::config::{BugHooks, McConfig};
 use crate::explore::replay_violates;
 
 /// Which auditor a counterexample falsifies.
@@ -141,15 +142,8 @@ impl Violation {
             cfg.settle_prefix,
             u8::from(cfg.settle_warm),
         );
-        for op in &cfg.ops {
-            match &op.step {
-                infinicache::chaos::ScriptStep::Put { key, size } => {
-                    let _ = writeln!(s, "op {} put {key} {size}", op.client);
-                }
-                infinicache::chaos::ScriptStep::Get { key } => {
-                    let _ = writeln!(s, "op {} get {key}", op.client);
-                }
-            }
+        for line in cfg.ops.to_string().lines() {
+            let _ = writeln!(s, "op {line}");
         }
         for c in &self.trace.choices {
             let _ = writeln!(s, "choice {c}");
@@ -176,7 +170,7 @@ impl Violation {
 /// needs the deployment, workload, seed, and hooks.
 pub fn parse_trace(text: &str) -> Result<(McConfig, Vec<Choice>, Vec<String>), String> {
     let mut cfg: Option<McConfig> = None;
-    let mut ops = Vec::new();
+    let mut ops = String::new();
     let mut choices = Vec::new();
     let mut recorded = Vec::new();
     for (ln, raw) in text.lines().enumerate() {
@@ -189,7 +183,7 @@ pub fn parse_trace(text: &str) -> Result<(McConfig, Vec<Choice>, Vec<String>), S
         match words.next() {
             Some("config") => {
                 let mut c = McConfig::tiny(0);
-                c.ops.clear();
+                c.ops.steps.clear();
                 for kv in words {
                     let (k, v) = kv.split_once('=').ok_or_else(|| err("bad config field"))?;
                     match k {
@@ -223,25 +217,8 @@ pub fn parse_trace(text: &str) -> Result<(McConfig, Vec<Choice>, Vec<String>), S
                 cfg = Some(c);
             }
             Some("op") => {
-                let client: u16 = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| err("bad op client"))?;
-                match words.next() {
-                    Some("put") => {
-                        let key = words.next().ok_or_else(|| err("put needs a key"))?;
-                        let size: u64 = words
-                            .next()
-                            .and_then(|w| w.parse().ok())
-                            .ok_or_else(|| err("put needs a size"))?;
-                        ops.push(McOp::put(client, key, size));
-                    }
-                    Some("get") => {
-                        let key = words.next().ok_or_else(|| err("get needs a key"))?;
-                        ops.push(McOp::get(client, key));
-                    }
-                    _ => return Err(err("op must be put|get")),
-                }
+                ops.push_str(&line["op".len()..]);
+                ops.push('\n');
             }
             Some("choice") => {
                 let kind = words.next().ok_or_else(|| err("empty choice"))?;
@@ -267,7 +244,7 @@ pub fn parse_trace(text: &str) -> Result<(McConfig, Vec<Choice>, Vec<String>), S
         }
     }
     let mut cfg = cfg.ok_or("trace has no config line")?;
-    cfg.ops = ops;
+    cfg.ops = ops.parse().map_err(|e| format!("op {e}"))?;
     Ok((cfg, choices, recorded))
 }
 

@@ -32,9 +32,9 @@
 //!   and benchmarks;
 //! * [`bench`](mod@bench) — the configurable GET/PUT throughput
 //!   benchmark behind the `netbench` binary and `ic-cli bench`;
-//! * [`replay`] — the substrate-parity replay harness shared by the
-//!   workspace tests and `dbg_replay`, including the multi-proxy
-//!   proxy-kill leg.
+//! * [`replay`] — the substrate-parity driver: [`replay::run`] pushes
+//!   one schedule through the simulator or the sockets, the workspace
+//!   tests, the trace engine and `dbg_replay` alike.
 //!
 //! The architecture book in `docs/ARCHITECTURE.md` walks through the
 //! thread structure; `docs/WIRE.md` is the normative wire-protocol
@@ -42,7 +42,7 @@
 //!
 //! Everything protocol-level is executed by the shared
 //! [`infinicache::dispatch`] engines, so the sim-vs-net parity tests in
-//! the workspace root can replay identical scripts through the simulator
+//! the workspace root can replay identical schedules through the simulator
 //! and a loopback socket cluster and demand identical outcomes.
 //!
 //! Binaries (see the README's "Running a real cluster"): `ic-proxy`,

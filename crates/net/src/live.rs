@@ -9,7 +9,7 @@ mod tests {
     use bytes::Bytes;
     use ic_common::{DeploymentConfig, EcConfig, Error, LambdaId};
 
-    use crate::replay::script_payload as pattern;
+    use crate::bench::pattern_bytes;
     use crate::{LoopbackCluster, NetClient};
 
     fn cluster(nodes: u32, d: usize, p: usize) -> (LoopbackCluster, NetClient) {
@@ -25,7 +25,7 @@ mod tests {
     #[test]
     fn live_put_get_roundtrip() {
         let (c, mut client) = cluster(8, 4, 2);
-        let data = pattern(1 << 20);
+        let data = pattern_bytes("hello", 0, 1 << 20);
         client.put("hello", data.clone()).unwrap();
         assert_eq!(client.get("hello").unwrap().expect("cached"), data);
         c.shutdown();
@@ -41,7 +41,7 @@ mod tests {
     #[test]
     fn live_overwrite_returns_new_value() {
         let (c, mut client) = cluster(8, 4, 2);
-        client.put("k", pattern(100_000)).unwrap();
+        client.put("k", pattern_bytes("k", 0, 100_000)).unwrap();
         let v2 = Bytes::from(vec![9u8; 50_000]);
         client.put("k", v2.clone()).unwrap();
         assert_eq!(client.get("k").unwrap().unwrap(), v2);
@@ -53,7 +53,7 @@ mod tests {
     #[test]
     fn live_survives_reclaims_within_parity() {
         let (c, mut client) = cluster(10, 4, 2);
-        let data = pattern(400_000);
+        let data = pattern_bytes("tough", 0, 400_000);
         client.put("tough", data.clone()).unwrap();
         c.reclaim_node(LambdaId(0));
         c.reclaim_node(LambdaId(1));
@@ -65,7 +65,9 @@ mod tests {
     #[test]
     fn live_total_loss_is_unrecoverable_or_reset() {
         let (c, mut client) = cluster(6, 4, 1);
-        client.put("fragile", pattern(100_000)).unwrap();
+        client
+            .put("fragile", pattern_bytes("fragile", 0, 100_000))
+            .unwrap();
         for l in 0..6 {
             c.reclaim_node(LambdaId(l));
         }
@@ -80,8 +82,13 @@ mod tests {
     #[test]
     fn live_many_objects() {
         let (c, mut client) = cluster(10, 5, 1);
-        let objects: Vec<(String, Bytes)> = (0..20u64)
-            .map(|i| (format!("obj-{i}"), pattern(10_000 + i * 137)))
+        let objects: Vec<(String, Bytes)> = (0..20usize)
+            .map(|i| {
+                (
+                    format!("obj-{i}"),
+                    pattern_bytes("obj", i as u64, 10_000 + i * 137),
+                )
+            })
             .collect();
         for (k, v) in &objects {
             client.put(k, v.clone()).unwrap();

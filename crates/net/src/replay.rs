@@ -1,27 +1,40 @@
-//! The substrate-parity replay harness: push one `ScriptStep` schedule
-//! through each execution substrate — the discrete-event world and the
-//! loopback socket cluster — and reduce every step to its
-//! application-visible outcome.
+//! The substrate-parity driver: [`run`] pushes one [`Schedule`] through
+//! the discrete-event world or a loopback socket cluster and reduces
+//! every step to its application-visible [`StepOutcome`].
 //!
-//! This is the *single* definition of the parity semantics: the
-//! workspace tests (`tests/end_to_end.rs`, `tests/chaos.rs` via
-//! `tests/common/`) and the `dbg_replay` reproduction binary all call
-//! these functions, so a divergence reported by CI replays bit-for-bit
-//! with the same deployment shape, payload pattern, and outcome mapping.
+//! This is the *single* definition of the parity semantics. The
+//! workspace tests (`tests/end_to_end.rs`, `tests/chaos.rs`,
+//! `tests/mc.rs`, `tests/trace.rs`), the trace engine's net replay and
+//! the `dbg_replay` binary all call it, so a divergence reported by CI
+//! replays bit-for-bit with the same deployment shape, payloads and
+//! outcome mapping. Both substrates run the steps one at a time, in
+//! order, each no earlier than its `at`:
+//!
+//! * a PUT stores `pattern_bytes(key, version, size)` (versions count
+//!   the key's PUTs from 0), and a GET that returns anything but the key's
+//!   last stored version is [`StepOutcome::Corrupt`] — a stale
+//!   overwrite is visible, not just a wrong length;
+//! * a GET expects the size of its key's last PUT
+//!   ([`Schedule::ops`]);
+//! * after a `kill-proxy P` step, every op on a key that P owns is
+//!   [`StepOutcome::Unavailable`]: the sockets see the transport error,
+//!   the simulator routes the key through the same `ClientLib::route`
+//!   and skips the op.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use ic_common::{
-    ClientId, DeploymentConfig, EcConfig, Error, ObjectKey, Payload, ProxyId, SimTime,
-};
+use ic_common::{ClientId, DeploymentConfig, EcConfig, Error, ObjectKey, ProxyId};
 use ic_simfaas::reclaim::NoReclaim;
-use infinicache::chaos::{ProxyKillPlan, ScriptStep};
 use infinicache::event::Op;
 use infinicache::metrics::{OpKind, Outcome};
 use infinicache::params::SimParams;
+use infinicache::schedule::{Action, Schedule, Step};
+use infinicache::scheduler::Choice;
 use infinicache::world::SimWorld;
 
+use crate::bench::pattern_bytes;
+use crate::client::NetClient;
 use crate::cluster::LoopbackCluster;
 
 /// What a step produced, reduced to the application-visible outcome.
@@ -29,276 +42,235 @@ use crate::cluster::LoopbackCluster;
 pub enum StepOutcome {
     /// A PUT was stored.
     Stored,
-    /// A GET was served from cache.
+    /// A GET returned the key's last stored version.
     Hit,
     /// A GET missed.
     Miss,
+    /// A GET returned bytes other than the key's last stored version.
+    Corrupt,
+    /// The op's key belongs to a killed proxy.
+    Unavailable,
+    /// A `kill-proxy` step killed its proxy.
+    Killed,
 }
 
-impl std::fmt::Display for StepOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StepOutcome::Stored => "stored",
-            StepOutcome::Hit => "hit",
-            StepOutcome::Miss => "miss",
-        })
-    }
-}
-
-/// The deployment every substrate replays the script on.
-pub fn parity_config() -> DeploymentConfig {
-    parity_config_proxies(1)
-}
-
-/// The parity deployment scaled out to a proxy fleet (each proxy owns
-/// its own 10-node pool).
-pub fn parity_config_proxies(proxies: u16) -> DeploymentConfig {
+/// The deployment every substrate replays a schedule on: `proxies`
+/// proxies, each with its own 10-node pool, 4+2 erasure code, no
+/// backups, and the 64-vnode ring a `NetClient` routes keys by.
+pub fn parity_config(proxies: u16) -> DeploymentConfig {
     DeploymentConfig {
         proxies,
         backup_enabled: false,
+        ring_vnodes: 64,
         ..DeploymentConfig::small(10, EcConfig::new(4, 2).expect("valid code"))
     }
 }
 
-/// The deterministic object content the byte-level substrates store, so
-/// their GETs can be checked for byte-identity.
-pub fn script_payload(len: u64) -> Bytes {
-    (0..len)
-        .map(|i| ((i * 131 + 17) % 256) as u8)
-        .collect::<Vec<u8>>()
-        .into()
+/// Where [`run`] executes a schedule.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Substrate {
+    /// The discrete-event world (no write-through: a miss stays a miss,
+    /// as on the sockets).
+    Sim,
+    /// A loopback socket cluster: real TCP between the in-process
+    /// proxies, node daemons and one client connection per schedule
+    /// client.
+    Net {
+        /// Wall seconds per schedule second: a step starts no earlier
+        /// than `at × time_scale` after the run began. At 0 the steps
+        /// run back to back.
+        time_scale: f64,
+    },
 }
 
-/// Replays the script through the discrete-event world.
-///
-/// # Panics
-///
-/// Panics if a step fails to record an outcome or records one a
-/// fault-free schedule cannot produce — that is the divergence signal.
-pub fn replay_sim(script: &[ScriptStep]) -> Vec<StepOutcome> {
-    replay_sim_proxies(script, 1)
+/// What one [`run`] observed.
+#[derive(Clone, Debug)]
+pub struct Replay {
+    /// One outcome per schedule step.
+    pub outcomes: Vec<StepOutcome>,
+    /// How long each step took on the substrate's clock (simulated time
+    /// in the world, wall time on sockets; zero for a fault or an
+    /// unavailable op).
+    pub latency: Vec<Duration>,
+    /// The substrate's clock from the run's start to its last step's
+    /// conclusion.
+    pub elapsed: Duration,
 }
 
-/// [`replay_sim`] on a multi-proxy deployment (the client ring-routes
-/// keys across the fleet; application-visible outcomes are unchanged by
-/// the proxy count on a fault-free schedule, which is exactly what the
-/// multi-proxy parity legs assert).
-pub fn replay_sim_proxies(script: &[ScriptStep], proxies: u16) -> Vec<StepOutcome> {
-    let mut w = SimWorld::new(
-        parity_config_proxies(proxies),
-        SimParams::paper(),
-        Box::new(NoReclaim),
-        1,
-    );
-    w.write_through = false; // as on sockets: a miss stays a miss
-    let mut sizes: HashMap<String, u64> = HashMap::new();
-    for (i, step) in script.iter().enumerate() {
-        let at = SimTime::from_secs(10 + 10 * i as u64);
-        match step {
-            ScriptStep::Put { key, size } => {
-                sizes.insert(key.clone(), *size);
-                w.submit(
-                    at,
-                    ClientId(0),
-                    Op::Put {
-                        key: ObjectKey::new(key),
-                        payload: Payload::synthetic(*size),
-                    },
-                );
+/// One substrate, part-way through a run.
+enum Leg {
+    Sim {
+        world: Box<SimWorld>,
+        killed: Vec<ProxyId>,
+    },
+    Net {
+        cluster: LoopbackCluster,
+        clients: Vec<NetClient>,
+        /// Each key's last stored `(version, length)`.
+        stored: HashMap<ObjectKey, (u64, usize)>,
+        time_scale: f64,
+        start: Instant,
+    },
+}
+
+impl Leg {
+    fn start(schedule: &Schedule, proxies: u16, substrate: Substrate) -> Leg {
+        let cfg = parity_config(proxies);
+        let clients = schedule
+            .steps
+            .iter()
+            .map(|s| s.client + 1)
+            .max()
+            .unwrap_or(1);
+        match substrate {
+            Substrate::Sim => {
+                let mut world =
+                    SimWorld::new(cfg, SimParams::paper(), Box::new(NoReclaim), clients);
+                world.write_through = false;
+                Leg::Sim {
+                    world: Box::new(world),
+                    killed: Vec::new(),
+                }
             }
-            ScriptStep::Get { key } => {
-                let size = sizes.get(key).copied().unwrap_or(0);
-                w.submit(
-                    at,
-                    ClientId(0),
-                    Op::Get {
-                        key: ObjectKey::new(key),
-                        size,
-                    },
-                );
+            Substrate::Net { time_scale } => {
+                let cluster = LoopbackCluster::start(cfg).expect("net cluster starts");
+                let clients = (0..clients)
+                    .map(|c| cluster.client_seeded(7 + u64::from(c)))
+                    .collect::<Result<_, _>>()
+                    .expect("net clients connect");
+                Leg::Net {
+                    cluster,
+                    clients,
+                    stored: HashMap::new(),
+                    time_scale,
+                    start: Instant::now(),
+                }
             }
         }
     }
-    w.run_until(SimTime::from_secs(10 + 10 * script.len() as u64 + 120));
-    let mut records: Vec<_> = w.metrics.requests.iter().collect();
-    records.sort_by_key(|r| r.issued);
-    assert_eq!(records.len(), script.len(), "every step must be recorded");
-    records
-        .iter()
-        .map(|r| match (r.kind, r.outcome) {
-            (OpKind::Put, Outcome::Stored) => StepOutcome::Stored,
-            (OpKind::Get, Outcome::Hit { .. }) => StepOutcome::Hit,
-            (OpKind::Get, Outcome::ColdMiss | Outcome::Reset) => StepOutcome::Miss,
-            other => panic!("unexpected record {other:?} in a fault-free schedule"),
-        })
-        .collect()
-}
 
-/// Replays the script through a loopback socket cluster: real TCP
-/// between the (in-process) proxy, node daemons, and client. Beyond the
-/// outcome reduction, every hit is asserted byte-identical to the most
-/// recently stored content of its key.
-///
-/// # Panics
-///
-/// Panics on operation failure or on a hit whose bytes differ from what
-/// was stored.
-pub fn replay_net(script: &[ScriptStep]) -> Vec<StepOutcome> {
-    replay_net_proxies(script, 1)
-}
-
-/// [`replay_net`] against a multi-proxy loopback fleet: the client holds
-/// one connection per proxy and spreads the script's keys across the
-/// rings by consistent hashing.
-pub fn replay_net_proxies(script: &[ScriptStep], proxies: u16) -> Vec<StepOutcome> {
-    let cluster =
-        LoopbackCluster::start(parity_config_proxies(proxies)).expect("net cluster starts");
-    let mut cache = cluster.client().expect("net client connects");
-    let mut expected: HashMap<String, Bytes> = HashMap::new();
-    let outcomes = script
-        .iter()
-        .map(|step| match step {
-            ScriptStep::Put { key, size } => {
-                let data = script_payload(*size);
-                cache.put(key, data.clone()).expect("net put succeeds");
-                expected.insert(key.clone(), data);
-                StepOutcome::Stored
-            }
-            ScriptStep::Get { key } => match cache.get(key).expect("net get succeeds") {
-                Some(bytes) => {
-                    assert_eq!(
-                        &bytes,
-                        expected.get(key).expect("hit implies an earlier put"),
-                        "net GET of {key} returned different bytes than were stored"
-                    );
-                    StepOutcome::Hit
-                }
-                None => StepOutcome::Miss,
-            },
-        })
-        .collect();
-    cluster.shutdown();
-    outcomes
-}
-
-/// What [`replay_net_proxy_kill`] observed; both sides must be non-empty
-/// for the run to have proven anything.
-#[derive(Debug, Clone, Copy)]
-pub struct ProxyKillReport {
-    /// Post-kill steps on surviving proxies that matched the simulator
-    /// (byte-identical payloads on hits).
-    pub survivor_steps: usize,
-    /// Post-kill steps on the victim that failed fast with a transport
-    /// error.
-    pub victim_steps: usize,
-}
-
-/// The multi-proxy fault-parity leg: replays `plan.script` against a
-/// `proxies`-proxy loopback fleet, killing proxy `plan.victim` (its
-/// listener threads and node daemons, no goodbye frames) just before
-/// step `plan.kill_after`, and checks the paper's availability story at
-/// the fleet level:
-///
-/// * every pre-kill step matches the simulator's outcome for the same
-///   schedule (hits byte-identical to what was stored);
-/// * post-kill steps on keys the *surviving* proxies own still match
-///   the simulator — one proxy's death must not disturb the other
-///   rings' data or liveness;
-/// * post-kill steps on the victim's keys fail fast with
-///   [`Error::Transport`] — never a hang, never another proxy's data;
-/// * the client has marked exactly the victim down.
-///
-/// # Panics
-///
-/// Panics on any divergence — that is the signal the chaos suite
-/// reports, replayable by seed via
-/// [`infinicache::chaos::sample_proxy_kill_plan`].
-pub fn replay_net_proxy_kill(plan: &ProxyKillPlan, proxies: u16) -> ProxyKillReport {
-    assert!(plan.victim < proxies, "victim must be in the deployment");
-    let sim = replay_sim_proxies(&plan.script, proxies);
-    let mut cluster =
-        LoopbackCluster::start(parity_config_proxies(proxies)).expect("net cluster starts");
-    let mut cache = cluster.client().expect("net client connects");
-    let victim = ProxyId(plan.victim);
-    let mut expected: HashMap<String, Bytes> = HashMap::new();
-    let mut report = ProxyKillReport {
-        survivor_steps: 0,
-        victim_steps: 0,
-    };
-    for (i, step) in plan.script.iter().enumerate() {
-        if i == plan.kill_after {
-            cluster.kill_proxy(victim).expect("victim is running");
+    fn kill(&mut self, proxy: ProxyId) {
+        match self {
+            Leg::Sim { killed, .. } => killed.push(proxy),
+            Leg::Net { cluster, .. } => cluster.kill_proxy(proxy).expect("the proxy is running"),
         }
-        let key = match step {
-            ScriptStep::Put { key, .. } | ScriptStep::Get { key } => key,
+    }
+
+    /// Executes one op; the step's index `i` names it in panics.
+    fn exec(&mut self, i: usize, step: &Step, op: Op) -> (StepOutcome, Duration) {
+        match self {
+            Leg::Sim { world, killed } => {
+                let client = ClientId(step.client);
+                if killed.contains(&world.clients()[client.0 as usize].route(op.key())) {
+                    return (StepOutcome::Unavailable, Duration::ZERO);
+                }
+                let n = world.metrics.requests.len();
+                world.submit(step.at.max(world.now()), client, op);
+                while world.metrics.requests.len() == n {
+                    let seq = world.peek_event_seq().expect("a submitted op concludes");
+                    world.apply(Choice::Deliver { seq });
+                }
+                let r = &world.metrics.requests[n];
+                let outcome = match (r.kind, r.outcome) {
+                    (OpKind::Put, Outcome::Stored) => StepOutcome::Stored,
+                    (OpKind::Get, Outcome::Hit { .. }) => StepOutcome::Hit,
+                    (OpKind::Get, Outcome::ColdMiss | Outcome::Reset) => StepOutcome::Miss,
+                    other => panic!("step {i}: unexpected sim record {other:?}"),
+                };
+                (outcome, Duration::from_micros(r.latency().as_micros()))
+            }
+            Leg::Net {
+                clients,
+                stored,
+                time_scale,
+                start,
+                ..
+            } => {
+                if *time_scale > 0.0 {
+                    let due = *start + Duration::from_secs_f64(step.at.as_secs_f64() * *time_scale);
+                    std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                }
+                let client = &mut clients[step.client as usize];
+                let (result, took) = match op {
+                    Op::Put { key, payload } => {
+                        let version = stored.get(&key).map_or(0, |&(v, _)| v + 1);
+                        let len = payload.len() as usize;
+                        let data = pattern_bytes(key.as_str(), version, len);
+                        let (put, took) = timed(|| client.put(key.as_str(), data));
+                        let stored = put.map(|()| {
+                            stored.insert(key, (version, len));
+                            StepOutcome::Stored
+                        });
+                        (stored, took)
+                    }
+                    Op::Get { key, .. } => {
+                        let (got, took) = timed(|| client.get(key.as_str()));
+                        let verified = got.map(|got| match (got, stored.get(&key)) {
+                            (None, _) => StepOutcome::Miss,
+                            (Some(bytes), Some(&(v, len)))
+                                if bytes == pattern_bytes(key.as_str(), v, len) =>
+                            {
+                                StepOutcome::Hit
+                            }
+                            (Some(_), _) => StepOutcome::Corrupt,
+                        });
+                        (verified, took)
+                    }
+                };
+                let outcome = match result {
+                    Ok(outcome) => outcome,
+                    Err(Error::Transport(_)) => StepOutcome::Unavailable,
+                    Err(e) => panic!("step {i} ({}) failed on the sockets: {e}", step.action),
+                };
+                (outcome, took)
+            }
+        }
+    }
+
+    fn finish(self) -> Duration {
+        match self {
+            Leg::Sim { world, .. } => Duration::from_micros(world.now().as_micros()),
+            Leg::Net { cluster, start, .. } => {
+                let elapsed = start.elapsed();
+                cluster.shutdown();
+                elapsed
+            }
+        }
+    }
+}
+
+/// `f()` and the wall time it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let issued = Instant::now();
+    let out = f();
+    (out, issued.elapsed())
+}
+
+/// Runs `schedule` on a `proxies`-proxy [`parity_config`] deployment on
+/// `substrate` (see the module docs for the semantics).
+///
+/// # Panics
+///
+/// Panics if the cluster does not start, if an op fails with anything
+/// but a transport error, or if the simulator records an outcome a
+/// fault-free world cannot produce.
+pub fn run(schedule: &Schedule, proxies: u16, substrate: Substrate) -> Replay {
+    let mut leg = Leg::start(schedule, proxies, substrate);
+    let (mut outcomes, mut latency) = (Vec::new(), Vec::new());
+    for (i, (step, op)) in schedule.ops().enumerate() {
+        let (outcome, took) = match (&step.action, op) {
+            (Action::KillProxy(p), _) => {
+                leg.kill(ProxyId(*p));
+                (StepOutcome::Killed, Duration::ZERO)
+            }
+            (_, op) => leg.exec(i, step, op.expect("a PUT or GET is an op")),
         };
-        let on_victim = cache.proxy_for(key) == victim;
-        let dead = i >= plan.kill_after && on_victim;
-        match step {
-            ScriptStep::Put { key, size } => {
-                let data = script_payload(*size);
-                match cache.put(key, data.clone()) {
-                    Ok(()) if !dead => {
-                        assert_eq!(
-                            sim[i],
-                            StepOutcome::Stored,
-                            "step {i}: net stored {key} but the sim did not"
-                        );
-                        expected.insert(key.clone(), data);
-                        if i >= plan.kill_after {
-                            report.survivor_steps += 1;
-                        }
-                    }
-                    Err(Error::Transport(_)) if dead => report.victim_steps += 1,
-                    other => panic!(
-                        "step {i}: PUT of {key} (victim-owned: {on_victim}, post-kill: {}) \
-                         ended as {other:?}",
-                        i >= plan.kill_after
-                    ),
-                }
-            }
-            ScriptStep::Get { key } => match cache.get(key) {
-                Ok(got) if !dead => {
-                    let outcome = match got {
-                        Some(bytes) => {
-                            assert_eq!(
-                                &bytes,
-                                expected.get(key).expect("hit implies an earlier put"),
-                                "step {i}: net GET of {key} returned different bytes than stored"
-                            );
-                            StepOutcome::Hit
-                        }
-                        None => StepOutcome::Miss,
-                    };
-                    assert_eq!(
-                        outcome, sim[i],
-                        "step {i}: survivor-key GET of {key} diverged from the sim"
-                    );
-                    if i >= plan.kill_after {
-                        report.survivor_steps += 1;
-                    }
-                }
-                Err(Error::Transport(_)) if dead => report.victim_steps += 1,
-                other => panic!(
-                    "step {i}: GET of {key} (victim-owned: {on_victim}, post-kill: {}) \
-                     ended as {other:?}",
-                    i >= plan.kill_after
-                ),
-            },
-        }
+        outcomes.push(outcome);
+        latency.push(took);
     }
-    assert!(
-        cache.proxy_down(victim),
-        "the client must have marked the killed proxy down"
-    );
-    for p in 0..proxies {
-        if p != plan.victim {
-            assert!(
-                !cache.proxy_down(ProxyId(p)),
-                "survivor ProxyId({p}) must not be poisoned by the victim's death"
-            );
-        }
+    Replay {
+        outcomes,
+        latency,
+        elapsed: leg.finish(),
     }
-    cluster.shutdown();
-    report
 }

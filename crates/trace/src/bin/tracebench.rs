@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! tracebench [--mode full|smoke|gen|sim|net] [--profile dallas|sample|smoke]
-//!            [--seed N] [--tenants N] [--trace PATH] [--sample PATH]
-//!            [--out PATH] [--wall-secs F] [--churn none|production]
+//!            [--seed N] [--tenants N] [--trace PATH] [--out PATH]
+//!            [--wall-secs F] [--churn none|production]
 //! ```
 //!
 //! * `--mode full` (default) — the paper's §5.2 story: synthesize the
@@ -20,8 +20,11 @@
 //!   trace file to `--out`.
 //! * `--mode sim` — replay `--trace` (or a generated `--profile`) on the
 //!   sim substrate and print the headline numbers.
-//! * `--mode net` — replay `--trace` against a loopback cluster with
-//!   paced arrivals and verification.
+//! * `--mode net` — replay `--trace` (default: the committed sample)
+//!   against a loopback cluster with paced arrivals and verification.
+//!
+//! In `full` and `smoke` the sim side is generated, so `--trace` names
+//! the net replay's trace there too.
 //!
 //! Every artifact is validated against the `ic-trace-bench/v1` schema
 //! before it is written; a replay whose byte verification fails exits
@@ -105,6 +108,25 @@ fn net_summary(r: &ic_trace::NetReplayReport) {
     );
 }
 
+/// Net-replays `--trace` (default: the committed sample) over
+/// `--wall-secs` of wall clock and prints the summary.
+fn net_replay(args: &Args) -> Result<(TraceData, ic_trace::NetReplayReport)> {
+    let path = args.get("trace", SAMPLE_PATH);
+    let data = TraceData::load(&path).map_err(|e| Error::Config(format!("--trace {path}: {e}")))?;
+    let cfg = NetReplayConfig {
+        target_wall: Duration::from_secs_f64(args.num("wall-secs", 4.0)?),
+    };
+    println!(
+        "tracebench: net-replaying {} ({} records) over {:.1}s of wall clock",
+        data.name,
+        data.records.len(),
+        cfg.target_wall.as_secs_f64()
+    );
+    let net = replay::replay_net(&data, &cfg)?;
+    net_summary(&net);
+    Ok((data, net))
+}
+
 /// The full/smoke artifact flow: sim replay of `data`, baselines, net
 /// replay of the committed sample, schema-validated JSON out.
 fn artifact(args: &Args, data: &TraceData, sim_cfg: &SimReplayConfig, seed: u64) -> Result<()> {
@@ -120,23 +142,11 @@ fn artifact(args: &Args, data: &TraceData, sim_cfg: &SimReplayConfig, seed: u64)
     let vs_ec = baselines.cost_vs_elasticache(sim.total_cost);
     sim_summary(&sim, vs_ec);
 
-    let sample_path = args.get("sample", SAMPLE_PATH);
-    let sample = TraceData::load(&sample_path)
-        .map_err(|e| Error::Config(format!("--sample {sample_path}: {e}")))?;
-    let mut net_cfg = NetReplayConfig::sample();
-    net_cfg.target_wall = Duration::from_secs_f64(args.num("wall-secs", 4.0)?);
-    println!(
-        "tracebench: net-replaying {} ({} records) over {:.1}s of wall clock",
-        sample.name,
-        sample.records.len(),
-        net_cfg.target_wall.as_secs_f64()
-    );
-    let net = replay::replay_net(&sample, &net_cfg)?;
-    net_summary(&net);
+    let (sample, net) = net_replay(args)?;
 
     let json = report::render(
         &report::render_sim(sim_cfg, seed, &sim, &baselines),
-        &report::render_net(&sample.name, &net_cfg.deployment, &net),
+        &report::render_net(&sample.name, &net),
     );
     if let Err(problems) = report::validate(&json) {
         return Err(Error::Config(format!(
@@ -180,18 +190,7 @@ fn run() -> Result<()> {
             sim_summary(&sim, baselines.cost_vs_elasticache(sim.total_cost));
             Ok(())
         }
-        "net" => {
-            let path = args
-                .opt("trace")
-                .map(str::to_string)
-                .unwrap_or_else(|| args.get("sample", SAMPLE_PATH));
-            let data = TraceData::load(&path).map_err(|e| Error::Config(format!("{path}: {e}")))?;
-            let mut cfg = NetReplayConfig::sample();
-            cfg.target_wall = Duration::from_secs_f64(args.num("wall-secs", 4.0)?);
-            let net = replay::replay_net(&data, &cfg)?;
-            net_summary(&net);
-            Ok(())
-        }
+        "net" => net_replay(&args).map(drop),
         "smoke" => {
             let data = synthesize(&profile("smoke", args.num("tenants", 0)?)?, seed);
             let cfg = sim_config(&args, seed, false)?;

@@ -6,72 +6,58 @@
 //! The sim replay is the paper's §5.2 evaluation: the full deployment
 //! under production churn, hourly cost / hit-ratio / availability curves,
 //! and the cost-vs-ElastiCache/S3 comparison. The net replay is the
-//! byte-level end of the same story: the identical record stream moves
-//! verified bytes through the readiness event loop. Both reduce each
-//! record to the shared [`StepOutcome`] language of the parity harness,
-//! so sim-vs-net divergence on a committed trace is a one-line assert.
+//! byte-level end of the same story: [`schedule`] turns the records into
+//! the harnesses' one [`Schedule`] language and `ic_net::replay::run`
+//! moves verified bytes through the readiness event loop, so sim-vs-net
+//! divergence on a committed trace is a one-line assert over the same
+//! [`StepOutcome`]s.
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ic_baselines::{ElastiCacheDeployment, LruCache, S3Pricing};
 use ic_common::pricing::CostCategory;
 use ic_common::{ClientId, DeploymentConfig, Error, Payload, Result, SimDuration, SimTime};
-use ic_net::bench::pattern_bytes;
-use ic_net::cluster::LoopbackCluster;
-use ic_net::replay::StepOutcome;
+use ic_net::replay::{run, StepOutcome, Substrate};
 use ic_simfaas::reclaim::{NoReclaim, PeriodicSpike, ReclaimPolicy};
-use infinicache::chaos::ScriptStep;
 use infinicache::event::Op;
 use infinicache::metrics::{OpKind, Outcome};
 use infinicache::params::SimParams;
+use infinicache::schedule::{Action, Schedule, Step};
 use infinicache::world::SimWorld;
 
 use crate::format::{TraceData, TraceOp};
 
 // ---------------------------------------------------------------------
-// Shared: trace → script language
+// Shared: trace → schedule
 // ---------------------------------------------------------------------
 
-/// Projects a trace onto the chaos/parity script language
-/// ([`ScriptStep`]), dropping timestamps — the same record stream the
-/// paced substrates replay, in the vocabulary `tests/common/` and the
-/// chaos harness already speak.
-pub fn script(data: &TraceData) -> Vec<ScriptStep> {
-    data.records
+/// Projects a trace onto the harnesses' [`Schedule`] language: one
+/// client-0 step per record, the trace's time axis linearly compressed
+/// onto `span` at millisecond resolution, so production inter-arrival
+/// structure lands inside a chaos run's tight eviction/reclaim windows
+/// or a net replay's wall-clock budget. Take a
+/// [`prefix`](TraceData::prefix) first to replay part of a trace.
+pub fn schedule(data: &TraceData, span: SimDuration) -> Schedule {
+    let last_us = data.records.last().map_or(0, |r| r.at.as_micros()).max(1);
+    let span_ms = u128::from(span.as_millis());
+    let steps = data
+        .records
         .iter()
-        .map(|r| match r.op {
-            TraceOp::Put => ScriptStep::Put {
-                key: r.key().as_str().to_string(),
-                size: r.size,
-            },
-            TraceOp::Get => ScriptStep::Get {
-                key: r.key().as_str().to_string(),
-            },
+        .map(|r| {
+            let key = r.key().as_str().to_string();
+            Step {
+                at: SimTime::from_millis(
+                    (u128::from(r.at.as_micros()) * span_ms / u128::from(last_us)) as u64,
+                ),
+                client: 0,
+                action: match r.op {
+                    TraceOp::Put => Action::Put { key, size: r.size },
+                    TraceOp::Get => Action::Get { key },
+                },
+            }
         })
-        .collect()
-}
-
-/// Projects a trace prefix into the chaos harness's schedule language
-/// ([`infinicache::chaos::TraceStep`]), linearly compressing the prefix's
-/// time axis onto `span_ms` milliseconds so production inter-arrival
-/// structure lands inside the harness's tight eviction/reclaim windows.
-pub fn chaos_steps(
-    data: &TraceData,
-    prefix: usize,
-    span_ms: u64,
-) -> Vec<infinicache::chaos::TraceStep> {
-    let records: Vec<_> = data.records.iter().take(prefix).collect();
-    let span_us = records.last().map_or(0, |r| r.at.as_micros()).max(1);
-    records
-        .iter()
-        .map(|r| infinicache::chaos::TraceStep {
-            at_ms: (r.at.as_micros() as u128 * u128::from(span_ms) / u128::from(span_us)) as u64,
-            key: r.key().as_str().to_string(),
-            size: r.size,
-            get: r.op == TraceOp::Get,
-        })
-        .collect()
+        .collect();
+    Schedule { steps }
 }
 
 // ---------------------------------------------------------------------
@@ -370,32 +356,17 @@ pub fn compare_baselines(data: &TraceData, node: ElastiCacheDeployment) -> Basel
 // Net replay
 // ---------------------------------------------------------------------
 
+/// Safety clamp on the object sizes a net replay stores (a production
+/// trace replayed here by accident would otherwise push multi-GB objects
+/// through loopback).
+pub const MAX_OBJECT_BYTES: u64 = 256 * 1024;
+
 /// Everything a net replay needs beyond the trace.
 #[derive(Clone, Debug)]
 pub struct NetReplayConfig {
-    /// Deployment for the loopback cluster (parity shape by default).
-    pub deployment: DeploymentConfig,
     /// Wall-clock duration the trace's time axis is compressed onto;
     /// arrivals are paced to land at their scaled instants.
     pub target_wall: Duration,
-    /// Verify every hit byte-for-byte against what was stored.
-    pub verify: bool,
-    /// Safety clamp on object sizes (a production trace replayed here by
-    /// accident would otherwise push multi-GB objects through loopback).
-    pub max_object_bytes: u64,
-}
-
-impl NetReplayConfig {
-    /// The committed-sample setting: the parity harness deployment, the
-    /// trace compressed onto a few wall seconds, verification on.
-    pub fn sample() -> Self {
-        NetReplayConfig {
-            deployment: ic_net::replay::parity_config(),
-            target_wall: Duration::from_secs(4),
-            verify: true,
-            max_object_bytes: 256 * 1024,
-        }
-    }
 }
 
 /// What one net replay observed.
@@ -409,100 +380,55 @@ pub struct NetReplayReport {
     pub hits: u64,
     /// GET misses.
     pub misses: u64,
-    /// Hits whose bytes did not match what was stored (must be zero).
+    /// Hits whose bytes did not match what was stored (zero: a replay
+    /// with any fails).
     pub verify_failures: u64,
-    /// Sizes clamped by [`NetReplayConfig::max_object_bytes`].
+    /// Records whose size exceeded [`MAX_OBJECT_BYTES`].
     pub clamped: u64,
     /// Wall seconds of the replay.
     pub wall_seconds: f64,
     /// GET latency percentiles in microseconds `[p50, p90, p99]`.
     pub get_latency_us: [u64; 3],
     /// Per-record outcomes, for parity against a sim replay of the same
-    /// script.
+    /// schedule.
     pub outcomes: Vec<StepOutcome>,
 }
 
-/// Replays a trace against a fresh loopback socket cluster with paced
-/// arrivals.
+/// Replays a trace against a fresh single-proxy loopback socket cluster
+/// (the parity deployment) with paced arrivals, every hit verified
+/// byte-for-byte against what was stored.
 ///
 /// # Errors
 ///
-/// Propagates cluster startup and transport errors; an operation-level
-/// failure aborts the replay (a fault-free loopback run must not error).
+/// Fails when a GET returned other bytes than were stored or an op
+/// failed on transport (a fault-free loopback run does neither).
 pub fn replay_net(data: &TraceData, cfg: &NetReplayConfig) -> Result<NetReplayReport> {
-    let cluster = LoopbackCluster::start(cfg.deployment.clone())?;
-    let mut client = cluster.client()?;
-
-    let span_us = data.records.last().map_or(0, |r| r.at.as_micros()).max(1);
-    let target_us = cfg.target_wall.as_micros().max(1) as u64;
-
-    let mut versions: HashMap<ic_common::ObjectKey, (u64, usize)> = HashMap::new();
-    let mut report = NetReplayReport {
-        ops: data.records.len(),
-        stored: 0,
-        hits: 0,
-        misses: 0,
-        verify_failures: 0,
-        clamped: 0,
-        wall_seconds: 0.0,
-        get_latency_us: [0; 3],
-        outcomes: Vec::with_capacity(data.records.len()),
-    };
-    let mut get_lat: Vec<u64> = Vec::new();
-    let start = Instant::now();
-    for r in &data.records {
-        // Pace: trace time compressed onto the wall-clock target. A
-        // replay that falls behind proceeds immediately (arrivals are a
-        // lower bound, as with any open-loop load generator).
-        let due_us =
-            (r.at.as_micros() as u128 * u128::from(target_us) / u128::from(span_us)) as u64;
-        let due = start + Duration::from_micros(due_us);
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let mut size = r.size as usize;
-        if r.size > cfg.max_object_bytes {
-            size = cfg.max_object_bytes as usize;
-            report.clamped += 1;
-        }
-        let key = r.key();
-        match r.op {
-            TraceOp::Put => {
-                let version = versions.get(&key).map_or(0, |(v, _)| v + 1);
-                client.put(key.as_str(), pattern_bytes(key.as_str(), version, size))?;
-                versions.insert(key, (version, size));
-                report.stored += 1;
-                report.outcomes.push(StepOutcome::Stored);
-            }
-            TraceOp::Get => {
-                let issued = Instant::now();
-                let got = client.get(key.as_str())?;
-                get_lat.push(issued.elapsed().as_micros() as u64);
-                match got {
-                    Some(bytes) => {
-                        report.hits += 1;
-                        report.outcomes.push(StepOutcome::Hit);
-                        if cfg.verify {
-                            let ok = versions.get(&key).is_some_and(|&(v, len)| {
-                                bytes == pattern_bytes(key.as_str(), v, len)
-                            });
-                            if !ok {
-                                report.verify_failures += 1;
-                            }
-                        }
-                    }
-                    None => {
-                        report.misses += 1;
-                        report.outcomes.push(StepOutcome::Miss);
-                    }
-                }
-            }
+    let mut schedule = schedule(
+        data,
+        SimDuration::from_micros(cfg.target_wall.as_micros() as u64),
+    );
+    for step in &mut schedule.steps {
+        if let Action::Put { size, .. } = &mut step.action {
+            *size = (*size).min(MAX_OBJECT_BYTES);
         }
     }
-    report.wall_seconds = start.elapsed().as_secs_f64();
-    cluster.shutdown();
-
+    let replay = run(&schedule, 1, Substrate::Net { time_scale: 1.0 });
+    let count = |o: StepOutcome| replay.outcomes.iter().filter(|&&x| x == o).count() as u64;
+    let [stored, hits, misses] =
+        [StepOutcome::Stored, StepOutcome::Hit, StepOutcome::Miss].map(count);
+    let failed = replay.outcomes.len() as u64 - stored - hits - misses;
+    if failed > 0 {
+        return Err(Error::Protocol(format!(
+            "{failed} trace ops failed byte verification or transport"
+        )));
+    }
+    let mut get_lat: Vec<u64> = replay
+        .latency
+        .iter()
+        .zip(&schedule.steps)
+        .filter(|(_, step)| matches!(step.action, Action::Get { .. }))
+        .map(|(took, _)| took.as_micros() as u64)
+        .collect();
     get_lat.sort_unstable();
     let pct = |p: f64| -> u64 {
         if get_lat.is_empty() {
@@ -511,14 +437,21 @@ pub fn replay_net(data: &TraceData, cfg: &NetReplayConfig) -> Result<NetReplayRe
             get_lat[(((get_lat.len() - 1) as f64) * p).round() as usize]
         }
     };
-    report.get_latency_us = [pct(0.50), pct(0.90), pct(0.99)];
-    if report.verify_failures > 0 {
-        return Err(Error::Protocol(format!(
-            "{} trace GETs failed byte verification",
-            report.verify_failures
-        )));
-    }
-    Ok(report)
+    Ok(NetReplayReport {
+        ops: data.records.len(),
+        stored,
+        hits,
+        misses,
+        verify_failures: 0,
+        clamped: data
+            .records
+            .iter()
+            .filter(|r| r.size > MAX_OBJECT_BYTES)
+            .count() as u64,
+        wall_seconds: replay.elapsed.as_secs_f64(),
+        get_latency_us: [pct(0.50), pct(0.90), pct(0.99)],
+        outcomes: replay.outcomes,
+    })
 }
 
 #[cfg(test)]
@@ -559,14 +492,17 @@ mod tests {
     }
 
     #[test]
-    fn script_projection_matches_ops() {
+    fn schedule_projection_matches_ops_and_compresses_time() {
         let data = synthesize(&TraceGenConfig::sample(), 4);
-        let s = script(&data);
-        assert_eq!(s.len(), data.records.len());
+        let s = schedule(&data, SimDuration::from_secs(4));
+        assert_eq!(s.steps.len(), data.records.len());
         let puts = s
+            .steps
             .iter()
-            .filter(|x| matches!(x, ScriptStep::Put { .. }))
+            .filter(|x| matches!(x.action, Action::Put { .. }))
             .count();
         assert_eq!(puts, data.puts());
+        assert!(s.steps.windows(2).all(|w| w[0].at <= w[1].at));
+        assert_eq!(s.steps.last().map(|x| x.at), Some(SimTime::from_secs(4)));
     }
 }

@@ -93,15 +93,16 @@ pub fn render_sim(
     )
 }
 
-/// Renders the net half of the artifact.
-pub fn render_net(trace: &str, deployment: &DeploymentConfig, report: &NetReplayReport) -> String {
+/// Renders the net half of the artifact (the net replay runs on the
+/// single-proxy parity deployment).
+pub fn render_net(trace: &str, report: &NetReplayReport) -> String {
     format!(
         "{{\n    \"trace\": \"{trace}\",\n    \"deployment\": {deployment},\n    \
          \"ops\": {ops},\n    \"stored\": {stored},\n    \"hits\": {hits},\n    \
          \"misses\": {misses},\n    \"verify_failures\": {failures},\n    \
          \"clamped\": {clamped},\n    \"wall_seconds\": {wall:.3},\n    \
          \"get_latency_us\": {{\"p50\": {l50}, \"p90\": {l90}, \"p99\": {l99}}}\n  }}",
-        deployment = deployment_json(deployment),
+        deployment = deployment_json(&ic_net::replay::parity_config(1)),
         ops = report.ops,
         stored = report.stored,
         hits = report.hits,
@@ -229,7 +230,7 @@ mod tests {
         let report = replay_sim(&data, &cfg);
         let baselines = compare_baselines(&data, ElastiCacheDeployment::one_node_24xl());
         let sim = render_sim(&cfg, 5, &report, &baselines);
-        let net = render_net("sample", &ic_net::replay::parity_config(), &net_report());
+        let net = render_net("sample", &net_report());
         let json = render(&sim, &net);
         validate(&json).unwrap_or_else(|p| panic!("invalid artifact: {p:?}"));
         assert_eq!(verify_failures(&json), Some(0));

@@ -26,7 +26,7 @@ use ic_common::{
     ProxyId, SimDuration, SimTime,
 };
 use ic_lambda::runtime::RuntimeConfig;
-use ic_net::replay::script_payload;
+use ic_net::bench::pattern_bytes;
 use ic_net::{Frame, FrameStream, LoopbackCluster};
 use ic_simfaas::reclaim::NoReclaim;
 use infinicache::event::{Ev, Op};
@@ -315,7 +315,10 @@ fn net_leg() {
 
     let mut reader = cluster.client_seeded(1).expect("client connects");
     let mut writer = cluster.client_seeded(2).expect("client connects");
-    let (r, w2) = (script_payload(300_000), script_payload(250_000));
+    let (r, w2) = (
+        pattern_bytes("r", 0, 300_000),
+        pattern_bytes("w", 1, 250_000),
+    );
     // Placement is random per PUT: store `r` until the victim holds one
     // of its data chunks, or a healthy read would never ask the victim
     // (4 of 6 homes are data homes: 64 tries all miss once in 10^30).
@@ -325,7 +328,9 @@ fn net_leg() {
         assert!(tries <= 64, "the victim never gets a data chunk of r");
         reader.put("r", r.clone()).expect("preload");
     }
-    writer.put("w", script_payload(200_000)).expect("preload");
+    writer
+        .put("w", pattern_bytes("w", 0, 200_000))
+        .expect("preload");
 
     // Both clients go at once; the daemon releases neither request until
     // it holds both.

@@ -16,13 +16,13 @@
 //! it replaying). A chaos seed covers a *distribution*; a committed
 //! trace covers the exact order that broke.
 
-use infinicache::chaos::{
-    run_chaos, sample_proxy_kill_plan, sample_schedule, ChaosConfig, ChaosReport,
-};
+use ic_net::replay::{run, StepOutcome, Substrate};
+use infinicache::chaos::{run_chaos, ChaosConfig, ChaosReport};
+use infinicache::schedule::Schedule;
 use proptest::prelude::*;
 
 mod common;
-use common::{replay_net, replay_sim, StepOutcome};
+use common::sim_and_net;
 
 fn seed_matrix() -> u64 {
     std::env::var("CHAOS_SEEDS")
@@ -114,17 +114,16 @@ proptest! {
 /// Parity leg of the chaos harness: a *sampled* (not hand-written)
 /// PUT/GET/overwrite schedule replayed against a loopback `ic-net`
 /// cluster (real TCP between proxy, node daemons, and client) produces
-/// the same outcomes as the discrete-event world, and every net GET is
-/// byte-identical to what was stored (asserted inside `replay_net`).
-/// Failures replay with
-/// `cargo run -p ic-bench --bin dbg_replay -- --seed <seed> --mode all`.
+/// the same outcomes as the discrete-event world — a net GET that
+/// returns anything but the key's last stored version is `Corrupt`, so
+/// the one comparison covers the bytes too. A failure prints the
+/// schedule; `dbg_replay --seed <seed> --mode all` replays it as well.
 #[test]
 fn sampled_schedule_agrees_between_sim_and_net() {
     for seed in [11u64, 42, 1234] {
-        let script = sample_schedule(seed, 24, 6);
-        let sim = replay_sim(&script);
-        let net = replay_net(&script);
-        assert_eq!(sim, net, "seed {seed}: sim and net outcomes diverged");
+        let schedule = Schedule::sample(seed, 24, 6);
+        let (sim, net) = sim_and_net(&schedule, 1);
+        assert_eq!(sim, net, "seed {seed} diverged on:\n{schedule}");
         assert!(
             sim.contains(&StepOutcome::Hit),
             "seed {seed}: schedule must produce hits"
@@ -138,10 +137,9 @@ fn sampled_schedule_agrees_between_sim_and_net() {
 #[test]
 fn sampled_schedule_agrees_between_sim_and_live() {
     for seed in [11u64, 42] {
-        let script = sample_schedule(seed, 48, 12);
-        let sim = replay_sim(&script);
-        let live = replay_net(&script);
-        assert_eq!(sim, live, "seed {seed}: sim and live outcomes diverged");
+        let schedule = Schedule::sample(seed, 48, 12);
+        let (sim, live) = sim_and_net(&schedule, 1);
+        assert_eq!(sim, live, "seed {seed} diverged on:\n{schedule}");
         assert!(
             sim.contains(&StepOutcome::Hit),
             "seed {seed}: schedule must produce hits"
@@ -152,17 +150,13 @@ fn sampled_schedule_agrees_between_sim_and_live() {
 /// Multi-proxy sim-vs-net parity: the same sampled schedules replayed
 /// against a 2-proxy loopback fleet (keys ring-routed across both rings,
 /// one TCP connection per proxy) still match the discrete-event world
-/// step for step, with byte-identity asserted inside `replay_net_proxies`.
+/// step for step.
 #[test]
 fn sampled_schedule_agrees_between_sim_and_multiproxy_net() {
     for seed in [11u64, 42] {
-        let script = sample_schedule(seed, 24, 8);
-        let sim = ic_net::replay::replay_sim_proxies(&script, 2);
-        let net = ic_net::replay::replay_net_proxies(&script, 2);
-        assert_eq!(
-            sim, net,
-            "seed {seed}: sim and 2-proxy net outcomes diverged"
-        );
+        let schedule = Schedule::sample(seed, 24, 8);
+        let (sim, net) = sim_and_net(&schedule, 2);
+        assert_eq!(sim, net, "seed {seed} diverged on 2 proxies:\n{schedule}");
         assert!(
             sim.contains(&StepOutcome::Hit),
             "seed {seed}: schedule must produce hits"
@@ -172,20 +166,22 @@ fn sampled_schedule_agrees_between_sim_and_multiproxy_net() {
 
 /// The fleet-level fault leg: seeded schedules against a 2-proxy socket
 /// cluster with one proxy killed mid-run (no goodbye — its listener and
-/// node daemons just die). Keys owned by the survivor must keep matching
-/// the simulator byte-for-byte; the victim's keys must fail fast with a
-/// transport error; and the client must mark exactly the victim down.
-/// All asserted inside `replay_net_proxy_kill`; a failing seed replays
-/// locally with `sample_proxy_kill_plan(seed, 30, 8, 2)`.
+/// node daemons just die). Every later op on a key the victim owns is
+/// `Unavailable` — on the sockets a fast transport error, in the
+/// simulator the same ring route — and every other op still matches
+/// the simulator, bytes included. A failure prints the schedule;
+/// `dbg_replay --script FILE --proxies 2 --mode all` replays it.
 #[test]
 fn multiproxy_schedule_survives_a_proxy_kill() {
     let mut survivor_total = 0;
     let mut victim_total = 0;
     for seed in [5u64, 23, 77] {
-        let plan = sample_proxy_kill_plan(seed, 30, 8, 2);
-        let report = ic_net::replay::replay_net_proxy_kill(&plan, 2);
-        survivor_total += report.survivor_steps;
-        victim_total += report.victim_steps;
+        let schedule = Schedule::sample_proxy_kill(seed, 30, 8, 2);
+        let (sim, net) = sim_and_net(&schedule, 2);
+        assert_eq!(sim, net, "seed {seed} diverged on 2 proxies:\n{schedule}");
+        let (survivors, victims) = after_the_kill(&sim);
+        survivor_total += survivors;
+        victim_total += victims;
     }
     // The matrix as a whole must exercise both sides of the partition
     // (any single seed might, by ring luck, skew heavily one way).
@@ -197,4 +193,31 @@ fn multiproxy_schedule_survives_a_proxy_kill() {
         victim_total > 0,
         "no post-kill traffic landed on the killed proxy"
     );
+}
+
+/// `tests/data/proxy_kill.txt` (which CI replays through `dbg_replay`)
+/// is `Schedule::sample_proxy_kill(5, 30, 8, 2)`, and in the simulator
+/// ops land on both sides of the kill.
+#[test]
+fn committed_proxy_kill_schedule_is_the_sampled_one() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/proxy_kill.txt");
+    let text = std::fs::read_to_string(path).expect("committed schedule");
+    let committed: Schedule = text.parse().expect("committed schedule parses");
+    assert_eq!(committed, Schedule::sample_proxy_kill(5, 30, 8, 2));
+    let (survivors, victims) = after_the_kill(&run(&committed, 2, Substrate::Sim).outcomes);
+    assert!(survivors > 0 && victims > 0, "{survivors} / {victims}");
+}
+
+/// Ops after a schedule's kill step: `(survivor, victim)` counts.
+fn after_the_kill(outcomes: &[StepOutcome]) -> (usize, usize) {
+    let kill = outcomes
+        .iter()
+        .position(|o| *o == StepOutcome::Killed)
+        .expect("the schedule kills a proxy");
+    let after = &outcomes[kill + 1..];
+    let victims = after
+        .iter()
+        .filter(|o| **o == StepOutcome::Unavailable)
+        .count();
+    (after.len() - victims, victims)
 }

@@ -1,10 +1,20 @@
-//! Shared substrate-parity harness for the workspace tests.
+//! Shared substrate-parity driver for the workspace tests.
 //!
-//! The actual implementation lives in `ic_net::replay` — one definition
-//! of the deployment shape, payload pattern, and outcome mapping shared
-//! by these tests and the `dbg_replay` reproduction binary, so a
-//! divergence reported here replays bit-for-bit with
-//! `cargo run -p ic-bench --bin dbg_replay -- --seed N --mode all`.
+//! The implementation lives in `ic_net::replay` — one [`run`] over one
+//! `Schedule` language, shared by these tests, the trace engine and the
+//! `dbg_replay` binary — so a divergence reported here replays
+//! bit-for-bit: a failing leg prints its schedule, and
+//! `cargo run -p ic-bench --bin dbg_replay -- --script FILE --mode all`
+//! (plus the leg's `--proxies N`) replays it from that text.
 
-#[allow(unused_imports)] // each test binary uses a different subset
-pub use ic_net::replay::{replay_net, replay_sim, StepOutcome};
+use ic_net::replay::{run, StepOutcome, Substrate};
+use infinicache::schedule::Schedule;
+
+/// Outcomes of `schedule` on a `proxies`-proxy deployment: the
+/// simulator's first, the sockets' (steps back to back) second.
+pub fn sim_and_net(schedule: &Schedule, proxies: u16) -> (Vec<StepOutcome>, Vec<StepOutcome>) {
+    (
+        run(schedule, proxies, Substrate::Sim).outcomes,
+        run(schedule, proxies, Substrate::Net { time_scale: 0.0 }).outcomes,
+    )
+}

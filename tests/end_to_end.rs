@@ -8,17 +8,19 @@ use ic_common::pricing::CostCategory;
 use ic_common::{
     ClientId, DeploymentConfig, EcConfig, LambdaId, ObjectKey, Payload, SimDuration, SimTime,
 };
+use ic_net::bench::pattern_bytes;
+use ic_net::replay::StepOutcome;
 use ic_net::LoopbackCluster;
 use ic_simfaas::reclaim::{HourlyPoisson, NoReclaim};
 use ic_workload::{generate, WorkloadSpec};
-use infinicache::chaos::ScriptStep;
 use infinicache::event::Op;
 use infinicache::metrics::{OpKind, Outcome};
 use infinicache::params::SimParams;
+use infinicache::schedule::Schedule;
 use infinicache::world::SimWorld;
 
 mod common;
-use common::{replay_net, replay_sim, StepOutcome};
+use common::sim_and_net;
 
 fn key(s: &str) -> ObjectKey {
     ObjectKey::new(s)
@@ -152,10 +154,11 @@ fn live_cluster_roundtrips_various_sizes_through_real_ec() {
     };
     let cluster = LoopbackCluster::start(cfg).unwrap();
     let mut cache = cluster.client().unwrap();
-    for len in [1u64, 100, 4096, 1 << 16, 3 * 1024 * 1024] {
-        let data = ic_net::replay::script_payload(len);
-        cache.put(format!("obj-{len}"), data.clone()).unwrap();
-        let back = cache.get(format!("obj-{len}")).unwrap().expect("cached");
+    for len in [1usize, 100, 4096, 1 << 16, 3 * 1024 * 1024] {
+        let key = format!("obj-{len}");
+        let data = pattern_bytes(&key, 0, len);
+        cache.put(&key, data.clone()).unwrap();
+        let back = cache.get(&key).unwrap().expect("cached");
         assert_eq!(back, data, "len {len}");
     }
     cluster.shutdown();
@@ -186,36 +189,32 @@ fn live_cluster_recovers_after_reclaims_and_repairs() {
     cluster.shutdown();
 }
 
-fn parity_script() -> Vec<ScriptStep> {
-    let put = |k: &str, size| ScriptStep::Put {
-        key: k.into(),
-        size,
-    };
-    let get = |k: &str| ScriptStep::Get { key: k.into() };
-    vec![
-        put("alpha", 300_000),
-        put("beta", 1_200_000),
-        get("alpha"),
-        get("beta"),
-        get("ghost"), // never stored: must miss on both substrates
-        get("alpha"), // still cached: must hit again
-    ]
+fn parity_script() -> Schedule {
+    "put alpha 300000
+     put beta 1200000
+     get alpha
+     get beta
+     get ghost          # never stored: must miss on both substrates
+     get alpha          # still cached: must hit again
+     put alpha 300000   # a same-size overwrite ...
+     get alpha          # ... must read the new version, not the old"
+        .parse()
+        .expect("valid schedule")
 }
 
 /// The tentpole invariant of the shared dispatch layer: the same
 /// PUT/GET/miss script pushed through `SimWorld` (timed events, network
 /// flows) and the socket cluster (`ic-net` loopback TCP, real bytes)
-/// produces identical application-visible hit/miss outcomes, because both
+/// produces identical application-visible outcomes, because both
 /// substrates execute the identical protocol actions through
-/// `infinicache::dispatch`; the socket cluster's GETs are byte-identical
-/// to the stored objects (asserted inside `replay_net`). (The replay
-/// harness lives in `tests/common`; `tests/chaos.rs` reuses it for
-/// sampled schedules.)
+/// `infinicache::dispatch`. Each key's n-th PUT stores its own bytes, so
+/// a socket GET that returned the overwritten version would be
+/// `Corrupt`, not `Hit`. (The driver is `ic_net::replay::run`;
+/// `tests/chaos.rs` runs it on sampled schedules.)
 #[test]
 fn simulated_and_net_execution_agree_on_hit_miss_outcomes() {
     let script = parity_script();
-    let sim = replay_sim(&script);
-    let net = replay_net(&script);
+    let (sim, net) = sim_and_net(&script, 1);
     assert_eq!(sim, net, "sim and net outcomes diverged");
     let expected = [
         StepOutcome::Stored,
@@ -224,20 +223,22 @@ fn simulated_and_net_execution_agree_on_hit_miss_outcomes() {
         StepOutcome::Hit,
         StepOutcome::Miss,
         StepOutcome::Hit,
+        StepOutcome::Stored,
+        StepOutcome::Hit,
     ];
     assert_eq!(sim, expected, "script must store, hit, and miss as written");
 }
 
 /// The same script on a live two-proxy socket fleet: the client
 /// ring-routes its keys across both proxies' pools, and the outcomes
-/// still match the simulator's fleet and the script.
+/// still match the simulator's fleet — and the single-proxy outcomes.
 #[test]
 fn simulated_and_live_execution_agree_on_hit_miss_outcomes() {
     let script = parity_script();
-    let sim = ic_net::replay::replay_sim_proxies(&script, 2);
-    let live = ic_net::replay::replay_net_proxies(&script, 2);
+    let (sim, live) = sim_and_net(&script, 2);
     assert_eq!(sim, live, "sim and live fleet outcomes diverged");
-    assert_eq!(sim, replay_sim(&script), "the proxy count changed outcomes");
+    let one_proxy = ic_net::replay::run(&script, 1, ic_net::replay::Substrate::Sim).outcomes;
+    assert_eq!(sim, one_proxy, "the proxy count changed outcomes");
 }
 
 /// What the read policy did over one scenario, as the proxy and the
@@ -292,7 +293,7 @@ const IDLE: std::time::Duration = std::time::Duration::from_millis(250);
 fn read_policy_on_sim() -> (ReadPolicyCounters, LambdaId) {
     let params = SimParams::paper().with_seed(6); // client 0 draws from seed 7
     let mut w = SimWorld::new(
-        ic_net::replay::parity_config(),
+        ic_net::replay::parity_config(1),
         params,
         Box::new(NoReclaim),
         1,
@@ -392,8 +393,8 @@ fn await_repair(mut poll: impl FnMut() -> ic_client::ClientStats) -> ic_client::
 }
 
 fn read_policy_on_net(home: LambdaId) -> ReadPolicyCounters {
-    let data = ic_net::replay::script_payload(POLICY_OBJECT);
-    let cluster = LoopbackCluster::start(ic_net::replay::parity_config()).unwrap();
+    let data = pattern_bytes("k", 0, POLICY_OBJECT as usize);
+    let cluster = LoopbackCluster::start(ic_net::replay::parity_config(1)).unwrap();
     let mut cache = cluster.client().unwrap();
     cache.put("k", data.clone()).unwrap();
     let (bytes, report) = cache.get_reported("k").unwrap().expect("cached");

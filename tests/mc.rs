@@ -14,10 +14,10 @@ use std::path::PathBuf;
 use ic_mc::{
     explore, load_trace, parse_trace, replay_violates, McConfig, SearchMode, ViolationKind,
 };
-use infinicache::chaos::ScriptStep;
+use ic_net::replay::StepOutcome;
 
 mod common;
-use common::{replay_net, replay_sim};
+use common::sim_and_net;
 
 fn data(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -257,6 +257,23 @@ fn trace_file_text_round_trips() {
     assert_eq!(parsed.ops, cfg.ops);
 }
 
+/// The committed traces' `op` lines are the `Schedule` text form: they
+/// parse, and the parsed schedule re-renders them byte for byte.
+#[test]
+fn committed_counterexample_op_lines_re_render_byte_for_byte() {
+    for file in ["counterexample_early.mc", "counterexample_stale.mc"] {
+        let text = std::fs::read_to_string(data(file)).expect("committed trace");
+        let (cfg, _, _) = parse_trace(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let op_lines: String = text
+            .lines()
+            .filter(|l| l.starts_with("op "))
+            .map(|l| format!("{}\n", &l["op ".len()..]))
+            .collect();
+        assert!(!op_lines.is_empty(), "{file}: no op lines");
+        assert_eq!(cfg.ops.to_string(), op_lines, "{file}");
+    }
+}
+
 /// The committed traces' *schedules* (their `op` lines) replay
 /// identically through the discrete-event world and the loopback socket
 /// cluster — the in-test equivalent of
@@ -267,12 +284,10 @@ fn trace_file_text_round_trips() {
 fn counterexample_schedules_replay_identically_across_substrates() {
     for file in ["counterexample_early.mc", "counterexample_stale.mc"] {
         let (cfg, _, _) = load_trace(&data(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let script: Vec<ScriptStep> = cfg.ops.iter().map(|op| op.step.clone()).collect();
-        let sim = replay_sim(&script);
-        let net = replay_net(&script);
+        let (sim, net) = sim_and_net(&cfg.ops, 1);
         assert_eq!(sim, net, "{file}: sim and net diverged");
         assert!(
-            sim.contains(&common::StepOutcome::Hit),
+            sim.contains(&StepOutcome::Hit),
             "{file}: schedule must produce a hit"
         );
     }

@@ -5,7 +5,9 @@
 
 use std::time::Duration;
 
-use ic_trace::replay::{chaos_steps, script, NetReplayConfig, SimReplayConfig};
+use ic_common::SimDuration;
+use ic_net::replay::{run, Substrate};
+use ic_trace::replay::{schedule, NetReplayConfig, SimReplayConfig};
 use ic_trace::synth::{synthesize, TraceGenConfig};
 use ic_trace::{compare_baselines, replay_net, replay_sim, report, TraceData};
 use infinicache::chaos::{run_chaos, ChaosConfig};
@@ -58,20 +60,19 @@ fn committed_sample_is_canonical() {
 
 /// The same committed trace drives the net substrate (real loopback
 /// sockets, paced arrivals, byte verification) to the *same outcome
-/// sequence* as the sim-side parity oracle.
+/// sequence* as the simulator running the same schedule.
 #[test]
 fn sim_net_parity_on_committed_sample() {
     let data = sample();
-    let oracle = ic_net::replay::replay_sim(&script(&data));
-    let mut cfg = NetReplayConfig::sample();
-    cfg.target_wall = Duration::from_millis(800); // keep the test quick
+    let cfg = NetReplayConfig {
+        target_wall: Duration::from_millis(800), // keep the test quick
+    };
     let net = replay_net(&data, &cfg).expect("net replay verifies");
+    let oracle = schedule(&data, SimDuration::from_millis(800));
+    let sim = run(&oracle, 1, Substrate::Sim).outcomes;
     assert_eq!(net.verify_failures, 0);
     assert_eq!(net.ops, data.records.len());
-    assert_eq!(
-        net.outcomes, oracle,
-        "net replay outcomes must match the sim parity oracle"
-    );
+    assert_eq!(net.outcomes, sim, "net replay outcomes must match the sim");
 }
 
 /// The committed `BENCH_trace.json` artifact passes the schema validator
@@ -93,8 +94,8 @@ fn committed_bench_artifact_is_valid() {
 #[test]
 fn chaos_trace_schedule_is_deterministic_and_clean() {
     let data = sample();
-    let steps = chaos_steps(&data, 64, 4_000);
-    assert_eq!(steps.len(), 64.min(data.records.len()));
+    let steps = schedule(&data.prefix(64), SimDuration::from_millis(4_000));
+    assert_eq!(steps.steps.len(), 64.min(data.records.len()));
     let mut cfg = ChaosConfig::from_trace(BENCH_SEED, steps);
     cfg.reclaim_prob = 0.5; // make injected reclaims a certainty at 64 steps
     let a = run_chaos(&cfg);
