@@ -3,9 +3,10 @@
 //! The paper uses CLOCK twice, for unrelated purposes (§3.3 footnote 6):
 //! per-proxy to pick eviction victims at object granularity (§3.2), and
 //! per-node to order chunks MRU→LRU for the backup key exchange (§4.2).
-//! This generic implementation serves both: classic hand-sweep victim
-//! selection over reference bits, plus recency stamps for the MRU→LRU
-//! ordering.
+//! This queue serves the proxy: classic hand-sweep victim selection over
+//! reference bits, plus recency stamps for an MRU→LRU listing. A node
+//! needs only the order, so its chunk store stamps each chunk itself
+//! (`ic_lambda::store`) rather than keeping a second index here.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -1,7 +1,8 @@
 //! The InfiniCache Lambda function runtime (§3.3, Fig 7, Fig 10).
 //!
 //! This crate is the code that "executes inside each Lambda instance": a
-//! chunk store with CLOCK-ordered backup metadata ([`store`]), the
+//! chunk store whose recency stamps order the backup metadata MRU→LRU
+//! ([`store`]), the
 //! anticipatory billed-duration controller and runtime state machine
 //! ([`runtime`]), and both roles of the delta-sync backup protocol
 //! ([`backup`]).

@@ -200,7 +200,7 @@ impl Runtime {
         self.outstanding.hash(h);
         self.requests_in_cycle.hash(h);
         self.did_backup.hash(h);
-        format!("{:?}", self.role).hash(h);
+        self.role.fingerprint(h);
     }
 
     // ------------------------------------------------------------------
@@ -361,10 +361,6 @@ impl Runtime {
                 let BackupRole::Dest(d) = &mut self.role else {
                     unreachable!()
                 };
-                d.offered = keys
-                    .iter()
-                    .map(|k| (k.id.clone(), (k.version, k.len)))
-                    .collect();
                 d.pending = plan.fetch.iter().cloned().collect();
                 if d.pending.is_empty() {
                     self.finish_dest(now)
@@ -1018,5 +1014,30 @@ mod tests {
         let out = rt.on_timer(late, rt.timer_token);
         assert!(out.iter().any(|a| matches!(a, Action::Return { .. })));
         assert_eq!(rt.state(), RunState::Sleeping);
+    }
+
+    /// Two destinations holding the same pending and serve-on-arrival ids
+    /// are in one protocol state, whatever order the ids went in, so
+    /// they fingerprint alike (the model checker merges them).
+    #[test]
+    fn dest_fingerprint_ignores_set_insertion_order() {
+        use std::hash::{DefaultHasher, Hasher};
+
+        let ids: Vec<ChunkId> = (0..32).map(|i| cid(&format!("k{i}"), i % 3)).collect();
+        let dest = |order: &mut dyn Iterator<Item = &ChunkId>| {
+            let mut d = DestState::new(RelayId(4));
+            for id in order {
+                d.pending.insert(id.clone());
+                if id.seq == 0 {
+                    d.serve_on_arrival.insert(id.clone());
+                }
+            }
+            let mut rt = fresh(SimTime::ZERO);
+            rt.role = BackupRole::Dest(d);
+            let mut h = DefaultHasher::new();
+            rt.fingerprint(&mut h);
+            h.finish()
+        };
+        assert_eq!(dest(&mut ids.iter()), dest(&mut ids.iter().rev()));
     }
 }

@@ -3,12 +3,13 @@
 //! Keys are chunk ids; values carry the payload plus a *version* — the
 //! insertion timestamp in microseconds (tie-broken by a per-store counter)
 //! — which is what the delta-sync backup compares to ship only new data.
-//! A CLOCK queue tracks recency so the backup key exchange can stream
-//! metadata MRU→LRU (§4.2).
+//! Each chunk also carries a recency *stamp*, the store's counter at its
+//! last insert or hit, so the backup key exchange streams metadata
+//! MRU→LRU (§4.2) with one pass over the chunks and one sort by stamp.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use ic_common::clock::ClockQueue;
 use ic_common::msg::BackupKey;
 use ic_common::{ChunkId, Payload, SimTime};
 
@@ -19,15 +20,17 @@ pub struct StoredChunk {
     pub payload: Payload,
     /// Monotonic version used by delta-sync (time-derived).
     pub version: u64,
+    /// Recency: the store's stamp counter at the last insert or hit.
+    stamp: u64,
 }
 
 /// The chunk store of one function instance.
 #[derive(Clone, Debug, Default)]
 pub struct ChunkStore {
     chunks: HashMap<ChunkId, StoredChunk>,
-    clock: ClockQueue<ChunkId>,
     used_bytes: u64,
     version_seq: u64,
+    stamp: u64,
 }
 
 impl ChunkStore {
@@ -54,7 +57,9 @@ impl ChunkStore {
     /// Feeds the store's contents into a state hash (model checking).
     /// Chunk *versions* are excluded: they embed the wall-clock insert
     /// time, so two interleavings holding identical data would hash
-    /// differently and the checker's state dedup would never fire.
+    /// differently and the checker's state dedup would never fire. So
+    /// are the stamps themselves: only the MRU→LRU order they give is
+    /// hashed.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
         let mut chunks: Vec<_> = self.chunks.iter().collect();
@@ -63,8 +68,17 @@ impl ChunkStore {
             id.hash(h);
             format!("{:?}", chunk.payload).hash(h);
         }
-        self.clock.keys_mru_to_lru().hash(h);
+        let ids: Vec<&ChunkId> = self.mru_to_lru().into_iter().map(|(id, _)| id).collect();
+        ids.hash(h);
         self.used_bytes.hash(h);
+    }
+
+    /// Chunks ordered most recently used first (stamps are unique, so
+    /// the order is total).
+    fn mru_to_lru(&self) -> Vec<(&ChunkId, &StoredChunk)> {
+        let mut chunks: Vec<_> = self.chunks.iter().collect();
+        chunks.sort_unstable_by_key(|(_, c)| Reverse(c.stamp));
+        chunks
     }
 
     /// Inserts (or overwrites) a chunk at time `now`, returning its version.
@@ -76,25 +90,28 @@ impl ChunkStore {
 
     /// Inserts a chunk with an explicit version (the backup destination
     /// preserves the source's versions so later deltas stay correct).
+    /// The chunk becomes the most recently used.
     pub fn insert_with_version(&mut self, id: ChunkId, payload: Payload, version: u64) -> u64 {
         let new_bytes = payload.len();
-        if let Some(old) = self
-            .chunks
-            .insert(id.clone(), StoredChunk { payload, version })
-        {
+        self.stamp += 1;
+        let chunk = StoredChunk {
+            payload,
+            version,
+            stamp: self.stamp,
+        };
+        if let Some(old) = self.chunks.insert(id, chunk) {
             self.used_bytes -= old.payload.len();
         }
         self.used_bytes += new_bytes;
-        self.clock.insert(id);
         version
     }
 
-    /// Fetches a chunk, marking it referenced.
+    /// Fetches a chunk, making it the most recently used.
     pub fn get(&mut self, id: &ChunkId) -> Option<&StoredChunk> {
-        if self.chunks.contains_key(id) {
-            self.clock.touch(id);
-        }
-        self.chunks.get(id)
+        let chunk = self.chunks.get_mut(id)?;
+        self.stamp += 1;
+        chunk.stamp = self.stamp;
+        Some(chunk)
     }
 
     /// Fetches without touching recency (used by the backup data pump).
@@ -105,7 +122,6 @@ impl ChunkStore {
     /// Removes a chunk (proxy-driven eviction), returning its size.
     pub fn remove(&mut self, id: &ChunkId) -> Option<u64> {
         let old = self.chunks.remove(id)?;
-        self.clock.remove(id);
         self.used_bytes -= old.payload.len();
         Some(old.payload.len())
     }
@@ -123,16 +139,12 @@ impl ChunkStore {
 
     /// Backup key metadata ordered MRU→LRU (Fig 10 step 11).
     pub fn backup_keys(&self) -> Vec<BackupKey> {
-        self.clock
-            .keys_mru_to_lru()
+        self.mru_to_lru()
             .into_iter()
-            .map(|id| {
-                let c = &self.chunks[&id];
-                BackupKey {
-                    id,
-                    version: c.version,
-                    len: c.payload.len(),
-                }
+            .map(|(id, c)| BackupKey {
+                id: id.clone(),
+                version: c.version,
+                len: c.payload.len(),
             })
             .collect()
     }

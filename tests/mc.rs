@@ -30,6 +30,12 @@ fn uncapped(mut cfg: McConfig) -> McConfig {
     cfg
 }
 
+/// Why the presets' exact state and transition counts are pinned: the
+/// protocol fingerprint decides which states merge, so a change to what
+/// a runtime, store or proxy hashes (or to what a step does) moves the
+/// counts even when every explored state stays clean.
+const PINNED: &str = "exact count moved: a fingerprint or a protocol step changed";
+
 /// The tiny preset (settled PUT, explored GET) is exhaustively
 /// explorable: the search hits neither the state cap nor the depth
 /// bound, visits a real state space, and finds nothing wrong.
@@ -38,6 +44,11 @@ fn tiny_preset_explores_exhaustively_with_no_violations() {
     let report = explore(&uncapped(McConfig::tiny(1)));
     assert!(report.ok(), "violations: {:#?}", report.violations);
     assert!(!report.capped, "tiny must be exhaustible");
+    assert_eq!(
+        (report.states, report.transitions),
+        (757, 2_625),
+        "{PINNED}"
+    );
     assert_eq!(report.depth_cutoffs, 0, "tiny must terminate within depth");
     assert!(
         report.states > 500,
@@ -63,6 +74,11 @@ fn small_preset_with_injected_reclaim_is_clean_and_exhaustive() {
     );
     assert!(!with_reclaim.capped);
     assert_eq!(with_reclaim.depth_cutoffs, 0);
+    assert_eq!(
+        (with_reclaim.states, with_reclaim.transitions),
+        (2_647, 8_607),
+        "{PINNED}"
+    );
 
     let mut no_faults = uncapped(McConfig::small(1));
     no_faults.max_reclaims = 0;
@@ -83,6 +99,11 @@ fn unsettled_put_preset_is_clean_and_exhaustive() {
     let report = explore(&uncapped(McConfig::put(1)));
     assert!(report.ok(), "violations: {:#?}", report.violations);
     assert!(!report.capped, "put must be exhaustible");
+    assert_eq!(
+        (report.states, report.transitions),
+        (1_664, 3_973),
+        "{PINNED}"
+    );
     assert_eq!(report.depth_cutoffs, 0, "put must terminate within depth");
     assert!(
         report.states > 1000,
@@ -102,6 +123,11 @@ fn read_preset_explores_data_first_gets_exhaustively() {
     let report = explore(&uncapped(McConfig::read(1)));
     assert!(report.ok(), "violations: {:#?}", report.violations);
     assert!(!report.capped, "read must be exhaustible");
+    assert_eq!(
+        (report.states, report.transitions),
+        (6_951, 25_394),
+        "{PINNED}"
+    );
     assert_eq!(report.depth_cutoffs, 0, "read must terminate within depth");
     assert!(report.terminals >= 1, "no terminal state audited");
 
