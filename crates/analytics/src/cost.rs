@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn paper_literal_pricing_shifts_crossover_right() {
         // With the paper's literal $0.02/1M the crossover moves outward —
-        // the sensitivity check `fig17_cost_crossover` prints.
+        // the sensitivity check `reproduce fig17_cost_crossover` prints.
         let mut m = CostModel::paper_production();
         let x_aws = m
             .crossover_rate(CACHE_R5_24XLARGE.hourly_price, 12, 100.0)

@@ -1,0 +1,1123 @@
+//! `reproduce`: regenerate the paper's figures, tables and ablations.
+//!
+//! ```text
+//! reproduce [--quick] [ARTIFACT...]
+//! ```
+//!
+//! Each artifact is one entry of [`ARTIFACTS`]; with no names every entry
+//! runs, in table order. `--quick` selects the seconds-scale smoke run
+//! instead of the paper's full-scale parameters. All artifacts share one
+//! [`Ctx`], so the production study behind Fig 13/14/15/16 and Table 1
+//! is computed at most once per run. A panic in any artifact aborts the
+//! run with a nonzero exit.
+
+use ic_analytics::availability::{
+    availability_over, object_loss_given_reclaims, object_loss_given_reclaims_approx, CaseStudy,
+};
+use ic_analytics::summary::Cdf;
+use ic_analytics::{CostModel, Summary};
+use ic_baselines::ElastiCacheDeployment;
+use ic_bench::{mins, ms_cell, print_table, quantile_row, vs_paper, Ctx, Scale};
+use ic_common::hash::splitmix64;
+use ic_common::pricing::{CostCategory, Pricing, CACHE_R5_24XLARGE};
+use ic_common::{DeploymentConfig, EcConfig};
+use ic_simfaas::function::FunctionConfig;
+use ic_simfaas::reclaim::{paper_presets, HourlyPoisson, PeriodicSpike};
+use ic_workload::{generate, stats::TraceStats, WorkloadSpec, LARGE_OBJECT_BYTES};
+use infinicache::experiments::{
+    colocation_study, elasticache_microbenchmark, microbenchmark, reclaim_study, scalability_study,
+    trace_replay, BaselineRecord, ReclaimTimeline,
+};
+use infinicache::metrics::{FtKind, Metrics, OpKind, Outcome, RequestRecord};
+use infinicache::params::SimParams;
+
+/// One artifact: its name (the figure/table it regenerates) and its body.
+type Artifact = (&'static str, fn(&Ctx));
+
+/// Every artifact, in the order a full run prints them.
+const ARTIFACTS: &[Artifact] = &[
+    ("fig01_trace_characteristics", fig01_trace_characteristics),
+    ("fig04_colocation", fig04_colocation),
+    ("fig08_reclaim_timeline", fig08_reclaim_timeline),
+    ("fig09_reclaim_distribution", fig09_reclaim_distribution),
+    ("fig11_microbenchmark", fig11_microbenchmark),
+    ("fig12_scalability", fig12_scalability),
+    ("fig13_cost", fig13_cost),
+    ("fig14_fault_tolerance", fig14_fault_tolerance),
+    ("fig15_latency_cdf", fig15_latency_cdf),
+    ("fig16_normalized_latency", fig16_normalized_latency),
+    ("fig17_cost_crossover", fig17_cost_crossover),
+    ("table1_hit_ratios", table1_hit_ratios),
+    ("sec43_availability_model", sec43_availability_model),
+    ("ablation_backup", ablation_backup),
+    ("ablation_warmup", ablation_warmup),
+    ("ablation_first_d", ablation_first_d),
+    ("ablation_function_memory", ablation_function_memory),
+];
+
+/// Parses `[--quick] [ARTIFACT...]` into the run's scale and the
+/// artifacts to run (all of them when none is named).
+fn parse_args(args: &[String]) -> Result<(Scale, Vec<Artifact>), String> {
+    let mut scale = Scale::Full;
+    let mut selected = Vec::new();
+    for arg in args {
+        if arg == "--quick" {
+            scale = Scale::Quick;
+        } else if let Some(&artifact) = ARTIFACTS.iter().find(|(name, _)| name == arg) {
+            selected.push(artifact);
+        } else {
+            let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+            return Err(format!(
+                "unknown artifact `{arg}`\nusage: reproduce [--quick] [ARTIFACT...]\nartifacts: {}",
+                names.join(" ")
+            ));
+        }
+    }
+    if selected.is_empty() {
+        selected = ARTIFACTS.to_vec();
+    }
+    Ok((scale, selected))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, selected) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let ctx = Ctx::new(scale);
+    for (name, run) in &selected {
+        println!("\n================== {name} ==================");
+        run(&ctx);
+    }
+    println!("\nall {} artifacts completed", selected.len());
+}
+
+/// Fig 1's CDF row: `label`, then x at each cumulative fraction.
+fn cdf_series(label: &str, cdf: &Cdf, log_x: bool) -> Vec<String> {
+    let mut row = vec![label.to_string()];
+    for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
+        let v = cdf.quantile(q);
+        row.push(if log_x {
+            format!("{v:.3e}")
+        } else {
+            format!("{v:.2}")
+        });
+    }
+    row
+}
+
+/// Fig 1 (a–d): characteristics of the synthesized IBM Docker-registry
+/// workload, printed next to the statistics the paper reports about the
+/// real traces.
+fn fig01_trace_characteristics(ctx: &Ctx) {
+    ctx.banner(
+        "Fig 1",
+        "object sizes, footprint, access counts, reuse intervals",
+    );
+
+    for (name, spec) in [
+        ("Dallas", WorkloadSpec::dallas()),
+        ("London", WorkloadSpec::london()),
+    ] {
+        let trace = generate(&spec, 2020);
+        let stats = TraceStats::compute(&trace);
+        let large = trace.filter_large(LARGE_OBJECT_BYTES);
+        let lstats = TraceStats::compute(&large);
+
+        println!("\n--- {name} profile ---");
+        print_table(
+            "headline statistics",
+            &["metric", "measured"],
+            &[
+                vec![
+                    "objects > 10 MB (fraction of objects)".into(),
+                    vs_paper(
+                        format!("{:.1}%", stats.large_object_fraction * 100.0),
+                        ">20%",
+                    ),
+                ],
+                vec![
+                    "bytes in objects > 10 MB".into(),
+                    vs_paper(format!("{:.1}%", stats.large_byte_fraction * 100.0), ">95%"),
+                ],
+                vec![
+                    "large-object reuses within 1 h".into(),
+                    vs_paper(
+                        format!("{:.1}%", lstats.large_reuse_within_hour() * 100.0),
+                        "37-46%",
+                    ),
+                ],
+                vec![
+                    "size span (min..max)".into(),
+                    format!(
+                        "{:.0} B .. {:.2e} B (9 decades in the paper)",
+                        stats.size_cdf.quantile(0.0),
+                        stats.size_cdf.quantile(1.0)
+                    ),
+                ],
+            ],
+        );
+
+        print_table(
+            "CDF quantiles (x at cumulative fraction)",
+            &["series", "q10", "q25", "q50", "q75", "q90", "q99"],
+            &[
+                cdf_series("(a) object size [B]", &stats.size_cdf, true),
+                cdf_series(
+                    "(c) access count >10MB",
+                    &stats.large_access_count_cdf,
+                    false,
+                ),
+                cdf_series(
+                    "(d) reuse interval >10MB [h]",
+                    &stats.large_reuse_interval_cdf,
+                    false,
+                ),
+            ],
+        );
+
+        // (b) byte footprint: fraction of bytes in objects <= size.
+        let marks = [1e4, 1e6, 1e7, 1e8, 1e9];
+        let rows: Vec<Vec<String>> = marks
+            .iter()
+            .map(|&m| {
+                let frac = stats
+                    .footprint_points
+                    .iter()
+                    .take_while(|(s, _)| *s <= m)
+                    .last()
+                    .map(|(_, f)| *f)
+                    .unwrap_or(0.0);
+                vec![format!("{m:.0e} B"), format!("{:.3}", frac)]
+            })
+            .collect();
+        print_table(
+            "(b) cumulative byte fraction by object size",
+            &["size", "fraction"],
+            &rows,
+        );
+    }
+
+    // Fig 1(c)'s long tail needs the long-horizon characterization run.
+    let spec = WorkloadSpec::characterization();
+    let trace = generate(&spec, 7);
+    let stats = TraceStats::compute(&trace);
+    println!();
+    print_table(
+        "long-horizon characterization (Fig 1c tail)",
+        &["metric", "measured"],
+        &[
+            vec![
+                "large objects with >=10 accesses".into(),
+                vs_paper(
+                    format!("{:.1}%", stats.large_accessed_at_least(10) * 100.0),
+                    "~30%",
+                ),
+            ],
+            vec![
+                "max accesses to one large object".into(),
+                vs_paper(
+                    format!("{:.0}", stats.large_access_count_cdf.quantile(1.0)),
+                    ">10^4 (75-day trace)",
+                ),
+            ],
+        ],
+    );
+}
+
+/// Fig 4: GET latency as a function of the number of VM hosts touched per
+/// request (co-location bandwidth contention). 100 MB objects, RS(10+1),
+/// 256 MB functions, pool scaled from 20 to 200 nodes.
+fn fig04_colocation(ctx: &Ctx) {
+    ctx.banner(
+        "Fig 4",
+        "latency vs #VM hosts touched per request (256 MB functions, RS(10+1), 100 MB)",
+    );
+    let (pools, objects): (&[u32], usize) =
+        ctx.pick((&[20, 40, 60, 80, 120, 160, 200], 15), (&[20, 120], 6));
+    let report = colocation_study(pools, objects, 44);
+
+    let rows: Vec<Vec<String>> = report
+        .by_hosts
+        .iter()
+        .map(|(hosts, s)| {
+            vec![
+                hosts.to_string(),
+                ms_cell(s),
+                format!("{:.0}", s.p99),
+                s.count.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "client-perceived latency by hosts touched",
+        &["hosts", "ms p50 [p25..p75]", "p99", "samples"],
+        &rows,
+    );
+
+    if let (Some(first), Some(last)) = (report.by_hosts.first(), report.by_hosts.last()) {
+        println!(
+            "\nspread {}→{} hosts: median latency {:.0} ms → {:.0} ms ({:.1}x better; \
+             paper shows ~700→200 ms over 2→11 hosts)",
+            first.0,
+            last.0,
+            first.1.p50,
+            last.1.p50,
+            first.1.p50 / last.1.p50
+        );
+    }
+}
+
+/// Runs [`reclaim_study`] under each of the six §4.1 presets on a
+/// `fleet`-function fleet, seeding preset `i` with `seed(i)`. The Aug'19
+/// row used the 9-minute warm-up strategy, every other row 1 minute.
+fn preset_timelines(fleet: u32, seed: impl Fn(u64) -> u64) -> Vec<ReclaimTimeline> {
+    paper_presets(fleet as usize)
+        .into_iter()
+        .enumerate()
+        .map(|(i, policy)| {
+            let label = policy.name().to_string();
+            let warm = mins(if label.starts_with("9 min") { 9 } else { 1 });
+            reclaim_study(policy, &label, warm, fleet, seed(i as u64))
+        })
+        .collect()
+}
+
+/// Fig 8: number of functions reclaimed over a 24-hour window under the
+/// six policy regimes of the paper's §4.1 study (400-function fleet,
+/// warm-ups every 1 minute — every 9 minutes for the Aug'19 row).
+fn fig08_reclaim_timeline(ctx: &Ctx) {
+    ctx.banner(
+        "Fig 8",
+        "functions reclaimed over 24 h per warm-up strategy",
+    );
+    let fleet = ctx.pick(400, 80);
+    let mut rows = Vec::new();
+    for tl in preset_timelines(fleet, |i| 100 + i) {
+        let total: u64 = tl.per_hour.iter().sum();
+        let peak = *tl.per_hour.iter().max().unwrap_or(&0);
+        let series: String = tl
+            .per_hour
+            .iter()
+            .map(|c| format!("{c:>4}"))
+            .collect::<Vec<_>>()
+            .join("");
+        println!("\n{}   total={total} peak-hour={peak}", tl.label);
+        println!("  hourly: {series}");
+        rows.push(vec![tl.label, total.to_string(), peak.to_string()]);
+    }
+    print_table("summary", &["policy", "reclaims/24h", "peak hour"], &rows);
+    println!(
+        "\npaper shape: the 9-min strategy loses ~the whole fleet in spikes every ~6 h;\n\
+         1-min strategies reduce peaks to ~20 (Sep/Oct/Nov) or spread them as ~36/h churn (Dec/Jan)."
+    );
+}
+
+/// Fig 9: probability distribution of the number of functions reclaimed
+/// per minute, per policy regime (the Zipf-vs-Poisson observation of
+/// §4.1).
+fn fig09_reclaim_distribution(ctx: &Ctx) {
+    ctx.banner("Fig 9", "P(#functions reclaimed per minute = k)");
+    let fleet = ctx.pick(400, 80);
+    let ks = [0usize, 1, 2, 3, 5, 10, 20, 40];
+    let mut rows = Vec::new();
+    for tl in preset_timelines(fleet, |i| 200 + i) {
+        let n = tl.per_minute.len() as f64;
+        let mut row = vec![tl.label];
+        for &k in &ks {
+            let p = tl.per_minute.iter().filter(|&&c| c as usize == k).count() as f64 / n;
+            row.push(format!("{p:.3}"));
+        }
+        // Mean as a sanity column.
+        let mean: f64 = tl.per_minute.iter().sum::<u64>() as f64 / n;
+        row.push(format!("{mean:.2}"));
+        rows.push(row);
+    }
+    let mut headers: Vec<String> = vec!["policy".into()];
+    headers.extend(ks.iter().map(|k| format!("P(k={k})")));
+    headers.push("mean/min".into());
+    print_table("per-minute reclaim distribution", &headers, &rows);
+    println!(
+        "\npaper shape: Sep/Nov days follow a Zipf-like distribution (mass at 0, heavy tail);\n\
+         Oct/Dec/Jan days follow a Poisson-like distribution around ~0.6/min."
+    );
+}
+
+/// Fig 11 (a–f): microbenchmark GET latency across RS codes, object sizes
+/// and function memory, with the ElastiCache comparison of subfigure (f).
+fn fig11_microbenchmark(ctx: &Ctx) {
+    ctx.banner(
+        "Fig 11",
+        "microbenchmark latency: codes x sizes x function memory",
+    );
+    let codes = [
+        EcConfig::new(10, 0).unwrap(),
+        EcConfig::new(10, 1).unwrap(),
+        EcConfig::new(10, 2).unwrap(),
+        EcConfig::new(10, 4).unwrap(),
+        EcConfig::new(4, 2).unwrap(),
+        EcConfig::new(5, 1).unwrap(),
+    ];
+    let sizes: Vec<u64> = [10u64, 20, 40, 60, 80, 100]
+        .iter()
+        .map(|m| m * 1_000_000)
+        .collect();
+    let (memories, trials): (&[u32], usize) =
+        ctx.pick((&[128, 256, 512, 1024, 2048, 3008], 40), (&[512, 3008], 10));
+    let headers = |first: &str| -> Vec<String> {
+        std::iter::once(first.to_string())
+            .chain(sizes.iter().map(|s| format!("{} MB", s / 1_000_000)))
+            .collect()
+    };
+
+    for &mem in memories {
+        let rows = microbenchmark(mem, &codes, &sizes, trials, 7000 + mem as u64);
+        let mut table: Vec<Vec<String>> = Vec::new();
+        for ec in &codes {
+            let mut row = vec![ec.to_string()];
+            for &size in &sizes {
+                let cell = rows
+                    .iter()
+                    .find(|r| r.ec == *ec && r.object_size == size)
+                    .map(|r| ms_cell(&r.latency_ms))
+                    .unwrap_or_else(|| "-".into());
+                row.push(cell);
+            }
+            table.push(row);
+        }
+        print_table(
+            &format!(
+                "({}) {} MB functions — GET latency ms p50 [p25..p75]",
+                mem, mem
+            ),
+            &headers("code"),
+            &table,
+        );
+    }
+
+    // Subfigure (f)'s ElastiCache series.
+    let mut table = Vec::new();
+    for (label, dep) in [
+        (
+            "ElastiCache (1-node r5.8xl)",
+            ElastiCacheDeployment::one_node_8xl(),
+        ),
+        (
+            "ElastiCache (10-node r5.xl)",
+            ElastiCacheDeployment::ten_node_xl(),
+        ),
+    ] {
+        let rows = elasticache_microbenchmark(dep, &sizes, 40);
+        let mut row = vec![label.to_string()];
+        for (_, s) in rows {
+            row.push(ms_cell(&s));
+        }
+        table.push(row);
+    }
+    print_table("(f) ElastiCache comparison", &headers("system"), &table);
+
+    println!(
+        "\npaper shape: (10+1) performs best; (10+0) suffers straggler tails; latency\n\
+         improves with function memory and plateaus above ~1024 MB; InfiniCache beats\n\
+         the 1-node ElastiCache on large objects and tracks the 10-node deployment."
+    );
+}
+
+/// Fig 12: aggregate GET throughput as the number of clients grows
+/// (5 proxies × 50 nodes of 1024 MB functions, 100 MB objects).
+fn fig12_scalability(ctx: &Ctx) {
+    ctx.banner("Fig 12", "throughput scaling with concurrent clients");
+    let (counts, batch, rounds): (Vec<u16>, usize, usize) =
+        ctx.pick(((1..=10).collect(), 8, 10), (vec![1, 2, 4], 4, 4));
+    let pts = scalability_study(&counts, batch, rounds, 1234);
+    let per_client = pts.first().map(|p| p.throughput_gbps).unwrap_or(0.0);
+    let rows: Vec<Vec<String>> = pts
+        .iter()
+        .map(|p| {
+            vec![
+                p.clients.to_string(),
+                format!("{:.2}", p.throughput_gbps),
+                format!("{:.2}", per_client * p.clients as f64),
+                format!(
+                    "{:.0}%",
+                    100.0 * p.throughput_gbps / (per_client * p.clients as f64)
+                ),
+            ]
+        })
+        .collect();
+    print_table(
+        "aggregate goodput",
+        &["clients", "InfiniCache GB/s", "ideal GB/s", "of ideal"],
+        &rows,
+    );
+    println!(
+        "\npaper shape: near-linear scaling with client count (InfiniCache tracks the\n\
+         ideal line, dipping slightly at 10 clients as the Lambda pool saturates)."
+    );
+}
+
+/// Fig 13: 50-hour accumulated tenant cost for ElastiCache vs InfiniCache
+/// under three settings, plus the hourly cost breakdown by category.
+fn fig13_cost(ctx: &Ctx) {
+    ctx.banner(
+        "Fig 13",
+        "total $ cost and hourly breakdown (production trace)",
+    );
+    let study = ctx.production_study();
+
+    let paper_totals = ["$20.52", "$16.51", "$5.41"];
+    let mut rows = vec![vec![
+        "ElastiCache (cache.r5.24xlarge)".to_string(),
+        vs_paper(format!("${:.2}", study.elasticache_cost), "$518.40"),
+    ]];
+    for (arm, paper) in study.arms.iter().zip(paper_totals) {
+        rows.push(vec![
+            format!("InfiniCache ({})", arm.label),
+            vs_paper(format!("${:.2}", arm.report.total_cost), paper),
+        ]);
+    }
+    print_table(
+        "(a) total cost over the horizon",
+        &["system", "cost"],
+        &rows,
+    );
+
+    for arm in &study.arms {
+        let total = arm.report.total_cost.max(1e-12);
+        let shares: Vec<String> = CostCategory::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                format!(
+                    "{}: ${:.2} ({:.1}%)",
+                    c.label(),
+                    arm.report.category_cost[i],
+                    100.0 * arm.report.category_cost[i] / total
+                )
+            })
+            .collect();
+        println!(
+            "\n{} — category breakdown: {}",
+            arm.label,
+            shares.join(", ")
+        );
+        // Hourly stacked series, sampled every 5 hours.
+        let rows: Vec<Vec<String>> = arm
+            .report
+            .hourly_cost
+            .iter()
+            .enumerate()
+            .step_by(5)
+            .map(|(h, cats)| {
+                vec![
+                    format!("h{h}"),
+                    format!("{:.3}", cats[0]),
+                    format!("{:.3}", cats[1]),
+                    format!("{:.3}", cats[2]),
+                ]
+            })
+            .collect();
+        print_table(
+            &format!("hourly $ breakdown ({})", arm.label),
+            &["hour", "PUT/GET", "Warm-up", "Backup"],
+            &rows,
+        );
+    }
+
+    let ic_all = study.arms[0].report.total_cost;
+    println!(
+        "\ncost-effectiveness vs ElastiCache: {:.0}x (paper: 31x all-objects, 96x without backup)",
+        study.elasticache_cost / ic_all.max(1e-9)
+    );
+    println!(
+        "paper shape: all-objects spends ~41% on serving; large-only is dominated (~88%)\n\
+         by backup+warm-up; disabling backup collapses the cost."
+    );
+}
+
+/// Fig 14: timeline of fault-tolerance activities (EC recoveries, RESETs,
+/// function reclaims) during the production-trace replay, plus the §5.2
+/// headline counts.
+fn fig14_fault_tolerance(ctx: &Ctx) {
+    ctx.banner(
+        "Fig 14",
+        "fault-tolerance activity timeline (production trace)",
+    );
+    let study = ctx.production_study();
+    let paper_resets = ["5720", "1085", "3912"];
+
+    for (arm, paper) in study.arms.iter().zip(paper_resets) {
+        let hours = study.hours;
+        let recov = arm.report.metrics.ft_hourly(FtKind::Recovery, hours);
+        let reset = arm.report.metrics.ft_hourly(FtKind::Reset, hours);
+        println!("\n--- {} ---", arm.label);
+        println!(
+            "totals: recoveries={} RESETs={} reclaims={}",
+            arm.report.metrics.recoveries(),
+            vs_paper(arm.report.metrics.resets(), paper),
+            arm.report.reclaims_per_hour.iter().sum::<u64>(),
+        );
+        println!(
+            "availability (hits/(hits+RESETs)): {}",
+            vs_paper(
+                format!("{:.1}%", arm.report.availability * 100.0),
+                if arm.label.contains("w/o") {
+                    "81.4%"
+                } else {
+                    "95.4% (large only)"
+                }
+            )
+        );
+        let rows: Vec<Vec<String>> = (0..hours)
+            .step_by(2)
+            .map(|h| {
+                vec![
+                    format!("h{h}"),
+                    recov[h].to_string(),
+                    reset[h].to_string(),
+                    arm.report.reclaims_per_hour[h].to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            "activity per hour",
+            &["hour", "Recovery", "RESET", "Reclaims"],
+            &rows,
+        );
+    }
+    println!(
+        "\npaper shape: recoveries and RESETs cluster around the request spikes\n\
+         (hours 15-20 and 34-42); backup cuts RESETs by ~4x vs no-backup."
+    );
+}
+
+/// Latencies (ms) of the GETs in `metrics` that `keep` accepts.
+fn get_ms(metrics: &Metrics, keep: impl Fn(&RequestRecord) -> bool) -> Vec<f64> {
+    metrics
+        .requests
+        .iter()
+        .filter(|r| r.kind == OpKind::Get && keep(r))
+        .map(|r| r.latency().as_millis_f64())
+        .collect()
+}
+
+/// Latencies (ms) of the baseline records whose size `keep` accepts.
+fn baseline_ms(records: &[BaselineRecord], keep: impl Fn(u64) -> bool) -> Vec<f64> {
+    records
+        .iter()
+        .filter(|r| keep(r.size))
+        .map(|r| r.latency_ms)
+        .collect()
+}
+
+/// Fig 15: client-perceived GET latency CDFs — InfiniCache vs ElastiCache
+/// vs AWS S3 on the production trace, for all objects and for objects
+/// larger than 10 MB.
+fn fig15_latency_cdf(ctx: &Ctx) {
+    ctx.banner("Fig 15", "latency CDFs: InfiniCache vs ElastiCache vs S3");
+    let study = ctx.production_study();
+
+    let ic = &study.arms[0].report.metrics;
+    let large = |size| size > LARGE_OBJECT_BYTES;
+    let ic_all = ic.get_latencies_ms(0);
+    let ic_large = get_ms(ic, |r| large(r.size));
+    let ec_all = baseline_ms(&study.ec_all.1, |_| true);
+    let ec_large = baseline_ms(&study.ec_all.1, large);
+    let s3_all = baseline_ms(&study.s3_all, |_| true);
+    let s3_large = baseline_ms(&study.s3_all, large);
+
+    print_table(
+        "(a) all objects — latency ms at quantile",
+        &["system", "p25", "p50", "p75", "p90", "p99"],
+        &[
+            quantile_row("ElastiCache", &ec_all),
+            quantile_row("InfiniCache", &ic_all),
+            quantile_row("AWS S3", &s3_all),
+        ],
+    );
+    print_table(
+        "(b) objects > 10 MB — latency ms at quantile",
+        &["system", "p25", "p50", "p75", "p90", "p99"],
+        &[
+            quantile_row("ElastiCache", &ec_large),
+            quantile_row("InfiniCache", &ic_large),
+            quantile_row("AWS S3", &s3_large),
+        ],
+    );
+
+    // The paper's headline: for ~60% of large requests InfiniCache is
+    // >=100x faster than S3.
+    let mut sorted_ic = ic_large;
+    sorted_ic.sort_by(f64::total_cmp);
+    let mut sorted_s3 = s3_large;
+    sorted_s3.sort_by(f64::total_cmp);
+    if !sorted_ic.is_empty() && !sorted_s3.is_empty() {
+        let frac_100x = (0..100)
+            .map(|i| {
+                let q = i as f64 / 100.0;
+                let ic = sorted_ic[(q * (sorted_ic.len() - 1) as f64) as usize];
+                let s3 = sorted_s3[(q * (sorted_s3.len() - 1) as f64) as usize];
+                (s3 / ic >= 100.0) as u32
+            })
+            .sum::<u32>();
+        println!(
+            "\nquantile-matched speedup vs S3 >= 100x for {frac_100x}% of large requests \
+             (paper: ~60%)"
+        );
+    }
+}
+
+/// Fig 16's object-size buckets: label, inclusive low, exclusive high.
+const BUCKETS: [(&str, u64, u64); 4] = [
+    ("<1 MB", 0, 1_000_000),
+    ("[1,10) MB", 1_000_000, 10_000_000),
+    ("[10,100) MB", 10_000_000, 100_000_000),
+    (">=100 MB", 100_000_000, u64::MAX),
+];
+
+/// Fig 16: GET latencies grouped by object size, normalized to
+/// ElastiCache's median in each bucket.
+fn fig16_normalized_latency(ctx: &Ctx) {
+    ctx.banner(
+        "Fig 16",
+        "normalized latency by object-size bucket (vs ElastiCache median)",
+    );
+    let study = ctx.production_study();
+    let ic = &study.arms[0].report.metrics;
+
+    let mut rows = Vec::new();
+    for (label, lo, hi) in BUCKETS {
+        let in_bucket = |size| (lo..hi).contains(&size);
+        let ec = baseline_ms(&study.ec_all.1, in_bucket);
+        let icl = get_ms(ic, |r| in_bucket(r.size));
+        // Cache-vs-cache comparison: hits only (the ElastiCache column's
+        // latencies are hits by construction of its replay).
+        let ic_hits = get_ms(ic, |r| {
+            matches!(r.outcome, Outcome::Hit { .. }) && in_bucket(r.size)
+        });
+        let s3 = baseline_ms(&study.s3_all, in_bucket);
+        let base = Summary::from_values(&ec).p50.max(1e-9);
+        let norm = |v: &[f64]| {
+            if v.is_empty() {
+                "-".to_string()
+            } else {
+                format!("{:.2}x", Summary::from_values(v).p50 / base)
+            }
+        };
+        rows.push(vec![
+            label.to_string(),
+            "1.00x".to_string(),
+            norm(&ic_hits),
+            norm(&icl),
+            norm(&s3),
+            format!("({:.1} ms EC median)", base),
+        ]);
+    }
+    print_table(
+        "median latency normalized to ElastiCache",
+        &[
+            "size bucket",
+            "ElastiCache",
+            "IC (hits)",
+            "IC (all)",
+            "AWS S3",
+            "baseline",
+        ],
+        &rows,
+    );
+    println!(
+        "\npaper shape: InfiniCache ~matches ElastiCache for 1-100 MB, beats it for\n\
+         >=100 MB (I/O parallelism), and pays a large relative penalty below 1 MB\n\
+         (invoking Lambdas costs ~13 ms; ElastiCache answers in sub-ms)."
+    );
+}
+
+/// Fig 17: hourly tenant cost of InfiniCache vs one cache.r5.24xlarge
+/// ElastiCache node, as a function of the object access rate — the
+/// small-object-workload discussion of §6.
+fn fig17_cost_crossover(ctx: &Ctx) {
+    ctx.banner(
+        "Fig 17",
+        "hourly $ cost vs access rate; ElastiCache crossover",
+    );
+    let model = CostModel::paper_production();
+    let chunks = 12; // RS(10+2)
+    let invocation_ms = 100.0;
+
+    let rows: Vec<Vec<String>> = (0..=8)
+        .map(|i| {
+            let rate = i as f64 * 40_000.0;
+            let ic = model.hourly_cost(rate, chunks, invocation_ms);
+            vec![
+                format!("{:.0}K", rate / 1000.0),
+                format!("${ic:.2}"),
+                format!("${:.2}", CACHE_R5_24XLARGE.hourly_price),
+            ]
+        })
+        .collect();
+    print_table(
+        "hourly cost sweep",
+        &["req/hour", "InfiniCache", "ElastiCache"],
+        &rows,
+    );
+
+    let crossover = model
+        .crossover_rate(CACHE_R5_24XLARGE.hourly_price, chunks, invocation_ms)
+        .expect("fixed cost below ElastiCache");
+    println!(
+        "\ncrossover: {} — i.e. {:.0} req/s (paper: 86 req/s)",
+        vs_paper(format!("{:.0} req/hour", crossover), "~312K req/hour"),
+        crossover / 3600.0
+    );
+
+    // Sensitivity: the paper's literal "$0.02 per 1M invocations".
+    let mut literal = model;
+    literal.pricing = Pricing::PAPER_LITERAL;
+    let alt = literal
+        .crossover_rate(CACHE_R5_24XLARGE.hourly_price, chunks, invocation_ms)
+        .unwrap();
+    println!(
+        "sensitivity: with the paper's literal $0.02/1M request fee the crossover \
+         moves to {:.0} req/hour — further evidence the intended constant is $0.20/1M",
+        alt
+    );
+}
+
+/// Table 1: working-set sizes, throughput, and hit ratios of ElastiCache
+/// vs InfiniCache on the production trace.
+fn table1_hit_ratios(ctx: &Ctx) {
+    ctx.banner("Table 1", "WSS, throughput, and cache hit ratios");
+    let study = ctx.production_study();
+
+    let ec_all = study.ec_all.0 * 100.0;
+    let ec_large = study.ec_large.0 * 100.0;
+    // Paper WSS, GETs/hour, ElastiCache hit (none without backup) and
+    // InfiniCache hit, one row per study arm.
+    let paper = [
+        ("1169 GB", "3654", Some("67.9%"), "64.7%"),
+        ("1036 GB", "750", Some("65.9%"), "63.6%"),
+        ("1036 GB", "750", None, "56.1%"),
+    ];
+
+    let mut rows = Vec::new();
+    for (arm, (p_wss, p_rate, p_ec, p_ic)) in study.arms.iter().zip(paper) {
+        let ec_measured = if arm.label.starts_with("all") {
+            ec_all
+        } else {
+            ec_large
+        };
+        rows.push(vec![
+            arm.label.to_string(),
+            vs_paper(format!("{:.0} GB", arm.wss_gb), p_wss),
+            vs_paper(format!("{:.0}", arm.hourly_rate), p_rate),
+            p_ec.map_or("-".into(), |p| vs_paper(format!("{ec_measured:.1}%"), p)),
+            vs_paper(format!("{:.1}%", arm.report.hit_ratio * 100.0), p_ic),
+        ]);
+    }
+    print_table(
+        "Table 1",
+        &[
+            "workload",
+            "WSS",
+            "GETs/hour",
+            "ElastiCache hit",
+            "InfiniCache hit",
+        ],
+        &rows,
+    );
+    println!(
+        "\npaper shape: InfiniCache's hit ratio sits a few points below ElastiCache's\n\
+         (EC parity overhead shrinks effective capacity; RESETs lose objects), and\n\
+         disabling backup costs several more points."
+    );
+}
+
+/// §4.3: the analytical availability model — Eq 1–3 numbers, the
+/// approximation quality, and the availability band under the empirical
+/// reclaim distributions of §4.1 (fed from the Fig 9 simulation).
+fn sec43_availability_model(ctx: &Ctx) {
+    ctx.banner("§4.3", "availability model (Eq 1-3)");
+    let cs = CaseStudy::paper(); // Nλ=400, n=12, m=3
+
+    // p3/p4 at r = 12 (the paper's approximation justification).
+    let p3 = ic_analytics::comb::hypergeometric_pmf(400, 12, 12, 3);
+    let p4 = ic_analytics::comb::hypergeometric_pmf(400, 12, 12, 4);
+    println!(
+        "p3/p4 at r=12: {}",
+        vs_paper(format!("{:.1}", p3 / p4), "18.8")
+    );
+    let exact = object_loss_given_reclaims(400, 12, 3, 12);
+    let approx = object_loss_given_reclaims_approx(400, 12, 3, 12);
+    println!(
+        "P(r=12) exact vs Eq-3 approx: {:.4e} vs {:.4e} ({:.1}% gap; paper: ~5%)",
+        exact,
+        approx,
+        100.0 * (exact - approx) / exact
+    );
+
+    // Empirical pd(r): per-minute reclaim counts from the Fig 9 simulation
+    // of each policy regime; P_l per minute and availability per hour.
+    let fleet = ctx.pick(400, 100);
+    let mut rows = Vec::new();
+    let mut worst: f64 = 1.0;
+    let mut best: f64 = 0.0;
+    for tl in preset_timelines(fleet, |i| splitmix64(900 + i)) {
+        // Histogram of per-minute reclaim counts → pd(r).
+        let max = *tl.per_minute.iter().max().unwrap_or(&0) as usize;
+        let mut pd = vec![0.0; max + 1];
+        for &c in &tl.per_minute {
+            pd[c as usize] += 1.0 / tl.per_minute.len() as f64;
+        }
+        let pl = cs.loss(&pd);
+        let hourly = availability_over(pl, 60);
+        worst = worst.min(hourly);
+        best = best.max(hourly);
+        rows.push(vec![
+            tl.label,
+            format!("{:.4}%", pl * 100.0),
+            format!("{:.4}%", (1.0 - pl) * 100.0),
+            format!("{:.2}%", hourly * 100.0),
+        ]);
+    }
+    print_table(
+        "per-policy loss and availability",
+        &[
+            "policy (empirical pd)",
+            "P_l per minute",
+            "per-minute availability",
+            "hourly availability",
+        ],
+        &rows,
+    );
+    println!(
+        "\nhourly availability band: {}",
+        vs_paper(
+            format!("{:.2}% .. {:.2}%", worst * 100.0, best * 100.0),
+            "93.36% .. 99.76%"
+        )
+    );
+    println!("per-minute loss band paper: 0.0039% .. 0.11% (availability 99.89% .. 99.9961%)");
+}
+
+/// Ablation: the delta-sync backup scheme — interval sweep vs cost and
+/// availability (DESIGN.md ablation #3). The paper's Tbak = 5 min is a
+/// cost/availability tradeoff; this quantifies both sides.
+fn ablation_backup(ctx: &Ctx) {
+    ctx.banner("Ablation", "backup interval Tbak vs cost and availability");
+    // A compact large-object workload with aggressive churn, so backup
+    // effectiveness is visible quickly.
+    let mut spec = WorkloadSpec::dallas();
+    let (shrink, hours) = ctx.pick((5, 20), (20, 6));
+    spec.objects /= shrink;
+    spec.accesses /= shrink;
+    spec.rate.hourly.truncate(hours);
+    let trace = generate(&spec, 77).filter_large(LARGE_OBJECT_BYTES);
+
+    let base = DeploymentConfig {
+        lambdas_per_proxy: ctx.pick(120, 40),
+        ..DeploymentConfig::paper_production()
+    };
+    let mut rows = Vec::new();
+    for (label, enabled, tbak_mins) in [
+        ("no backup", false, 5u64),
+        ("Tbak = 1 min", true, 1),
+        ("Tbak = 5 min (paper)", true, 5),
+        ("Tbak = 15 min", true, 15),
+    ] {
+        let cfg = DeploymentConfig {
+            backup_enabled: enabled,
+            backup_interval: mins(tbak_mins),
+            ..base.clone()
+        };
+        let report = trace_replay(
+            &trace,
+            cfg,
+            Box::new(HourlyPoisson::new(60.0, "churny")),
+            SimParams::paper().with_seed(9000 + tbak_mins),
+        );
+        rows.push(vec![
+            label.to_string(),
+            format!("${:.2}", report.total_cost),
+            format!("${:.2}", report.category_cost[2]),
+            format!("{:.1}%", report.availability * 100.0),
+            report.metrics.resets().to_string(),
+            format!("{:.1}%", report.hit_ratio * 100.0),
+        ]);
+    }
+    print_table(
+        "backup ablation",
+        &[
+            "config",
+            "total cost",
+            "backup cost",
+            "availability",
+            "RESETs",
+            "hit ratio",
+        ],
+        &rows,
+    );
+    println!(
+        "\nexpected: shorter Tbak costs more but loses fewer objects; no backup is\n\
+         cheapest and least available (Fig 13d / Fig 14c's tradeoff)."
+    );
+}
+
+/// Ablation: warm-up interval Twarm (DESIGN.md ablation #4) — reclaim
+/// exposure vs keep-alive cost, under a spiky reclamation regime.
+fn ablation_warmup(ctx: &Ctx) {
+    ctx.banner("Ablation", "warm-up interval vs reclaim exposure and cost");
+    let fleet = ctx.pick(400, 80);
+    let mut rows = Vec::new();
+    for twarm in [1u64, 3, 9, 20] {
+        let policy = Box::new(PeriodicSpike::new(fleet as usize, 360, 0.5, "spiky"));
+        let tl = reclaim_study(policy, "spiky", mins(twarm), fleet, 31 + twarm);
+        let total: u64 = tl.per_hour.iter().sum();
+        let mut cost = CostModel::paper_production();
+        cost.n_lambda = fleet as u64;
+        cost.warmup_interval_mins = twarm as f64;
+        cost.backup_enabled = false;
+        rows.push(vec![
+            format!("Twarm = {twarm} min"),
+            total.to_string(),
+            format!("${:.3}/h", cost.warmup_cost_hourly()),
+        ]);
+    }
+    print_table(
+        "warm-up ablation (24 h, spiky regime)",
+        &["config", "reclaims/24h", "warm-up cost"],
+        &rows,
+    );
+    println!(
+        "\nexpected: the 1-minute warm-up costs pennies per hour and keeps instances\n\
+         refreshed; long intervals additionally expose instances to the 27-minute\n\
+         idle reclaim (the paper's 9-min strategy lost nearly the whole fleet per spike)."
+    );
+}
+
+/// Ablation: first-*d* chunk acceptance vs no redundancy (DESIGN.md
+/// ablation #1) — the straggler-mitigation benefit of request-level
+/// redundancy, isolated by sweeping the straggler probability.
+fn ablation_first_d(ctx: &Ctx) {
+    ctx.banner(
+        "Ablation",
+        "first-d redundancy vs stragglers: (10+0) vs (10+1) vs (10+2)",
+    );
+    let codes = [
+        EcConfig::new(10, 0).unwrap(),
+        EcConfig::new(10, 1).unwrap(),
+        EcConfig::new(10, 2).unwrap(),
+    ];
+    let size = [100_000_000u64];
+    let trials = ctx.pick(60, 15);
+    let rows_data = microbenchmark(1024, &codes, &size, trials, 4242);
+    let rows: Vec<Vec<String>> = rows_data
+        .iter()
+        .map(|r| {
+            vec![
+                r.ec.to_string(),
+                format!("{:.0}", r.latency_ms.p50),
+                format!("{:.0}", r.latency_ms.p90),
+                format!("{:.0}", r.latency_ms.p99),
+                format!("{:.0}", r.latency_ms.max),
+            ]
+        })
+        .collect();
+    print_table(
+        "100 MB GETs on 1024 MB functions — latency ms",
+        &["code", "p50", "p90", "p99", "max"],
+        &rows,
+    );
+    println!(
+        "\nexpected: (10+0) must wait for all 10 chunks, so straggler tails land in\n\
+         its p99; (10+1)/(10+2) absorb one/two stragglers via first-d acceptance\n\
+         at a small parity-decode cost (the §5.1 observation)."
+    );
+}
+
+/// Ablation: function memory size (DESIGN.md ablation #5) — bandwidth
+/// scaling, the >=1.5 GB exclusive-host effect, and the latency plateau.
+fn ablation_function_memory(ctx: &Ctx) {
+    ctx.banner(
+        "Ablation",
+        "function memory: bandwidth, co-location, latency plateau",
+    );
+    let code = [EcConfig::new(10, 1).unwrap()];
+    let size = [100_000_000u64];
+    let trials = ctx.pick(40, 10);
+    let mut rows = Vec::new();
+    for mem in [128u32, 256, 512, 1024, 1536, 2048, 3008] {
+        let bench = microbenchmark(mem, &code, &size, trials, 5000 + mem as u64);
+        let bw = FunctionConfig::aws_like(mem).bandwidth_bytes_per_sec() / 1e6;
+        let exclusive = mem >= 1536;
+        rows.push(vec![
+            format!("{mem} MB"),
+            format!("{bw:.0} MB/s"),
+            if exclusive { "yes".into() } else { "no".into() },
+            format!("{:.0}", bench[0].latency_ms.p50),
+            format!("{:.0}", bench[0].latency_ms.p99),
+        ]);
+    }
+    print_table(
+        "(10+1), 100 MB objects",
+        &[
+            "memory",
+            "per-fn bandwidth",
+            "exclusive host",
+            "p50 ms",
+            "p99 ms",
+        ],
+        &rows,
+    );
+    println!(
+        "\nexpected: latency falls with memory and plateaus above ~1024 MB (§5.1);\n\
+         >=1536 MB functions own their host, eliminating co-location contention."
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn names(selected: &[Artifact]) -> Vec<&'static str> {
+        selected.iter().map(|(name, _)| *name).collect()
+    }
+
+    #[test]
+    fn artifact_names_are_unique() {
+        let mut all = names(ARTIFACTS);
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), ARTIFACTS.len());
+    }
+
+    #[test]
+    fn unknown_artifact_is_rejected_with_the_valid_names() {
+        let err = parse_args(&args(&["fig13_cost", "fig99_nope"])).unwrap_err();
+        assert!(err.contains("fig99_nope"), "{err}");
+        for (name, _) in ARTIFACTS {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
+    }
+
+    #[test]
+    fn quick_flag_selects_quick_scale() {
+        let (scale, _) = parse_args(&args(&["--quick"])).unwrap();
+        assert_eq!(scale, Scale::Quick);
+        let (scale, selected) = parse_args(&args(&["table1_hit_ratios"])).unwrap();
+        assert_eq!(scale, Scale::Full);
+        assert_eq!(names(&selected), ["table1_hit_ratios"]);
+    }
+
+    #[test]
+    fn no_names_select_every_artifact_in_table_order() {
+        for list in [&[][..], &["--quick"][..]] {
+            let (_, selected) = parse_args(&args(list)).unwrap();
+            assert_eq!(names(&selected), names(ARTIFACTS));
+        }
+    }
+}

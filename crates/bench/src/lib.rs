@@ -1,26 +1,28 @@
-//! Shared plumbing for the experiment binaries: run scales, cached traces,
-//! table formatting, and the production-workload study that Fig 13/14/15/16
-//! and Table 1 all read from.
+//! Shared plumbing for the `reproduce` binary: the run scale, the lazily
+//! built Dallas trace and production study, and table formatting. The
+//! production study is what Fig 13/14/15/16 and Table 1 all read from, so
+//! one run computes it at most once.
 //!
-//! Every binary honours `IC_SCALE`:
+//! Two scales:
 //!
-//! * `IC_SCALE=full` (default) — the paper's parameters (50-hour trace,
+//! * [`Scale::Full`] (default) — the paper's parameters (50-hour trace,
 //!   full sweeps);
-//! * `IC_SCALE=quick` — scaled-down runs for smoke-testing the harness.
+//! * [`Scale::Quick`] (`reproduce --quick`) — scaled-down runs for
+//!   smoke-testing the harness.
 
-use std::sync::OnceLock;
+use std::cell::OnceCell;
 
 use ic_analytics::Summary;
 use ic_baselines::ElastiCacheDeployment;
 use ic_common::{DeploymentConfig, SimDuration};
-use ic_simfaas::reclaim::{HourlyPoisson, PeriodicSpike};
+use ic_simfaas::reclaim::production_churn;
 use ic_workload::{generate, Trace, WorkloadSpec, LARGE_OBJECT_BYTES};
 use infinicache::experiments::{
     replay_elasticache, replay_s3, trace_replay, BaselineRecord, TraceReport,
 };
 use infinicache::params::SimParams;
 
-/// Run scale selected by `IC_SCALE`.
+/// Run scale of one `reproduce` run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// Paper-scale parameters.
@@ -29,40 +31,60 @@ pub enum Scale {
     Quick,
 }
 
-/// Reads the scale from the environment (default full).
-pub fn scale() -> Scale {
-    match std::env::var("IC_SCALE").as_deref() {
-        Ok("quick") | Ok("QUICK") => Scale::Quick,
-        _ => Scale::Full,
-    }
+/// What every artifact reads: the run's scale and the inputs shared
+/// between artifacts, each built on first use.
+pub struct Ctx {
+    /// The run's scale.
+    pub scale: Scale,
+    trace: OnceCell<Trace>,
+    study: OnceCell<ProductionStudy>,
 }
 
-/// The Dallas trace for the current scale (cached per process).
-pub fn dallas_trace() -> &'static Trace {
-    static FULL: OnceLock<Trace> = OnceLock::new();
-    static QUICK: OnceLock<Trace> = OnceLock::new();
-    match scale() {
-        Scale::Full => FULL.get_or_init(|| generate(&WorkloadSpec::dallas(), 2020)),
-        Scale::Quick => QUICK.get_or_init(|| {
-            let mut spec = WorkloadSpec::dallas();
-            // 1/10 of the objects and accesses over a 10-hour horizon.
-            spec.objects /= 10;
-            spec.accesses /= 10;
-            spec.rate = ic_workload::model::RateProfile::dallas_50h();
-            spec.rate.hourly.truncate(10);
-            generate(&spec, 2020)
-        }),
+impl Ctx {
+    /// A context with nothing built yet.
+    pub fn new(scale: Scale) -> Self {
+        Ctx {
+            scale,
+            trace: OnceCell::new(),
+            study: OnceCell::new(),
+        }
     }
-}
 
-/// The deployment used for the production study, scaled with the trace.
-pub fn production_deployment() -> DeploymentConfig {
-    match scale() {
-        Scale::Full => DeploymentConfig::paper_production(),
-        Scale::Quick => DeploymentConfig {
-            lambdas_per_proxy: 40,
-            ..DeploymentConfig::paper_production()
-        },
+    /// `full` at full scale, `quick` at quick scale.
+    pub fn pick<T>(&self, full: T, quick: T) -> T {
+        match self.scale {
+            Scale::Full => full,
+            Scale::Quick => quick,
+        }
+    }
+
+    /// Standard "what figure is this" banner.
+    pub fn banner(&self, fig: &str, what: &str) {
+        println!("############################################################");
+        println!("# {fig}: {what}");
+        println!("# scale: {:?}", self.scale);
+        println!("############################################################");
+    }
+
+    /// The Dallas trace for the run's scale.
+    pub fn dallas_trace(&self) -> &Trace {
+        self.trace.get_or_init(|| match self.scale {
+            Scale::Full => generate(&WorkloadSpec::dallas(), 2020),
+            Scale::Quick => {
+                let mut spec = WorkloadSpec::dallas();
+                // 1/10 of the objects and accesses over a 10-hour horizon.
+                spec.objects /= 10;
+                spec.accesses /= 10;
+                spec.rate = ic_workload::model::RateProfile::dallas_50h();
+                spec.rate.hourly.truncate(10);
+                generate(&spec, 2020)
+            }
+        })
+    }
+
+    /// The production study for the run's scale.
+    pub fn production_study(&self) -> &ProductionStudy {
+        self.study.get_or_init(|| ProductionStudy::run(self))
     }
 }
 
@@ -95,33 +117,34 @@ pub struct ProductionStudy {
     pub elasticache_cost: f64,
 }
 
-/// Runs (and caches) the full production study.
-pub fn production_study() -> &'static ProductionStudy {
-    static STUDY: OnceLock<ProductionStudy> = OnceLock::new();
-    STUDY.get_or_init(|| {
-        let trace = dallas_trace();
+impl ProductionStudy {
+    fn run(ctx: &Ctx) -> Self {
+        let trace = ctx.dallas_trace();
         let large = trace.filter_large(LARGE_OBJECT_BYTES);
         let hours = (trace.horizon.as_secs_f64() / 3600.0).round() as usize;
-        let cfg = production_deployment();
-        // The paper's 50-hour run saw both continuous churn and mass
-        // reclaim spikes (Fig 14's reclaim line peaks in the hundreds per
-        // hour). Model both: Poisson background churn (Dec'19 regime,
-        // scaled per fleet) plus ~6-hourly spikes sweeping most of the instance population
-        // (the reclaim line of Fig 14 peaks above the fleet size).
-        let fleet = cfg.total_lambdas() as usize;
-        let base_per_hour = 36.0 * fleet as f64 / 400.0;
-        let policy = move || -> Box<dyn ic_simfaas::ReclaimPolicy> {
-            let mut spike = PeriodicSpike::new(fleet, 360, 0.85, "prod churn+spikes");
-            spike.base_per_hour = base_per_hour;
-            Box::new(spike)
+        let cfg = match ctx.scale {
+            Scale::Full => DeploymentConfig::paper_production(),
+            // Scaled with the trace.
+            Scale::Quick => DeploymentConfig {
+                lambdas_per_proxy: 40,
+                ..DeploymentConfig::paper_production()
+            },
         };
-        let _ = HourlyPoisson::new(1.0, "unused"); // keep the import honest
+        // The paper's 50-hour run saw both continuous churn and mass
+        // reclaim spikes (Fig 14's reclaim line peaks above the fleet
+        // size); `production_churn` models both.
+        let fleet = cfg.total_lambdas() as usize;
 
         let arm = |label: &'static str, t: &Trace, cfg: DeploymentConfig, seed: u64| {
             let stats = ic_workload::stats::TraceStats::compute(t);
             StudyArm {
                 label,
-                report: trace_replay(t, cfg, policy(), SimParams::paper().with_seed(seed)),
+                report: trace_replay(
+                    t,
+                    cfg,
+                    Box::new(production_churn(fleet)),
+                    SimParams::paper().with_seed(seed),
+                ),
                 wss_gb: stats.working_set_bytes as f64 / 1e9,
                 hourly_rate: stats.hourly_rate,
             }
@@ -144,7 +167,7 @@ pub fn production_study() -> &'static ProductionStudy {
             elasticache_cost: ElastiCacheDeployment::one_node_24xl().hourly_price() * hours as f64,
             arms,
         }
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -152,8 +175,9 @@ pub fn production_study() -> &'static ProductionStudy {
 // ---------------------------------------------------------------------
 
 /// Prints an aligned table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub fn print_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
+    let headers: Vec<String> = headers.iter().map(|h| h.as_ref().to_string()).collect();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -173,7 +197,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         }
         println!("{}", s.trim_end());
     };
-    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    line(&headers);
     for row in rows {
         line(row);
     }
@@ -194,33 +218,14 @@ pub fn ms_cell(s: &Summary) -> String {
 
 /// A compact quantile row from latency samples (milliseconds).
 pub fn quantile_row(label: &str, ms: &[f64]) -> Vec<String> {
+    let mut row = vec![label.to_string()];
     if ms.is_empty() {
-        return vec![
-            label.into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ];
+        row.resize(6, "-".into());
+    } else {
+        let s = Summary::from_values(ms);
+        row.extend([s.p25, s.p50, s.p75, s.p90, s.p99].map(|v| format!("{v:.1}")));
     }
-    let s = Summary::from_values(ms);
-    vec![
-        label.into(),
-        format!("{:.1}", s.p25),
-        format!("{:.1}", s.p50),
-        format!("{:.1}", s.p75),
-        format!("{:.1}", s.p90),
-        format!("{:.1}", s.p99),
-    ]
-}
-
-/// Standard "what figure is this" banner.
-pub fn banner(fig: &str, what: &str) {
-    println!("############################################################");
-    println!("# {fig}: {what}");
-    println!("# scale: {:?}", scale());
-    println!("############################################################");
+    row
 }
 
 /// Minutes → SimDuration helper for ablations.
@@ -231,12 +236,6 @@ pub fn mins(m: u64) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_defaults_to_full() {
-        // (Does not set the env var; other tests may run in parallel.)
-        assert!(matches!(scale(), Scale::Full | Scale::Quick));
-    }
 
     #[test]
     fn table_printer_does_not_panic_on_ragged_rows() {

@@ -4,8 +4,8 @@
 //! per GB-second, billed in 100 ms cycles). The text prints "$0.02 per 1
 //! million invocations", which contradicts AWS's published $0.20 per 1M; the
 //! paper's own Fig 13 totals and Fig 17 crossover (~312 K requests/hour)
-//! only reproduce with $0.20/1M, so that is our default
-//! (`fig17_cost_crossover` prints the sensitivity check).
+//! only reproduce with $0.20/1M, so that is our default (`reproduce
+//! fig17_cost_crossover` prints the sensitivity check).
 
 use serde::{Deserialize, Serialize};
 

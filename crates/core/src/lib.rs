@@ -13,7 +13,7 @@
 //! (`ic-workload`), analytical models (`ic-analytics`), baselines
 //! (`ic-baselines`) and the serverless-platform simulator (`ic-simfaas`)
 //! into the **simulation** ([`world::SimWorld`]): a deterministic
-//! discrete-event deployment used by every experiment binary (README,
+//! discrete-event deployment used by every `reproduce` artifact (README,
 //! "Reproducing the paper") — latency microbenchmarks, the 50-hour
 //! production-trace replay, cost and fault-tolerance studies.
 //!

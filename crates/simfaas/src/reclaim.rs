@@ -177,6 +177,15 @@ pub fn paper_presets(fleet: usize) -> Vec<Box<dyn ReclaimPolicy>> {
     ]
 }
 
+/// The production study's regime (§5.2, Fig 14's reclaim line): the
+/// Dec'19 background churn of 36 reclaims/hour per 400 functions, scaled
+/// to `fleet`, plus ~6-hourly spikes sweeping 85% of the fleet.
+pub fn production_churn(fleet: usize) -> PeriodicSpike {
+    let mut spike = PeriodicSpike::new(fleet, 360, 0.85, "trace churn+spikes");
+    spike.base_per_hour = 36.0 * fleet as f64 / 400.0;
+    spike
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@ use ic_baselines::{ElastiCacheDeployment, LruCache, S3Pricing};
 use ic_common::pricing::CostCategory;
 use ic_common::{ClientId, DeploymentConfig, Error, Payload, Result, SimDuration, SimTime};
 use ic_net::replay::{run, StepOutcome, Substrate};
-use ic_simfaas::reclaim::{NoReclaim, PeriodicSpike, ReclaimPolicy};
+use ic_simfaas::reclaim::{production_churn, NoReclaim, ReclaimPolicy};
 use infinicache::event::Op;
 use infinicache::metrics::{OpKind, Outcome};
 use infinicache::params::SimParams;
@@ -79,11 +79,7 @@ impl ChurnProfile {
     fn policy(self, fleet: usize) -> Box<dyn ReclaimPolicy> {
         match self {
             ChurnProfile::None => Box::new(NoReclaim),
-            ChurnProfile::ProductionChurnSpikes => {
-                let mut spike = PeriodicSpike::new(fleet, 360, 0.85, "trace churn+spikes");
-                spike.base_per_hour = 36.0 * fleet as f64 / 400.0;
-                Box::new(spike)
-            }
+            ChurnProfile::ProductionChurnSpikes => Box::new(production_churn(fleet)),
         }
     }
 }
