@@ -35,15 +35,6 @@ pub fn object_loss_probability(n_lambda: u64, n: u64, m: u64, pd: &[f64]) -> f64
         .sum()
 }
 
-/// Same integral using the Eq 3 approximation.
-pub fn object_loss_probability_approx(n_lambda: u64, n: u64, m: u64, pd: &[f64]) -> f64 {
-    pd.iter()
-        .enumerate()
-        .skip(m as usize)
-        .map(|(r, &p)| object_loss_given_reclaims_approx(n_lambda, n, m, r as u64) * p)
-        .sum()
-}
-
 /// Availability over a window of `intervals` back-to-back observation
 /// windows, each with per-window loss probability `p_loss`: `(1 − P_l)^k`.
 ///

@@ -10,7 +10,6 @@
 //!   `f_bak = 60/T_bak`.
 
 use ic_common::pricing::Pricing;
-use serde::{Deserialize, Serialize};
 
 /// Rounds a duration in milliseconds up to the nearest 100 ms billing cycle
 /// and converts to seconds (the paper's `ceil100(.)/1000`).
@@ -22,7 +21,7 @@ pub fn ceil100_secs(duration_ms: f64) -> f64 {
 }
 
 /// The hourly cost model of an InfiniCache deployment.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Platform prices (`c_req`, `c_d`).
     pub pricing: Pricing,

@@ -3,10 +3,8 @@
 //! Every figure harness reports either box-plot statistics (Fig 4, Fig 11)
 //! or CDF series (Fig 1, Fig 15); this module is their common vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 /// Five-number-plus summary of a sample.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub count: usize,
@@ -100,7 +98,7 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// An empirical CDF, reducible to a fixed number of plot points.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

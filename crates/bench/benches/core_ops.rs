@@ -9,7 +9,7 @@ use ic_common::ring::Ring;
 use ic_common::{ChunkId, ObjectKey, Payload, SimTime};
 use ic_lambda::store::ChunkStore;
 use ic_simfaas::EventQueue;
-use ic_workload::{generate, WorkloadSpec};
+use ic_trace::{synthesize, TraceGenConfig};
 
 fn bench_ring(c: &mut Criterion) {
     let mut ring: Ring<u16> = Ring::new(128);
@@ -90,8 +90,8 @@ fn bench_event_queue(c: &mut Criterion) {
 
 fn bench_workload(c: &mut Criterion) {
     c.bench_function("workload_synthesize_mini", |b| {
-        let spec = WorkloadSpec::mini();
-        b.iter(|| generate(&spec, 42).requests.len())
+        let cfg = TraceGenConfig::mini();
+        b.iter(|| synthesize(&cfg, 42).records.len())
     });
 }
 

@@ -17,19 +17,19 @@ use ic_analytics::availability::{
 use ic_analytics::summary::Cdf;
 use ic_analytics::{CostModel, Summary};
 use ic_baselines::ElastiCacheDeployment;
+use ic_bench::experiments::{
+    colocation_study, elasticache_microbenchmark, microbenchmark, reclaim_study, scalability_study,
+    ReclaimTimeline,
+};
 use ic_bench::{mins, ms_cell, print_table, quantile_row, vs_paper, Ctx, Scale};
 use ic_common::hash::splitmix64;
 use ic_common::pricing::{CostCategory, Pricing, CACHE_R5_24XLARGE};
 use ic_common::{DeploymentConfig, EcConfig};
 use ic_simfaas::function::FunctionConfig;
-use ic_simfaas::reclaim::{paper_presets, HourlyPoisson, PeriodicSpike};
-use ic_workload::{generate, stats::TraceStats, WorkloadSpec, LARGE_OBJECT_BYTES};
-use infinicache::experiments::{
-    colocation_study, elasticache_microbenchmark, microbenchmark, reclaim_study, scalability_study,
-    trace_replay, BaselineRecord, ReclaimTimeline,
-};
+use ic_simfaas::reclaim::{paper_presets, PeriodicSpike};
+use ic_trace::replay::{replay_sim, BaselineRecord, ChurnProfile, SimReplayConfig};
+use ic_trace::{synthesize, TraceGenConfig, TraceStats, LARGE_OBJECT_BYTES};
 use infinicache::metrics::{FtKind, Metrics, OpKind, Outcome, RequestRecord};
-use infinicache::params::SimParams;
 
 /// One artifact: its name (the figure/table it regenerates) and its body.
 type Artifact = (&'static str, fn(&Ctx));
@@ -116,11 +116,11 @@ fn fig01_trace_characteristics(ctx: &Ctx) {
         "object sizes, footprint, access counts, reuse intervals",
     );
 
-    for (name, spec) in [
-        ("Dallas", WorkloadSpec::dallas()),
-        ("London", WorkloadSpec::london()),
+    for (name, cfg) in [
+        ("Dallas", TraceGenConfig::dallas()),
+        ("London", TraceGenConfig::london()),
     ] {
-        let trace = generate(&spec, 2020);
+        let trace = synthesize(&cfg, 2020);
         let stats = TraceStats::compute(&trace);
         let large = trace.filter_large(LARGE_OBJECT_BYTES);
         let lstats = TraceStats::compute(&large);
@@ -200,8 +200,7 @@ fn fig01_trace_characteristics(ctx: &Ctx) {
     }
 
     // Fig 1(c)'s long tail needs the long-horizon characterization run.
-    let spec = WorkloadSpec::characterization();
-    let trace = generate(&spec, 7);
+    let trace = synthesize(&TraceGenConfig::characterization(), 7);
     let stats = TraceStats::compute(&trace);
     println!();
     print_table(
@@ -505,7 +504,7 @@ fn fig13_cost(ctx: &Ctx) {
         // Hourly stacked series, sampled every 5 hours.
         let rows: Vec<Vec<String>> = arm
             .report
-            .hourly_cost
+            .billing_hours
             .iter()
             .enumerate()
             .step_by(5)
@@ -556,7 +555,7 @@ fn fig14_fault_tolerance(ctx: &Ctx) {
             "totals: recoveries={} RESETs={} reclaims={}",
             arm.report.metrics.recoveries(),
             vs_paper(arm.report.metrics.resets(), paper),
-            arm.report.reclaims_per_hour.iter().sum::<u64>(),
+            arm.report.reclaim_hours[..hours].iter().sum::<u64>(),
         );
         println!(
             "availability (hits/(hits+RESETs)): {}",
@@ -576,7 +575,7 @@ fn fig14_fault_tolerance(ctx: &Ctx) {
                     format!("h{h}"),
                     recov[h].to_string(),
                     reset[h].to_string(),
-                    arm.report.reclaims_per_hour[h].to_string(),
+                    arm.report.reclaim_hours[h].to_string(),
                 ]
             })
             .collect();
@@ -907,12 +906,12 @@ fn ablation_backup(ctx: &Ctx) {
     ctx.banner("Ablation", "backup interval Tbak vs cost and availability");
     // A compact large-object workload with aggressive churn, so backup
     // effectiveness is visible quickly.
-    let mut spec = WorkloadSpec::dallas();
+    let mut gen = TraceGenConfig::dallas();
     let (shrink, hours) = ctx.pick((5, 20), (20, 6));
-    spec.objects /= shrink;
-    spec.accesses /= shrink;
-    spec.rate.hourly.truncate(hours);
-    let trace = generate(&spec, 77).filter_large(LARGE_OBJECT_BYTES);
+    gen.objects /= shrink;
+    gen.accesses /= shrink;
+    gen.rate.hourly.truncate(hours);
+    let trace = synthesize(&gen, 77).filter_large(LARGE_OBJECT_BYTES);
 
     let base = DeploymentConfig {
         lambdas_per_proxy: ctx.pick(120, 40),
@@ -925,23 +924,22 @@ fn ablation_backup(ctx: &Ctx) {
         ("Tbak = 5 min (paper)", true, 5),
         ("Tbak = 15 min", true, 15),
     ] {
-        let cfg = DeploymentConfig {
-            backup_enabled: enabled,
-            backup_interval: mins(tbak_mins),
-            ..base.clone()
+        let cfg = SimReplayConfig {
+            deployment: DeploymentConfig {
+                backup_enabled: enabled,
+                backup_interval: mins(tbak_mins),
+                ..base.clone()
+            },
+            churn: ChurnProfile::Poisson { per_hour: 60 },
+            ..SimReplayConfig::production(9000 + tbak_mins)
         };
-        let report = trace_replay(
-            &trace,
-            cfg,
-            Box::new(HourlyPoisson::new(60.0, "churny")),
-            SimParams::paper().with_seed(9000 + tbak_mins),
-        );
+        let report = replay_sim(&trace, &cfg);
         rows.push(vec![
             label.to_string(),
             format!("${:.2}", report.total_cost),
             format!("${:.2}", report.category_cost[2]),
             format!("{:.1}%", report.availability * 100.0),
-            report.metrics.resets().to_string(),
+            report.resets.to_string(),
             format!("{:.1}%", report.hit_ratio * 100.0),
         ]);
     }

@@ -1,26 +1,23 @@
-//! High-level experiment runners — one per family of paper artifacts.
+//! The figure drivers that are not trace replays — one per family of
+//! paper artifacts (Fig 4, 8/9, 11, 12).
 //!
-//! Each runner builds a [`SimWorld`] (or a baseline model), drives it, and
-//! returns plain data that the `ic-bench` binaries format into the rows
-//! and series of the corresponding table or figure. Everything is seeded
-//! and deterministic.
+//! Each driver builds a [`SimWorld`] (or a baseline model), drives it,
+//! and returns plain data that `reproduce` formats into the rows and
+//! series of the corresponding table or figure. Everything is seeded and
+//! deterministic. The production-trace figures (13–16, Table 1) replay
+//! through `ic_trace::replay` instead.
 
 use ic_analytics::Summary;
-use ic_baselines::{ElastiCacheDeployment, ElastiCacheModel, LruCache, S3Model};
-use ic_common::pricing::CostCategory;
-use ic_common::{
-    ClientId, DeploymentConfig, EcConfig, ObjectKey, Payload, ProxyId, SimDuration, SimTime,
-};
+use ic_baselines::{ElastiCacheDeployment, ElastiCacheModel};
+use ic_common::{ClientId, DeploymentConfig, EcConfig, ObjectKey, Payload, SimDuration, SimTime};
 use ic_simfaas::platform::PlatformConfig;
 use ic_simfaas::reclaim::{NoReclaim, ReclaimPolicy};
-use ic_workload::{Trace, LARGE_OBJECT_BYTES};
+use infinicache::event::Op;
+use infinicache::metrics::{OpKind, Outcome};
+use infinicache::params::SimParams;
+use infinicache::world::SimWorld;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-use crate::event::Op;
-use crate::metrics::{Metrics, OpKind, Outcome};
-use crate::params::SimParams;
-use crate::world::SimWorld;
 
 // ---------------------------------------------------------------------
 // Microbenchmarks (Fig 11)
@@ -350,172 +347,13 @@ pub fn reclaim_study(
     }
 }
 
-// ---------------------------------------------------------------------
-// Trace replay (Fig 13/14/15/16, Table 1)
-// ---------------------------------------------------------------------
-
-/// Everything a trace replay produces.
-#[derive(Debug)]
-pub struct TraceReport {
-    /// Request-level metrics.
-    pub metrics: Metrics,
-    /// Total tenant cost in dollars.
-    pub total_cost: f64,
-    /// Dollars per (category, hour): `[serving, warmup, backup]` rows.
-    pub hourly_cost: Vec<[f64; 3]>,
-    /// Per-category dollar totals in `CostCategory::ALL` order.
-    pub category_cost: [f64; 3],
-    /// Reclaim events per hour.
-    pub reclaims_per_hour: Vec<u64>,
-    /// GET hit ratio.
-    pub hit_ratio: f64,
-    /// §5.2 availability (hits / (hits + resets)).
-    pub availability: f64,
-}
-
-/// Replays a trace's GETs against a full deployment.
-///
-/// `horizon_hours` clips the replay (the paper replays 50 h).
-pub fn trace_replay(
-    trace: &Trace,
-    cfg: DeploymentConfig,
-    policy: Box<dyn ReclaimPolicy>,
-    params: SimParams,
-) -> TraceReport {
-    let mut w = SimWorld::new(cfg, params, policy, 1);
-    for r in &trace.requests {
-        w.submit(
-            r.at,
-            ClientId(0),
-            Op::Get {
-                key: trace.key(r.object),
-                size: r.size,
-            },
-        );
-    }
-    let horizon = trace.horizon + SimDuration::from_mins(5);
-    w.run_until(horizon);
-    w.platform.finalize(horizon, CostCategory::Serving);
-
-    let hours = (trace.horizon.as_secs_f64() / 3600.0).ceil() as usize;
-    let mut reclaims_per_hour = vec![0u64; hours];
-    for (t, _, _) in w.platform.reclaim_log() {
-        let h = t.hour() as usize;
-        if h < hours {
-            reclaims_per_hour[h] += 1;
-        }
-    }
-    let billing = &w.platform.billing;
-    let category_cost = [
-        billing.category(CostCategory::Serving).dollars,
-        billing.category(CostCategory::Warmup).dollars,
-        billing.category(CostCategory::Backup).dollars,
-    ];
-    TraceReport {
-        total_cost: billing.total_dollars(),
-        hourly_cost: billing.hourly_breakdown().to_vec(),
-        category_cost,
-        reclaims_per_hour,
-        hit_ratio: w.metrics.hit_ratio(),
-        availability: w.metrics.availability(),
-        metrics: w.metrics,
-    }
-}
-
-/// One baseline replay record.
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineRecord {
-    /// Object size.
-    pub size: u64,
-    /// Latency in milliseconds.
-    pub latency_ms: f64,
-    /// Whether it was served from the cache (always false for raw S3).
-    pub hit: bool,
-}
-
-/// Replays a trace against the ElastiCache model + LRU (Table 1's EC
-/// column; Fig 15/16's ElastiCache series). Misses go to S3 and insert.
-pub fn replay_elasticache(
-    trace: &Trace,
-    deployment: ElastiCacheDeployment,
-    seed: u64,
-) -> (f64, Vec<BaselineRecord>) {
-    let mut model = ElastiCacheModel::new(deployment);
-    let capacity = (deployment.total_memory_gb() * 1e9) as u64;
-    let mut lru = LruCache::new(capacity);
-    let s3 = S3Model::paper_era();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut hits = 0u64;
-    let mut records = Vec::with_capacity(trace.requests.len());
-    for r in &trace.requests {
-        let key = trace.key(r.object);
-        if lru.get(&key) {
-            hits += 1;
-            let lat = model.request_latency(r.at, &key, r.size);
-            records.push(BaselineRecord {
-                size: r.size,
-                latency_ms: lat.as_millis_f64(),
-                hit: true,
-            });
-        } else {
-            let lat = s3.get_latency(&mut rng, r.size);
-            lru.insert(key, r.size);
-            records.push(BaselineRecord {
-                size: r.size,
-                latency_ms: lat.as_millis_f64(),
-                hit: false,
-            });
-        }
-    }
-    let ratio = hits as f64 / trace.requests.len().max(1) as f64;
-    (ratio, records)
-}
-
-/// Replays a trace straight against S3 (Fig 15/16's S3 series).
-pub fn replay_s3(trace: &Trace, seed: u64) -> Vec<BaselineRecord> {
-    let s3 = S3Model::paper_era();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    trace
-        .requests
-        .iter()
-        .map(|r| BaselineRecord {
-            size: r.size,
-            latency_ms: s3.get_latency(&mut rng, r.size).as_millis_f64(),
-            hit: false,
-        })
-        .collect()
-}
-
-/// Convenience: the deployment + platform pair used by Fig 4 (256 MB
-/// functions on ~3 GB hosts with a constrained shared uplink).
-pub fn fig4_platform(pool: u32) -> (DeploymentConfig, PlatformConfig) {
-    let ec = EcConfig::new(10, 1).expect("valid");
-    let cfg = DeploymentConfig {
-        lambda_memory_mb: 256,
-        backup_enabled: false,
-        ..DeploymentConfig::small(pool, ec)
-    };
-    let platform = PlatformConfig::aws_like(pool, 256);
-    (cfg, platform)
-}
-
-/// Filters a trace to the paper's "large object only" setting.
-pub fn large_only(trace: &Trace) -> Trace {
-    trace.filter_large(LARGE_OBJECT_BYTES)
-}
-
-/// Sums a proxy-id range's stats across a world (helper for reports).
-pub fn proxy_backup_rounds(world: &SimWorld) -> u64 {
-    (0..world.cfg.proxies)
-        .map(|p| world.proxy_stats(ProxyId(p)).backup_rounds)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ic_simfaas::reclaim::HourlyPoisson;
-    use ic_workload::{generate, WorkloadSpec};
+    use ic_trace::replay::{baseline_latencies, replay_sim, ChurnProfile, SimReplayConfig};
+    use ic_trace::synth::{synthesize, TraceGenConfig};
+    use ic_trace::LARGE_OBJECT_BYTES;
 
     #[test]
     fn microbenchmark_latency_orders_by_memory() {
@@ -587,18 +425,18 @@ mod tests {
 
     #[test]
     fn mini_trace_replay_produces_consistent_report() {
-        let trace = generate(&WorkloadSpec::mini(), 3);
-        let cfg = DeploymentConfig {
-            lambdas_per_proxy: 40,
-            lambda_memory_mb: 512,
-            ..DeploymentConfig::small(40, EcConfig::new(4, 2).unwrap())
+        let trace = synthesize(&TraceGenConfig::mini(), 3);
+        let cfg = SimReplayConfig {
+            deployment: DeploymentConfig {
+                lambdas_per_proxy: 40,
+                lambda_memory_mb: 512,
+                ..DeploymentConfig::small(40, EcConfig::new(4, 2).unwrap())
+            },
+            seed: SimParams::paper().seed,
+            churn: ChurnProfile::Poisson { per_hour: 10 },
+            ..SimReplayConfig::production(0)
         };
-        let report = trace_replay(
-            &trace,
-            cfg,
-            Box::new(HourlyPoisson::new(10.0, "light")),
-            SimParams::paper(),
-        );
+        let report = replay_sim(&trace, &cfg);
         assert!(report.total_cost > 0.0);
         assert!(
             report.hit_ratio > 0.2 && report.hit_ratio < 1.0,
@@ -613,9 +451,9 @@ mod tests {
             .filter(|r| r.kind == OpKind::Get)
             .count();
         assert!(
-            gets as f64 > trace.requests.len() as f64 * 0.95,
+            gets as f64 > trace.records.len() as f64 * 0.95,
             "{gets} of {} GETs completed",
-            trace.requests.len()
+            trace.records.len()
         );
         let cat_sum: f64 = report.category_cost.iter().sum();
         assert!((cat_sum - report.total_cost).abs() < 1e-9);
@@ -623,19 +461,21 @@ mod tests {
 
     #[test]
     fn elasticache_replay_hits_more_with_more_memory() {
-        let trace = generate(&WorkloadSpec::mini(), 4);
-        let (small_ratio, _) = replay_elasticache(&trace, ElastiCacheDeployment::ten_node_xl(), 1);
+        let trace = synthesize(&TraceGenConfig::mini(), 4);
+        let (small_ratio, _) =
+            baseline_latencies(&trace, Some(ElastiCacheDeployment::ten_node_xl()), 1);
         let (big_ratio, recs) =
-            replay_elasticache(&trace, ElastiCacheDeployment::one_node_24xl(), 1);
+            baseline_latencies(&trace, Some(ElastiCacheDeployment::one_node_24xl()), 1);
         assert!(big_ratio >= small_ratio);
-        assert_eq!(recs.len(), trace.requests.len());
+        assert_eq!(recs.len(), trace.records.len());
     }
 
     #[test]
     fn s3_replay_covers_all_requests_slowly() {
-        let trace = generate(&WorkloadSpec::mini(), 5);
-        let recs = replay_s3(&trace, 2);
-        assert_eq!(recs.len(), trace.requests.len());
+        let trace = synthesize(&TraceGenConfig::mini(), 5);
+        let (hit_ratio, recs) = baseline_latencies(&trace, None, 2);
+        assert_eq!(hit_ratio, 0.0);
+        assert_eq!(recs.len(), trace.records.len());
         let large_lat: Vec<f64> = recs
             .iter()
             .filter(|r| r.size > LARGE_OBJECT_BYTES)

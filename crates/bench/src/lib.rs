@@ -1,7 +1,8 @@
 //! Shared plumbing for the `reproduce` binary: the run scale, the lazily
-//! built Dallas trace and production study, and table formatting. The
-//! production study is what Fig 13/14/15/16 and Table 1 all read from, so
-//! one run computes it at most once.
+//! built Dallas trace and production study, the figure drivers
+//! ([`experiments`]) and table formatting. The production study is what
+//! Fig 13/14/15/16 and Table 1 all read from, so one run computes it at
+//! most once.
 //!
 //! Two scales:
 //!
@@ -15,12 +16,12 @@ use std::cell::OnceCell;
 use ic_analytics::Summary;
 use ic_baselines::ElastiCacheDeployment;
 use ic_common::{DeploymentConfig, SimDuration};
-use ic_simfaas::reclaim::production_churn;
-use ic_workload::{generate, Trace, WorkloadSpec, LARGE_OBJECT_BYTES};
-use infinicache::experiments::{
-    replay_elasticache, replay_s3, trace_replay, BaselineRecord, TraceReport,
+use ic_trace::replay::{
+    baseline_latencies, replay_sim, BaselineRecord, SimReplayConfig, SimReplayReport,
 };
-use infinicache::params::SimParams;
+use ic_trace::{synthesize, TraceData, TraceGenConfig, TraceStats, LARGE_OBJECT_BYTES};
+
+pub mod experiments;
 
 /// Run scale of one `reproduce` run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -36,7 +37,7 @@ pub enum Scale {
 pub struct Ctx {
     /// The run's scale.
     pub scale: Scale,
-    trace: OnceCell<Trace>,
+    trace: OnceCell<TraceData>,
     study: OnceCell<ProductionStudy>,
 }
 
@@ -67,17 +68,16 @@ impl Ctx {
     }
 
     /// The Dallas trace for the run's scale.
-    pub fn dallas_trace(&self) -> &Trace {
+    pub fn dallas_trace(&self) -> &TraceData {
         self.trace.get_or_init(|| match self.scale {
-            Scale::Full => generate(&WorkloadSpec::dallas(), 2020),
+            Scale::Full => synthesize(&TraceGenConfig::dallas(), 2020),
             Scale::Quick => {
-                let mut spec = WorkloadSpec::dallas();
+                let mut cfg = TraceGenConfig::dallas();
                 // 1/10 of the objects and accesses over a 10-hour horizon.
-                spec.objects /= 10;
-                spec.accesses /= 10;
-                spec.rate = ic_workload::model::RateProfile::dallas_50h();
-                spec.rate.hourly.truncate(10);
-                generate(&spec, 2020)
+                cfg.objects /= 10;
+                cfg.accesses /= 10;
+                cfg.rate.hourly.truncate(10);
+                synthesize(&cfg, 2020)
             }
         })
     }
@@ -93,7 +93,7 @@ pub struct StudyArm {
     /// Label ("all objects", "large only", ...).
     pub label: &'static str,
     /// InfiniCache replay report.
-    pub report: TraceReport,
+    pub report: SimReplayReport,
     /// Working-set size (GB, decimal) of the workload arm.
     pub wss_gb: f64,
     /// Mean GETs/hour of the workload arm.
@@ -104,7 +104,7 @@ pub struct StudyArm {
 pub struct ProductionStudy {
     /// `all objects`, `large only`, `large only w/o backup`.
     pub arms: Vec<StudyArm>,
-    /// ElastiCache hit ratio and per-request records on the all-objects
+    /// ElastiCache hit ratio and per-GET records on the all-objects
     /// trace.
     pub ec_all: (f64, Vec<BaselineRecord>),
     /// ElastiCache on the large-only trace.
@@ -121,7 +121,7 @@ impl ProductionStudy {
     fn run(ctx: &Ctx) -> Self {
         let trace = ctx.dallas_trace();
         let large = trace.filter_large(LARGE_OBJECT_BYTES);
-        let hours = (trace.horizon.as_secs_f64() / 3600.0).round() as usize;
+        let hours = trace.hours();
         let cfg = match ctx.scale {
             Scale::Full => DeploymentConfig::paper_production(),
             // Scaled with the trace.
@@ -132,19 +132,16 @@ impl ProductionStudy {
         };
         // The paper's 50-hour run saw both continuous churn and mass
         // reclaim spikes (Fig 14's reclaim line peaks above the fleet
-        // size); `production_churn` models both.
-        let fleet = cfg.total_lambdas() as usize;
-
-        let arm = |label: &'static str, t: &Trace, cfg: DeploymentConfig, seed: u64| {
-            let stats = ic_workload::stats::TraceStats::compute(t);
+        // size); the production replay's churn profile models both.
+        let arm = |label: &'static str, t: &TraceData, deployment: DeploymentConfig, seed| {
+            let stats = TraceStats::compute(t);
+            let replay = SimReplayConfig {
+                deployment,
+                ..SimReplayConfig::production(seed)
+            };
             StudyArm {
                 label,
-                report: trace_replay(
-                    t,
-                    cfg,
-                    Box::new(production_churn(fleet)),
-                    SimParams::paper().with_seed(seed),
-                ),
+                report: replay_sim(t, &replay),
                 wss_gb: stats.working_set_bytes as f64 / 1e9,
                 hourly_rate: stats.hourly_rate,
             }
@@ -160,9 +157,9 @@ impl ProductionStudy {
             arm("large only w/o backup", &large, no_backup, 13),
         ];
         ProductionStudy {
-            ec_all: replay_elasticache(trace, ElastiCacheDeployment::one_node_24xl(), 21),
-            ec_large: replay_elasticache(&large, ElastiCacheDeployment::one_node_24xl(), 22),
-            s3_all: replay_s3(trace, 23),
+            ec_all: baseline_latencies(trace, Some(ElastiCacheDeployment::one_node_24xl()), 21),
+            ec_large: baseline_latencies(&large, Some(ElastiCacheDeployment::one_node_24xl()), 22),
+            s3_all: baseline_latencies(trace, None, 23).1,
             hours,
             elasticache_cost: ElastiCacheDeployment::one_node_24xl().hourly_price() * hours as f64,
             arms,

@@ -1,7 +1,5 @@
 //! Deployment configuration: erasure-coding parameters and cluster shape.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::time::SimDuration;
 use crate::units::MIB;
@@ -22,7 +20,7 @@ use crate::units::MIB;
 /// assert!(ec.tolerates(2) && !ec.tolerates(3));
 /// # Ok::<(), ic_common::Error>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EcConfig {
     /// Number of data shards (`d`).
     pub data: usize,
@@ -106,7 +104,7 @@ impl Default for EcConfig {
 /// Defaults reproduce the paper's production-workload setup (§5.2): one
 /// proxy, 400 Lambda functions of 1536 MB each, RS(10+2), one-minute
 /// warm-ups, five-minute delta-sync backups.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeploymentConfig {
     /// Number of proxies (each manages its own Lambda pool, Fig 2).
     pub proxies: u16,

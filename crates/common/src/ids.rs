@@ -11,8 +11,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A tenant-visible object key, e.g. a Docker layer digest.
 ///
 /// Cheap to clone (`Arc<str>` internally); ordered and hashable so it can key
@@ -65,24 +63,11 @@ impl From<String> for ObjectKey {
     }
 }
 
-impl Serialize for ObjectKey {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.0)
-    }
-}
-
-impl<'de> Deserialize<'de> for ObjectKey {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        Ok(ObjectKey::new(s))
-    }
-}
-
 /// Identifies one erasure-coded chunk of an object.
 ///
 /// The paper computes `ID_obj_chunk` as the concatenation of the object key
 /// and the chunk's sequence number (§3.1); we keep the two parts explicit.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId {
     /// Key of the object this chunk belongs to.
     pub key: ObjectKey,
@@ -112,9 +97,7 @@ impl fmt::Debug for ChunkId {
 macro_rules! small_id {
     ($(#[$doc:meta])* $name:ident, $inner:ty, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -179,7 +162,7 @@ small_id!(
 /// function kills its instance (and the cached chunks with it). Comparing the
 /// instance id across invocations is how reclamation is observed, mirroring
 /// the paper's §4.1 methodology.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(pub u64);
 
 impl InstanceId {

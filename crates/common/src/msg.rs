@@ -8,14 +8,12 @@
 //! on voluntary return (Fig 6/7), and the eleven-step delta-sync backup
 //! protocol of Fig 10.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::InstanceId;
 use crate::ids::{ChunkId, ClientId, LambdaId, ObjectKey, ProxyId, RelayId};
 use crate::payload::Payload;
 
 /// Any party that can send or receive a [`Msg`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Endpoint {
     /// An application client (holds the client library).
     Client(ClientId),

@@ -7,10 +7,8 @@
 //! only reproduce with $0.20/1M, so that is our default (`reproduce
 //! fig17_cost_crossover` prints the sensitivity check).
 
-use serde::{Deserialize, Serialize};
-
 /// Why an invocation ran — the categories of Fig 13's stacked cost bars.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CostCategory {
     /// Serving GET/PUT chunk requests.
     Serving,
@@ -48,7 +46,7 @@ impl CostCategory {
 }
 
 /// Prices for the serverless platform and the baselines.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Pricing {
     /// Dollars per function invocation (`c_req`).
     pub per_invocation: f64,
@@ -85,7 +83,7 @@ impl Default for Pricing {
 }
 
 /// An ElastiCache (Redis) instance type from the paper's evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ElastiCacheInstance {
     /// AWS instance type name.
     pub name: &'static str,

@@ -9,13 +9,14 @@
 //!
 //! This crate is the top of the workspace: it wires the client library
 //! (`ic-client`), proxy (`ic-proxy`), Lambda function runtime
-//! (`ic-lambda`), erasure coding (`ic-ec`), workload synthesizer
-//! (`ic-workload`), analytical models (`ic-analytics`), baselines
-//! (`ic-baselines`) and the serverless-platform simulator (`ic-simfaas`)
-//! into the **simulation** ([`world::SimWorld`]): a deterministic
-//! discrete-event deployment used by every `reproduce` artifact (README,
-//! "Reproducing the paper") — latency microbenchmarks, the 50-hour
-//! production-trace replay, cost and fault-tolerance studies.
+//! (`ic-lambda`), erasure coding (`ic-ec`), analytical models
+//! (`ic-analytics`), baselines (`ic-baselines`) and the
+//! serverless-platform simulator (`ic-simfaas`) into the **simulation**
+//! ([`world::SimWorld`]): a deterministic discrete-event deployment that
+//! every `reproduce` artifact runs on (README, "Reproducing the paper").
+//! The 50-hour production-trace replay drives it through `ic-trace`'s
+//! `replay_sim`; the microbenchmark, co-location, scalability and
+//! reclaim studies drive it from `ic-bench`.
 //!
 //! The other substrate lives downstream in the `ic-net` crate: the same
 //! state machines across real TCP sockets and OS processes, with real
@@ -31,7 +32,6 @@
 pub mod chaos;
 pub mod dispatch;
 pub mod event;
-pub mod experiments;
 pub mod metrics;
 pub mod nodehost;
 pub mod params;

@@ -36,7 +36,7 @@ pub enum Outcome {
 }
 
 /// One completed request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestRecord {
     /// Object key.
     pub key: ObjectKey,
@@ -72,7 +72,7 @@ pub enum FtKind {
 }
 
 /// The world's measurement sink.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
     /// Completed requests in completion order.
     pub requests: Vec<RequestRecord>,
@@ -153,15 +153,6 @@ impl Metrics {
             }
         }
         buckets
-    }
-
-    /// Total bytes delivered to GET requesters (throughput accounting).
-    pub fn get_bytes_delivered(&self) -> u64 {
-        self.requests
-            .iter()
-            .filter(|r| r.kind == OpKind::Get && matches!(r.outcome, Outcome::Hit { .. }))
-            .map(|r| r.size)
-            .sum()
     }
 }
 

@@ -1283,15 +1283,6 @@ impl Proxy {
     }
 }
 
-/// Convenience: drain-all iterator used by tests to pull actions of a
-/// given shape.
-pub fn actions_of<'a, F: FnMut(&ProxyAction) -> bool + 'a>(
-    actions: &'a [ProxyAction],
-    mut pred: F,
-) -> impl Iterator<Item = &'a ProxyAction> + 'a {
-    actions.iter().filter(move |a| pred(a))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

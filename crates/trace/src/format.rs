@@ -62,9 +62,8 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// The cache key this record addresses: tenant 0 keeps the workload
-    /// generator's `o{object:08}` naming so existing tooling lines up;
-    /// other tenants are prefixed.
+    /// The cache key this record addresses: tenant 0 is named
+    /// `o{object:08}`; other tenants are prefixed.
     pub fn key(&self) -> ObjectKey {
         key_for(self.tenant, self.object)
     }
@@ -582,6 +581,23 @@ impl TraceData {
             horizon: self.horizon,
             tenants: self.tenants,
             records: self.records.iter().take(n).copied().collect(),
+        }
+    }
+
+    /// Keeps only the records of objects strictly larger than `threshold`
+    /// bytes — the paper's "large object only" setting uses
+    /// [`LARGE_OBJECT_BYTES`](crate::LARGE_OBJECT_BYTES).
+    pub fn filter_large(&self, threshold: u64) -> TraceData {
+        TraceData {
+            name: format!("{}-large", self.name),
+            horizon: self.horizon,
+            tenants: self.tenants,
+            records: self
+                .records
+                .iter()
+                .filter(|r| r.size > threshold)
+                .copied()
+                .collect(),
         }
     }
 }

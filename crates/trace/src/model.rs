@@ -3,10 +3,9 @@
 
 use ic_analytics::dist::{exponential_sample, lognormal_sample};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One log-normal component of the size mixture.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SizeComponent {
     /// Mixture weight (the model normalizes weights).
     pub weight: f64,
@@ -21,7 +20,7 @@ pub struct SizeComponent {
 /// Registry traces mix tiny manifests (KBs), medium blobs (~MBs) and large
 /// image layers (tens to hundreds of MBs), which a three-component mixture
 /// captures well enough to reproduce Fig 1a/1b.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SizeModel {
     /// Mixture components.
     pub components: Vec<SizeComponent>,
@@ -85,7 +84,7 @@ impl SizeModel {
 /// A mixture of a short exponential mode ("pushed image gets pulled by the
 /// fleet within the hour") and a long log-normal tail (daily/weekly
 /// redeploys) reproduces Fig 1d's ~40 %-within-an-hour shape.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReuseModel {
     /// Probability a reuse comes from the short (within-hour) mode.
     pub p_short: f64,
@@ -122,7 +121,7 @@ impl ReuseModel {
 ///
 /// Values are relative: the synthesizer rescales them so the configured
 /// total access count is preserved.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RateProfile {
     /// One multiplier per hour.
     pub hourly: Vec<f64>,

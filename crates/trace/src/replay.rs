@@ -5,27 +5,31 @@
 //!
 //! The sim replay is the paper's §5.2 evaluation: the full deployment
 //! under production churn, hourly cost / hit-ratio / availability curves,
-//! and the cost-vs-ElastiCache/S3 comparison. The net replay is the
-//! byte-level end of the same story: [`schedule`] turns the records into
-//! the harnesses' one [`Schedule`] language and `ic_net::replay::run`
-//! moves verified bytes through the readiness event loop, so sim-vs-net
-//! divergence on a committed trace is a one-line assert over the same
-//! [`StepOutcome`]s.
+//! the cost-vs-ElastiCache/S3 comparison and the baselines' per-GET
+//! latencies. The net replay is the byte-level end of the same story:
+//! [`schedule`] turns the records into the harnesses' one [`Schedule`]
+//! language and `ic_net::replay::run` moves verified bytes through the
+//! readiness event loop, so sim-vs-net divergence on a committed trace is
+//! a one-line assert over the same [`StepOutcome`]s.
 
 use std::time::Duration;
 
-use ic_baselines::{ElastiCacheDeployment, LruCache, S3Pricing};
+use ic_baselines::{ElastiCacheDeployment, ElastiCacheModel, LruCache, S3Model, S3Pricing};
 use ic_common::pricing::CostCategory;
-use ic_common::{ClientId, DeploymentConfig, Error, Payload, Result, SimDuration, SimTime};
+use ic_common::{
+    ClientId, DeploymentConfig, Error, ObjectKey, Payload, Result, SimDuration, SimTime,
+};
 use ic_net::replay::{run, StepOutcome, Substrate};
-use ic_simfaas::reclaim::{production_churn, NoReclaim, ReclaimPolicy};
+use ic_simfaas::reclaim::{production_churn, HourlyPoisson, NoReclaim, ReclaimPolicy};
 use infinicache::event::Op;
-use infinicache::metrics::{OpKind, Outcome};
+use infinicache::metrics::{Metrics, OpKind, Outcome};
 use infinicache::params::SimParams;
 use infinicache::schedule::{Action, Schedule, Step};
 use infinicache::world::SimWorld;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
-use crate::format::{TraceData, TraceOp};
+use crate::format::{TraceData, TraceOp, TraceRecord};
 
 // ---------------------------------------------------------------------
 // Shared: trace → schedule
@@ -73,6 +77,12 @@ pub enum ChurnProfile {
     /// ~6-hourly mass-reclaim spikes sweeping most of the fleet (the
     /// reclaim line of the paper's Fig 14).
     ProductionChurnSpikes,
+    /// Continuous churn only: Poisson reclaims at a mean rate per hour
+    /// (the Oct/Dec/Jan regime of §4.1).
+    Poisson {
+        /// Mean reclaims per hour.
+        per_hour: u32,
+    },
 }
 
 impl ChurnProfile {
@@ -80,6 +90,9 @@ impl ChurnProfile {
         match self {
             ChurnProfile::None => Box::new(NoReclaim),
             ChurnProfile::ProductionChurnSpikes => Box::new(production_churn(fleet)),
+            ChurnProfile::Poisson { per_hour } => {
+                Box::new(HourlyPoisson::new(f64::from(per_hour), "poisson churn"))
+            }
         }
     }
 }
@@ -196,8 +209,17 @@ pub struct SimReplayReport {
     pub category_cost: [f64; 3],
     /// GET latency percentiles in milliseconds `[p50, p90, p99]`.
     pub get_latency_ms: [f64; 3],
-    /// One point per horizon hour.
+    /// One point per horizon hour; the drain window after the horizon is
+    /// folded into the last point.
     pub hourly: Vec<HourPoint>,
+    /// Dollars billed per hour, `[serving, warmup, backup]`, drain hours
+    /// included (not folded): the rows sum to `total_cost`.
+    pub billing_hours: Vec<[f64; 3]>,
+    /// Instances reclaimed per hour, drain hours included (not folded),
+    /// and at least `hours` long.
+    pub reclaim_hours: Vec<u64>,
+    /// The world's per-request records and fault-tolerance events.
+    pub metrics: Metrics,
 }
 
 /// Replays a trace on the discrete-event world, billing included.
@@ -248,8 +270,14 @@ pub fn replay_sim(data: &TraceData, cfg: &SimReplayConfig) -> SimReplayReport {
             hourly[h].cost[c] += dollars;
         }
     }
+    let mut reclaim_hours = vec![0u64; hours];
     for (t, _, _) in w.platform.reclaim_log() {
-        hourly[(t.hour() as usize).min(hours - 1)].reclaims += 1;
+        let h = t.hour() as usize;
+        hourly[h.min(hours - 1)].reclaims += 1;
+        if h >= reclaim_hours.len() {
+            reclaim_hours.resize(h + 1, 0);
+        }
+        reclaim_hours[h] += 1;
     }
 
     let mut lat: Vec<f64> = w.metrics.get_latencies_ms(0);
@@ -280,6 +308,9 @@ pub fn replay_sim(data: &TraceData, cfg: &SimReplayConfig) -> SimReplayReport {
         ],
         get_latency_ms: [pct(0.50), pct(0.90), pct(0.99)],
         hourly,
+        billing_hours: billing.hourly_breakdown().to_vec(),
+        reclaim_hours,
+        metrics: w.metrics,
     }
 }
 
@@ -313,26 +344,38 @@ impl BaselineComparison {
     }
 }
 
+/// Bytes an ElastiCache deployment caches (its LRU capacity).
+fn cache_bytes(node: ElastiCacheDeployment) -> u64 {
+    (node.total_memory_gb() * 1e9) as u64
+}
+
+/// The one ElastiCache LRU walk: every PUT and every missed GET inserts,
+/// and `on_get` sees each GET with whether it hit.
+fn lru_walk(
+    data: &TraceData,
+    capacity: u64,
+    mut on_get: impl FnMut(&TraceRecord, &ObjectKey, bool),
+) {
+    let mut lru = LruCache::new(capacity);
+    for r in &data.records {
+        let key = r.key();
+        let hit = r.op == TraceOp::Get && lru.get(&key);
+        if r.op == TraceOp::Get {
+            on_get(r, &key, hit);
+        }
+        if !hit {
+            lru.insert(key, r.size);
+        }
+    }
+}
+
 /// Prices the trace on the baselines. Fully deterministic: the LRU pass
 /// needs no randomness and pricing is arithmetic.
 pub fn compare_baselines(data: &TraceData, node: ElastiCacheDeployment) -> BaselineComparison {
-    let capacity = (node.total_memory_gb() * 1e9) as u64;
-    let mut lru = LruCache::new(capacity);
     let mut get_hits = 0u64;
-    for r in &data.records {
-        match r.op {
-            TraceOp::Get => {
-                if lru.get(&r.key()) {
-                    get_hits += 1;
-                } else {
-                    lru.insert(r.key(), r.size);
-                }
-            }
-            TraceOp::Put => {
-                lru.insert(r.key(), r.size);
-            }
-        }
-    }
+    lru_walk(data, cache_bytes(node), |_, _, hit| {
+        get_hits += u64::from(hit)
+    });
     let gets = data.gets() as u64;
     let hours = data.hours() as f64;
     let s3 = S3Pricing::AWS;
@@ -346,6 +389,46 @@ pub fn compare_baselines(data: &TraceData, node: ElastiCacheDeployment) -> Basel
         elasticache_cost: node.hourly_price() * hours,
         s3_cost: s3.workload_cost(gets, data.puts() as u64, data.working_set_bytes(), hours),
     }
+}
+
+/// One GET of a baseline latency replay.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct BaselineRecord {
+    /// Object size.
+    pub size: u64,
+    /// Latency in milliseconds.
+    pub latency_ms: f64,
+    /// Whether ElastiCache served it (always false for raw S3).
+    pub hit: bool,
+}
+
+/// Per-GET latencies of a baseline on the trace (Fig 15/16's ElastiCache
+/// and S3 series), with its hit ratio. `Some(node)` is ElastiCache: the
+/// [`compare_baselines`] LRU walk, hits timed by the ElastiCache model,
+/// misses by S3. `None` is raw S3: a zero-byte cache, so every GET is
+/// timed by S3. `seed` drives the S3 latency draws.
+pub fn baseline_latencies(
+    data: &TraceData,
+    cache: Option<ElastiCacheDeployment>,
+    seed: u64,
+) -> (f64, Vec<BaselineRecord>) {
+    let mut model = cache.map(ElastiCacheModel::new);
+    let s3 = S3Model::paper_era();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut records = Vec::with_capacity(data.records.len());
+    lru_walk(data, cache.map_or(0, cache_bytes), |r, key, hit| {
+        let (latency, hit) = match model.as_mut() {
+            Some(m) if hit => (m.request_latency(r.at, key, r.size), true),
+            _ => (s3.get_latency(&mut rng, r.size), false),
+        };
+        records.push(BaselineRecord {
+            size: r.size,
+            latency_ms: latency.as_millis_f64(),
+            hit,
+        });
+    });
+    let hits = records.iter().filter(|r| r.hit).count();
+    (hits as f64 / records.len().max(1) as f64, records)
 }
 
 // ---------------------------------------------------------------------
@@ -471,6 +554,32 @@ mod tests {
         assert_eq!(a.hourly.len(), a.hours);
         let hourly_gets: u64 = a.hourly.iter().map(|h| h.gets).sum();
         assert_eq!(hourly_gets as usize, a.gets);
+    }
+
+    #[test]
+    fn drain_window_bills_and_reclaims_unfolded() {
+        let data = synthesize(&TraceGenConfig::smoke(), 8);
+        let cfg = SimReplayConfig {
+            churn: ChurnProfile::Poisson { per_hour: 120 },
+            drain: SimDuration::from_mins(30),
+            ..SimReplayConfig::smoke(8)
+        };
+        let r = replay_sim(&data, &cfg);
+        // Billing: the drain's warm-ups bill an hour past the horizon,
+        // and the unfolded rows still sum to the total.
+        assert!(r.billing_hours.len() > r.hours);
+        let billed: f64 = r.billing_hours.iter().flatten().sum();
+        assert!((billed - r.total_cost).abs() < 1e-9 * r.total_cost.max(1.0));
+        assert!(r.billing_hours[r.hours..].iter().flatten().sum::<f64>() > 0.0);
+        // Reclaims: in-horizon plus drain equals the folded curve's sum.
+        let in_horizon: u64 = r.reclaim_hours[..r.hours].iter().sum();
+        let drain: u64 = r.reclaim_hours[r.hours..].iter().sum();
+        assert!(drain > 0, "a 30-minute drain at 120/h must reclaim");
+        let folded: u64 = r.hourly.iter().map(|h| h.reclaims).sum();
+        assert_eq!(in_horizon + drain, folded);
+        // The per-request metrics are the ones the summary came from.
+        assert_eq!(r.metrics.hit_ratio(), r.hit_ratio);
+        assert_eq!(r.metrics.recoveries(), r.recoveries);
     }
 
     #[test]

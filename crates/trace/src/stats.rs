@@ -1,10 +1,12 @@
 //! Trace statistics: everything Fig 1 and Table 1 report about the
 //! workload, computed from a generated (or, in principle, real) trace.
 
+use std::collections::BTreeMap;
+
 use ic_analytics::summary::Cdf;
 use ic_common::units::to_gib;
 
-use crate::synth::Trace;
+use crate::format::TraceData;
 use crate::LARGE_OBJECT_BYTES;
 
 /// Aggregate statistics of a trace.
@@ -12,11 +14,11 @@ use crate::LARGE_OBJECT_BYTES;
 pub struct TraceStats {
     /// Distinct objects accessed.
     pub unique_objects: usize,
-    /// Total GET count.
+    /// Total accesses (records).
     pub total_accesses: usize,
     /// Working-set size in bytes (distinct objects accessed).
     pub working_set_bytes: u64,
-    /// Mean GETs per hour.
+    /// Mean accesses per hour over the horizon.
     pub hourly_rate: f64,
     /// Fraction of accessed objects larger than 10 MB (Fig 1a's complement
     /// at the 10 MB mark).
@@ -35,41 +37,37 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Computes all statistics in one pass over the trace.
-    pub fn compute(trace: &Trace) -> TraceStats {
-        let n_objects = trace.sizes.len();
-        let mut access_count = vec![0u32; n_objects];
-        let mut last_seen = vec![None::<u64>; n_objects]; // micros
+    /// Computes all statistics in one pass over the trace. An object is
+    /// a `(tenant, object)` pair; its size is the last one recorded.
+    pub fn compute(trace: &TraceData) -> TraceStats {
+        #[derive(Default)]
+        struct Seen {
+            size: u64,
+            accesses: u32,
+            last_at: u64, // micros
+        }
+        let mut objects: BTreeMap<(u16, u32), Seen> = BTreeMap::new();
         let mut large_reuse_hours: Vec<f64> = Vec::new();
 
-        for r in &trace.requests {
-            let idx = r.object as usize;
-            access_count[idx] += 1;
-            if r.size > LARGE_OBJECT_BYTES {
-                if let Some(prev) = last_seen[idx] {
-                    let hours = (r.at.as_micros() - prev) as f64 / 3.6e9;
-                    large_reuse_hours.push(hours);
-                }
-                last_seen[idx] = Some(r.at.as_micros());
+        for r in &trace.records {
+            let seen = objects.entry((r.tenant, r.object)).or_default();
+            if r.size > LARGE_OBJECT_BYTES && seen.accesses > 0 {
+                let hours = (r.at.as_micros() - seen.last_at) as f64 / 3.6e9;
+                large_reuse_hours.push(hours);
             }
+            seen.size = r.size;
+            seen.accesses += 1;
+            seen.last_at = r.at.as_micros();
         }
 
-        let accessed: Vec<usize> = (0..n_objects).filter(|&i| access_count[i] > 0).collect();
-        let unique_objects = accessed.len();
-        let working_set_bytes: u64 = accessed.iter().map(|&i| trace.sizes[i]).sum();
-
-        let large_objects = accessed
-            .iter()
-            .filter(|&&i| trace.sizes[i] > LARGE_OBJECT_BYTES)
-            .count();
-        let large_bytes: u64 = accessed
-            .iter()
-            .filter(|&&i| trace.sizes[i] > LARGE_OBJECT_BYTES)
-            .map(|&i| trace.sizes[i])
-            .sum();
+        let unique_objects = objects.len();
+        let working_set_bytes: u64 = objects.values().map(|o| o.size).sum();
+        let large = || objects.values().filter(|o| o.size > LARGE_OBJECT_BYTES);
+        let large_objects = large().count();
+        let large_bytes: u64 = large().map(|o| o.size).sum();
 
         // Fig 1b: sort accessed objects by size; cumulative byte share.
-        let mut by_size: Vec<u64> = accessed.iter().map(|&i| trace.sizes[i]).collect();
+        let mut by_size: Vec<u64> = objects.values().map(|o| o.size).collect();
         by_size.sort_unstable();
         let total_bytes = working_set_bytes.max(1) as f64;
         let mut acc = 0u64;
@@ -82,20 +80,20 @@ impl TraceStats {
             }
         }
 
-        let size_cdf = Cdf::from_values(accessed.iter().map(|&i| trace.sizes[i] as f64));
-        let large_access_count_cdf = Cdf::from_values(
-            accessed
-                .iter()
-                .filter(|&&i| trace.sizes[i] > LARGE_OBJECT_BYTES)
-                .map(|&i| access_count[i] as f64),
-        );
+        let size_cdf = Cdf::from_values(by_size.iter().map(|&s| s as f64));
+        let hours = trace.horizon.as_secs_f64() / 3_600.0;
+        let large_access_count_cdf = Cdf::from_values(large().map(|o| f64::from(o.accesses)));
         let large_reuse_interval_cdf = Cdf::from_values(large_reuse_hours);
 
         TraceStats {
             unique_objects,
-            total_accesses: trace.requests.len(),
+            total_accesses: trace.records.len(),
             working_set_bytes,
-            hourly_rate: trace.hourly_rate(),
+            hourly_rate: if hours > 0.0 {
+                trace.records.len() as f64 / hours
+            } else {
+                0.0
+            },
             large_object_fraction: if unique_objects == 0 {
                 0.0
             } else {
@@ -140,14 +138,14 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::{generate, WorkloadSpec};
+    use crate::synth::{synthesize, TraceGenConfig};
 
     #[test]
     fn mini_trace_stats_are_consistent() {
-        let t = generate(&WorkloadSpec::mini(), 11);
+        let t = synthesize(&TraceGenConfig::mini(), 11);
         let s = TraceStats::compute(&t);
-        assert_eq!(s.total_accesses, t.requests.len());
-        assert!(s.unique_objects > 0 && s.unique_objects <= t.sizes.len());
+        assert_eq!(s.total_accesses, t.records.len());
+        assert!(s.unique_objects > 0 && s.unique_objects <= TraceGenConfig::mini().objects);
         assert_eq!(s.working_set_bytes, t.working_set_bytes());
         assert!(s.large_object_fraction > 0.05 && s.large_object_fraction < 0.5);
         assert!(s.large_byte_fraction > 0.8);
@@ -156,7 +154,7 @@ mod tests {
     #[test]
     fn reuse_within_hour_in_paper_band() {
         // The calibrated Dallas profile is what Fig 1d is reproduced from.
-        let t = generate(&WorkloadSpec::dallas(), 12);
+        let t = synthesize(&TraceGenConfig::dallas(), 12);
         let s = TraceStats::compute(&t.filter_large(LARGE_OBJECT_BYTES));
         let frac = s.large_reuse_within_hour();
         // Paper: 37–46%; allow slack for horizon effects.
@@ -165,7 +163,7 @@ mod tests {
 
     #[test]
     fn footprint_points_are_monotone_cdf() {
-        let t = generate(&WorkloadSpec::mini(), 13);
+        let t = synthesize(&TraceGenConfig::mini(), 13);
         let s = TraceStats::compute(&t);
         for w in s.footprint_points.windows(2) {
             assert!(w[0].0 <= w[1].0);
@@ -180,11 +178,11 @@ mod tests {
         // Scaled-down characterization run: the most popular large object
         // should absorb hundreds of accesses, and a solid fraction of large
         // objects should be accessed >= 10 times (Fig 1c).
-        let mut spec = WorkloadSpec::characterization();
-        spec.objects = 8_000;
-        spec.accesses = 160_000;
-        spec.rate = crate::model::RateProfile::flat(100);
-        let t = generate(&spec, 14);
+        let mut cfg = TraceGenConfig::characterization();
+        cfg.objects = 8_000;
+        cfg.accesses = 160_000;
+        cfg.rate = crate::model::RateProfile::flat(100);
+        let t = synthesize(&cfg, 14);
         let s = TraceStats::compute(&t);
         let at_least_10 = s.large_accessed_at_least(10);
         assert!(
@@ -195,12 +193,12 @@ mod tests {
         assert!(max_count > 100.0, "head object only {max_count} accesses");
     }
 
-    /// Calibration diagnostic: `cargo test -p ic-workload print_dallas -- \
+    /// Calibration diagnostic: `cargo test -p ic-trace print_dallas -- \
     /// --ignored --nocapture` prints the headline numbers next to Table 1.
     #[test]
     #[ignore]
     fn print_dallas_stats() {
-        let t = generate(&WorkloadSpec::dallas(), 2020);
+        let t = synthesize(&TraceGenConfig::dallas(), 2020);
         let s = TraceStats::compute(&t);
         println!(
             "all: unique={} accesses={} wss={:.0} GiB rate={:.0}/h largeObj={:.3} largeBytes={:.3}",
@@ -229,7 +227,7 @@ mod tests {
         // The real calibration check lives in the fig01/table1 harnesses;
         // here we sanity-check the orders of magnitude so regressions in
         // the generator fail fast.
-        let t = generate(&WorkloadSpec::dallas(), 2020);
+        let t = synthesize(&TraceGenConfig::dallas(), 2020);
         let s = TraceStats::compute(&t);
         assert!(
             (800.0..1600.0).contains(&s.working_set_gib()),

@@ -1,30 +1,74 @@
-//! Production-trace synthesis: turn `ic-workload`'s calibrated request
-//! streams (Zipfian popularity, diurnal arrival waves, heavy-tailed
-//! sizes — §2.1 / Fig 1 of the paper) into the versioned trace format.
+//! Production-trace synthesis: object-store request streams calibrated to
+//! the IBM Docker-registry traces the paper analyzes (§2.1, Fig 1) and
+//! replays (§5.2), emitted directly in the versioned trace format.
 //!
-//! The workload generator emits GET-only request streams (the paper's
-//! replay is read-side). This module adds two knobs the trace format can
-//! express but the generator cannot:
+//! The original traces (Anwar et al., FAST'18) are not redistributable,
+//! so the generator is calibrated to every statistic the paper reports
+//! about them:
 //!
-//! * **first-touch PUTs** — rewrite the first access of every object
-//!   into a PUT of the same size, so a byte-level substrate can verify
-//!   every later GET against what was actually stored (the committed
-//!   sample trace uses this; a write-through sim replay does not need
-//!   it);
-//! * **tenants** — spread objects across a declared tenant universe by a
-//!   deterministic hash, the load source ROADMAP's multi-tenancy item
-//!   will consume.
+//! * object sizes spanning nine orders of magnitude, with >10 MB objects
+//!   ≈ 20 % of objects and ≈ 95 % of bytes (Fig 1a/b);
+//! * long-tail (Zipf) popularity, large objects reused heavily but less
+//!   often than small ones (Fig 1c);
+//! * 37–46 % of large-object reuses within one hour (Fig 1d);
+//! * a Dallas-like 50-hour request timeline with ≈ 3 654 GETs/hour for all
+//!   objects, ≈ 750 GETs/hour above 10 MB, working-set sizes near 1 169 GB
+//!   and 1 036 GB respectively (Table 1), and request spikes around hours
+//!   15–20 and 34–42 (Fig 14).
+//!
+//! Generation is a two-level renewal process:
+//!
+//! 1. every object gets a size (from [`SizeModel`]) and a popularity weight
+//!    (Zipf rank through a seeded shuffle, with large objects' weights
+//!    penalized — §2.1 observes they are "accessed less frequently than
+//!    small ones");
+//! 2. the object's access count is Poisson around its expected share of the
+//!    configured total, and its accesses form a renewal sequence whose
+//!    inter-arrival gaps come from the [`ReuseModel`];
+//! 3. the whole timeline is warped through the [`RateProfile`] so arrival
+//!    density follows the Dallas hourly shape.
+//!
+//! Every record is a GET (the paper's replay is read-side) unless one of
+//! two knobs the trace format can express is set:
+//!
+//! * **first-touch PUTs** — the first access of every object becomes a
+//!   PUT of the same size, so a byte-level substrate can verify every
+//!   later GET against what was actually stored (the committed sample
+//!   trace uses this; a write-through sim replay does not need it);
+//! * **tenants** — objects spread across a declared tenant universe by a
+//!   deterministic hash.
 
+use ic_analytics::dist::poisson_sample;
 use ic_common::SimTime;
-use ic_workload::{generate, WorkloadSpec};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 use crate::format::{TraceData, TraceOp, TraceRecord};
+use crate::model::{RateProfile, ReuseModel, SizeModel};
+use crate::LARGE_OBJECT_BYTES;
 
-/// Generation knobs on top of a workload spec.
-#[derive(Clone, Debug)]
+/// Everything the synthesizer needs: the workload profile and the two
+/// trace-format knobs.
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceGenConfig {
-    /// The calibrated workload profile to draw from.
-    pub spec: WorkloadSpec,
+    /// Profile name, copied into the trace.
+    pub name: String,
+    /// Universe size (distinct objects that *may* be accessed).
+    pub objects: usize,
+    /// Target total access count over the horizon.
+    pub accesses: usize,
+    /// Zipf popularity exponent.
+    pub zipf_s: f64,
+    /// Multiplier (< 1 penalizes) applied to the popularity weight of
+    /// objects larger than 10 MB.
+    pub large_penalty: f64,
+    /// Object-size model.
+    pub sizes: SizeModel,
+    /// Temporal-reuse model.
+    pub reuse: ReuseModel,
+    /// Hourly intensity profile (also fixes the horizon).
+    pub rate: RateProfile,
     /// Tenant universe size; objects are assigned by deterministic hash.
     /// 1 keeps the whole trace on tenant 0.
     pub tenants: u16,
@@ -33,14 +77,66 @@ pub struct TraceGenConfig {
 }
 
 impl TraceGenConfig {
-    /// The paper's Dallas-like 50-hour production profile, GET-only
-    /// (replayed write-through, as in §5.2): ≈ 183 k requests over
-    /// 50 k objects.
+    /// The paper's Dallas-like 50-hour production profile (§5.2, Table 1),
+    /// GET-only (replayed write-through, as in §5.2): ≈ 183 k requests
+    /// over 50 k objects, working set ≈ 1.1 TB.
     pub fn dallas() -> Self {
         TraceGenConfig {
-            spec: WorkloadSpec::dallas(),
+            name: "dallas".into(),
+            objects: 50_000,
+            accesses: 182_700,
+            zipf_s: 0.66,
+            large_penalty: 0.72,
+            sizes: SizeModel::registry(),
+            reuse: ReuseModel::registry(),
+            rate: RateProfile::dallas_50h(),
             tenants: 1,
             first_touch_put: false,
+        }
+    }
+
+    /// The London datacenter profile of Fig 1: same family, lighter load.
+    pub fn london() -> Self {
+        let mut sizes = SizeModel::registry();
+        sizes.components[0].weight = 0.38; // more tiny manifests
+        sizes.components[2].median_bytes = 2.8e7;
+        TraceGenConfig {
+            name: "london".into(),
+            objects: 30_000,
+            accesses: 110_000,
+            zipf_s: 0.95,
+            large_penalty: 0.45,
+            sizes,
+            ..TraceGenConfig::dallas()
+        }
+    }
+
+    /// A long-horizon, high-volume variant used only to *characterize* the
+    /// workload family (Fig 1c's 10^4-access head needs more than 50 hours
+    /// of trace to show).
+    pub fn characterization() -> Self {
+        TraceGenConfig {
+            name: "characterization".into(),
+            objects: 120_000,
+            accesses: 2_400_000,
+            zipf_s: 1.01,
+            large_penalty: 0.45,
+            rate: RateProfile::flat(600),
+            ..TraceGenConfig::dallas()
+        }
+    }
+
+    /// A scaled-down Dallas-like profile for tests and examples (~2 K
+    /// objects, 2-hour horizon, a few thousand requests).
+    pub fn mini() -> Self {
+        TraceGenConfig {
+            name: "mini".into(),
+            objects: 2_000,
+            accesses: 6_000,
+            zipf_s: 0.90,
+            large_penalty: 0.45,
+            rate: RateProfile::flat(2),
+            ..TraceGenConfig::dallas()
         }
     }
 
@@ -49,33 +145,29 @@ impl TraceGenConfig {
     /// replay moves real verified bytes in seconds, and first-touch PUTs
     /// so every later GET has stored content to verify against.
     pub fn sample() -> Self {
-        let mut spec = WorkloadSpec::mini();
-        spec.name = "sample".into();
-        spec.objects = 48;
-        spec.accesses = 280;
-        spec.sizes.min_bytes = 1_000;
-        spec.sizes.max_bytes = 64_000;
-        spec.rate = ic_workload::model::RateProfile {
-            hourly: vec![1.0, 1.6],
-        };
-        TraceGenConfig {
-            spec,
-            tenants: 1,
+        let mut cfg = TraceGenConfig {
+            name: "sample".into(),
+            objects: 48,
+            accesses: 280,
+            rate: RateProfile {
+                hourly: vec![1.0, 1.6],
+            },
             first_touch_put: true,
-        }
+            ..TraceGenConfig::mini()
+        };
+        cfg.sizes.min_bytes = 1_000;
+        cfg.sizes.max_bytes = 64_000;
+        cfg
     }
 
     /// A tiny smoke profile for CI: a minute-scale GET-only trace whose
     /// sim replay finishes in well under a second.
     pub fn smoke() -> Self {
-        let mut spec = WorkloadSpec::mini();
-        spec.name = "smoke".into();
-        spec.objects = 300;
-        spec.accesses = 1_500;
         TraceGenConfig {
-            spec,
-            tenants: 1,
-            first_touch_put: false,
+            name: "smoke".into(),
+            objects: 300,
+            accesses: 1_500,
+            ..TraceGenConfig::mini()
         }
     }
 }
@@ -90,80 +182,73 @@ fn tenant_of(object: u32, tenants: u16) -> u16 {
     }
 }
 
-/// Generates a trace from the calibrated workload generator under a seed.
-/// Identical `(cfg, seed)` always produce byte-identical traces.
+/// Generates a trace under a seed. Identical `(cfg, seed)` always produce
+/// byte-identical traces.
 pub fn synthesize(cfg: &TraceGenConfig, seed: u64) -> TraceData {
-    let workload = generate(&cfg.spec, seed);
-    from_workload(&workload, cfg.tenants, cfg.first_touch_put)
-}
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let horizon_secs = cfg.rate.hours() as f64 * 3_600.0;
+    let tenants = cfg.tenants.max(1);
 
-/// Converts an already-generated workload request stream into the trace
-/// format (see the module docs for the two extra knobs).
-pub fn from_workload(
-    workload: &ic_workload::Trace,
-    tenants: u16,
-    first_touch_put: bool,
-) -> TraceData {
-    let tenants = tenants.max(1);
-    let mut seen = vec![false; workload.sizes.len()];
-    let records = workload
-        .requests
-        .iter()
-        .map(|r| {
-            let first = !std::mem::replace(
-                seen.get_mut(r.object as usize).expect("object in range"),
-                true,
-            );
-            TraceRecord {
-                at: r.at,
-                op: if first_touch_put && first {
-                    TraceOp::Put
-                } else {
-                    TraceOp::Get
-                },
-                tenant: tenant_of(r.object, tenants),
-                object: r.object,
-                size: r.size,
-            }
-        })
+    // 1. Sizes.
+    let sizes: Vec<u64> = (0..cfg.objects)
+        .map(|_| cfg.sizes.sample(&mut rng))
         .collect();
+
+    // 2. Popularity: a seeded shuffle assigns Zipf ranks to object ids,
+    //    then large objects are penalized and weights renormalized.
+    let mut ranks: Vec<u32> = (0..cfg.objects as u32).collect();
+    ranks.shuffle(&mut rng);
+    let mut weights: Vec<f64> = vec![0.0; cfg.objects];
+    for (rank, &obj) in ranks.iter().enumerate() {
+        let mut w = (rank as f64 + 1.0).powf(-cfg.zipf_s);
+        if sizes[obj as usize] > LARGE_OBJECT_BYTES {
+            w *= cfg.large_penalty;
+        }
+        weights[obj as usize] = w;
+    }
+    let total_w: f64 = weights.iter().sum();
+
+    // 3. Per-object renewal sequences on the virtual (unwarped) timeline.
+    let mut records: Vec<TraceRecord> = Vec::with_capacity(cfg.accesses + cfg.accesses / 8);
+    for (obj, &w) in weights.iter().enumerate() {
+        let expected = cfg.accesses as f64 * w / total_w;
+        let count = poisson_sample(&mut rng, expected);
+        if count == 0 {
+            continue;
+        }
+        let object = obj as u32;
+        let tenant = tenant_of(object, tenants);
+        let mut t = rng.gen::<f64>() * horizon_secs;
+        for _ in 0..count {
+            let warped = cfg.rate.warp(t / horizon_secs);
+            records.push(TraceRecord {
+                at: SimTime::from_micros((warped * 1e6) as u64),
+                op: TraceOp::Get,
+                tenant,
+                object,
+                size: sizes[obj],
+            });
+            // Next access after a reuse interval, wrapping around the
+            // horizon (the wrap shows up as one long interval — harmless
+            // tail mass in Fig 1d).
+            t = (t + cfg.reuse.sample(&mut rng)) % horizon_secs;
+        }
+    }
+    records.sort_by_key(|r| (r.at, r.object));
+
+    if cfg.first_touch_put {
+        let mut seen = vec![false; cfg.objects];
+        for r in &mut records {
+            if !std::mem::replace(&mut seen[r.object as usize], true) {
+                r.op = TraceOp::Put;
+            }
+        }
+    }
     TraceData {
-        name: workload.name.clone(),
-        horizon: workload.horizon,
+        name: cfg.name.clone(),
+        horizon: SimTime::from_micros((horizon_secs * 1e6) as u64),
         tenants,
         records,
-    }
-}
-
-/// Projects a single-tenant trace back into the workload crate's request
-/// stream (all records, op-blind) so its analytics — `TraceStats`, the
-/// sim `trace_replay`, the baseline replays — apply unchanged.
-pub fn to_workload(data: &TraceData) -> ic_workload::Trace {
-    let max_object = data
-        .records
-        .iter()
-        .map(|r| r.object as usize)
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut sizes = vec![0u64; max_object];
-    let mut requests = Vec::with_capacity(data.records.len());
-    for r in &data.records {
-        sizes[r.object as usize] = r.size;
-        requests.push(ic_workload::Request {
-            at: r.at,
-            object: r.object,
-            size: r.size,
-        });
-    }
-    ic_workload::Trace {
-        name: data.name.clone(),
-        horizon: if data.horizon > SimTime::ZERO {
-            data.horizon
-        } else {
-            data.records.last().map_or(SimTime::ZERO, |r| r.at)
-        },
-        requests,
-        sizes,
     }
 }
 
@@ -238,12 +323,86 @@ mod tests {
     }
 
     #[test]
-    fn workload_round_trip_preserves_requests() {
-        let cfg = TraceGenConfig::smoke();
-        let workload = generate(&cfg.spec, 21);
-        let data = from_workload(&workload, 1, false);
-        let back = to_workload(&data);
-        assert_eq!(back.requests, workload.requests);
-        assert_eq!(back.horizon, workload.horizon);
+    fn generation_is_deterministic_under_seed() {
+        let cfg = TraceGenConfig::mini();
+        let a = synthesize(&cfg, 1);
+        let b = synthesize(&cfg, 1);
+        assert_eq!(a.records, b.records);
+        let c = synthesize(&cfg, 2);
+        assert_ne!(a.records, c.records);
+    }
+
+    #[test]
+    fn request_count_close_to_target() {
+        let cfg = TraceGenConfig::mini();
+        let t = synthesize(&cfg, 3);
+        let n = t.records.len() as f64;
+        assert!(
+            (n / cfg.accesses as f64 - 1.0).abs() < 0.15,
+            "generated {n} vs target {}",
+            cfg.accesses
+        );
+    }
+
+    #[test]
+    fn requests_are_sorted_and_within_horizon() {
+        let t = synthesize(&TraceGenConfig::mini(), 4);
+        for w in t.records.windows(2) {
+            assert!(w[0].at <= w[1].at);
+        }
+        let mut size_of = std::collections::HashMap::new();
+        for r in &t.records {
+            assert!(r.at <= t.horizon);
+            assert_eq!(r.op, TraceOp::Get);
+            assert_eq!(*size_of.entry(r.object).or_insert(r.size), r.size);
+        }
+    }
+
+    #[test]
+    fn filter_large_keeps_only_large_objects() {
+        let t = synthesize(&TraceGenConfig::mini(), 5);
+        let large = t.filter_large(LARGE_OBJECT_BYTES);
+        assert!(!large.records.is_empty());
+        assert!(large.records.iter().all(|r| r.size > LARGE_OBJECT_BYTES));
+        assert!(large.records.len() < t.records.len());
+        assert!(large.working_set_bytes() < t.working_set_bytes());
+    }
+
+    #[test]
+    fn keys_are_stable_and_distinct() {
+        let t = synthesize(&TraceGenConfig::mini(), 6);
+        let (a, b) = (t.records[0], t.records[1]);
+        assert_eq!(a.key(), a.key());
+        assert_eq!(a.key() == b.key(), a.object == b.object);
+    }
+
+    #[test]
+    fn popularity_is_skewed() {
+        let cfg = TraceGenConfig::mini();
+        let t = synthesize(&cfg, 7);
+        let mut counts = vec![0u32; cfg.objects];
+        for r in &t.records {
+            counts[r.object as usize] += 1;
+        }
+        let mut sorted: Vec<u32> = counts.iter().copied().filter(|&c| c > 0).collect();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let top_decile: u64 = sorted
+            .iter()
+            .take(sorted.len() / 10)
+            .map(|&c| c as u64)
+            .sum();
+        let total: u64 = sorted.iter().map(|&c| c as u64).sum();
+        assert!(
+            top_decile as f64 / total as f64 > 0.35,
+            "top-10% objects draw only {:.2} of accesses",
+            top_decile as f64 / total as f64
+        );
+    }
+
+    #[test]
+    fn hourly_rate_reflects_horizon() {
+        let t = synthesize(&TraceGenConfig::mini(), 8);
+        let rate = crate::stats::TraceStats::compute(&t).hourly_rate;
+        assert!((rate - t.records.len() as f64 / 2.0).abs() < 1e-6);
     }
 }

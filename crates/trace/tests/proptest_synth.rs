@@ -1,12 +1,13 @@
-//! Property tests for the workload synthesizer: structural invariants
-//! hold for arbitrary spec parameters, and statistics never panic.
+//! Property tests for the trace synthesizer: structural invariants hold
+//! for arbitrary profile parameters, and statistics never panic.
 
-use ic_workload::model::{RateProfile, ReuseModel, SizeModel};
-use ic_workload::stats::TraceStats;
-use ic_workload::{generate, WorkloadSpec};
+use std::collections::HashMap;
+
+use ic_trace::model::RateProfile;
+use ic_trace::{synthesize, TraceGenConfig, TraceOp, TraceStats};
 use proptest::prelude::*;
 
-fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
+fn arb_config() -> impl Strategy<Value = TraceGenConfig> {
     (
         50usize..800,
         100usize..3000,
@@ -15,15 +16,14 @@ fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
         1usize..6,
     )
         .prop_map(
-            |(objects, accesses, zipf_s, large_penalty, hours)| WorkloadSpec {
+            |(objects, accesses, zipf_s, large_penalty, hours)| TraceGenConfig {
                 name: "prop".into(),
                 objects,
                 accesses,
                 zipf_s,
                 large_penalty,
-                sizes: SizeModel::registry(),
-                reuse: ReuseModel::registry(),
                 rate: RateProfile::flat(hours),
+                ..TraceGenConfig::mini()
             },
         )
 }
@@ -32,27 +32,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn traces_are_well_formed(spec in arb_spec(), seed in any::<u64>()) {
-        let t = generate(&spec, seed);
-        // Sorted, within horizon, sizes consistent with the table.
-        for w in t.requests.windows(2) {
+    fn traces_are_well_formed(cfg in arb_config(), seed in any::<u64>()) {
+        let t = synthesize(&cfg, seed);
+        // Sorted GETs within the horizon, one size per object, sizes
+        // inside the model's bounds.
+        for w in t.records.windows(2) {
             prop_assert!(w[0].at <= w[1].at);
         }
-        for r in &t.requests {
+        let mut size_of = HashMap::new();
+        for r in &t.records {
             prop_assert!(r.at <= t.horizon);
-            prop_assert_eq!(r.size, t.size(r.object));
-            prop_assert!((r.object as usize) < t.sizes.len());
-            prop_assert!(r.size >= spec.sizes.min_bytes);
-            prop_assert!(r.size <= spec.sizes.max_bytes);
+            prop_assert_eq!(r.op, TraceOp::Get);
+            prop_assert_eq!(*size_of.entry(r.object).or_insert(r.size), r.size);
+            prop_assert!((r.object as usize) < cfg.objects);
+            prop_assert!(r.size >= cfg.sizes.min_bytes);
+            prop_assert!(r.size <= cfg.sizes.max_bytes);
         }
         // Total volume lands near the target (Poisson thinning).
-        let n = t.requests.len() as f64;
-        prop_assert!(n <= spec.accesses as f64 * 1.6 + 60.0);
+        let n = t.records.len() as f64;
+        prop_assert!(n <= cfg.accesses as f64 * 1.6 + 60.0);
 
         // Stats never panic and are internally consistent.
         let s = TraceStats::compute(&t);
-        prop_assert_eq!(s.total_accesses, t.requests.len());
-        prop_assert!(s.unique_objects <= spec.objects);
+        prop_assert_eq!(s.total_accesses, t.records.len());
+        prop_assert_eq!(s.unique_objects, size_of.len());
+        prop_assert!(s.unique_objects <= cfg.objects);
         prop_assert_eq!(s.working_set_bytes, t.working_set_bytes());
         prop_assert!((0.0..=1.0).contains(&s.large_object_fraction));
         prop_assert!((0.0..=1.0).contains(&s.large_byte_fraction));
@@ -60,13 +64,12 @@ proptest! {
 
     #[test]
     fn filtering_is_idempotent_and_sound(seed in any::<u64>()) {
-        let mut spec = WorkloadSpec::mini();
-        spec.accesses = 1500;
-        let t = generate(&spec, seed);
+        let cfg = TraceGenConfig { accesses: 1500, ..TraceGenConfig::mini() };
+        let t = synthesize(&cfg, seed);
         let large = t.filter_large(10_000_000);
         let large2 = large.filter_large(10_000_000);
-        prop_assert_eq!(large.requests.len(), large2.requests.len());
-        prop_assert!(large.requests.len() <= t.requests.len());
+        prop_assert_eq!(&large.records, &large2.records);
+        prop_assert!(large.records.len() <= t.records.len());
         prop_assert!(large.working_set_bytes() <= t.working_set_bytes());
     }
 

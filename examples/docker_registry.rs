@@ -11,23 +11,22 @@
 
 use ic_baselines::ElastiCacheDeployment;
 use ic_common::DeploymentConfig;
-use ic_simfaas::reclaim::HourlyPoisson;
-use ic_workload::{generate, stats::TraceStats, WorkloadSpec};
-use infinicache::experiments::{replay_elasticache, trace_replay};
+use ic_trace::replay::{compare_baselines, replay_sim, ChurnProfile, SimReplayConfig};
+use ic_trace::{synthesize, TraceGenConfig, TraceStats};
 use infinicache::params::SimParams;
 
 fn main() {
     // A scaled-down Dallas-like registry workload (full scale lives in the
-    // ic-bench binaries): ~6 hours, thousands of layer pulls.
-    let mut spec = WorkloadSpec::dallas();
-    spec.objects /= 12;
-    spec.accesses /= 8;
-    spec.rate.hourly.truncate(6);
-    let trace = generate(&spec, 99);
+    // `reproduce` binary): ~6 hours, thousands of layer pulls.
+    let mut gen = TraceGenConfig::dallas();
+    gen.objects /= 12;
+    gen.accesses /= 8;
+    gen.rate.hourly.truncate(6);
+    let trace = synthesize(&gen, 99);
     let stats = TraceStats::compute(&trace);
     println!(
         "registry workload: {} GETs over {:.0} h, {} distinct layers, working set {:.0} GB",
-        trace.requests.len(),
+        trace.records.len(),
         trace.horizon.as_secs_f64() / 3600.0,
         stats.unique_objects,
         stats.working_set_bytes as f64 / 1e9,
@@ -44,11 +43,14 @@ fn main() {
         cfg.ec,
         cfg.backup_interval.as_secs_f64()
     );
-    let report = trace_replay(
+    let report = replay_sim(
         &trace,
-        cfg,
-        Box::new(HourlyPoisson::new(36.0, "churn")),
-        SimParams::paper(),
+        &SimReplayConfig {
+            deployment: cfg,
+            seed: SimParams::paper().seed,
+            churn: ChurnProfile::Poisson { per_hour: 36 },
+            ..SimReplayConfig::production(0)
+        },
     );
     println!(
         "InfiniCache: hit ratio {:.1}%, availability {:.1}%, total cost ${:.2} \
@@ -62,18 +64,16 @@ fn main() {
     );
 
     let deployment = ElastiCacheDeployment::one_node_24xl();
-    let (ec_hits, _) = replay_elasticache(&trace, deployment, 5);
-    let hours = trace.horizon.as_secs_f64() / 3600.0;
-    let ec_cost = deployment.hourly_price() * hours;
+    let ec = compare_baselines(&trace, deployment);
     println!(
         "ElastiCache ({}): hit ratio {:.1}%, cost ${:.2} for the same window",
         deployment.instance.name,
-        ec_hits * 100.0,
-        ec_cost
+        ec.elasticache_hit_ratio * 100.0,
+        ec.elasticache_cost
     );
     println!(
         "\ntenant-side cost ratio: {:.0}x in InfiniCache's favour (the paper's Fig 13 \
          measures 31x at full scale)",
-        ec_cost / report.total_cost.max(1e-9)
+        ec.cost_vs_elasticache(report.total_cost)
     );
 }

@@ -8,7 +8,9 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use ic_common::{ClientId, DeploymentConfig, EcConfig, ObjectKey, Payload, SimDuration, SimTime};
+use ic_common::{
+    ClientId, DeploymentConfig, EcConfig, ObjectKey, Payload, ProxyId, SimDuration, SimTime,
+};
 use ic_simfaas::reclaim::PeriodicSpike;
 use infinicache::event::Op;
 use infinicache::metrics::Outcome;
@@ -73,10 +75,12 @@ fn main() {
     println!("  EC recoveries (<=p lost): {recovered}");
     println!("  RESETs (>p chunks lost):  {reset}");
     println!("  cold misses:              {cold}");
+    let backup_rounds: u64 = (0..w.cfg.proxies)
+        .map(|p| w.proxy_stats(ProxyId(p)).backup_rounds)
+        .sum();
     println!(
-        "\nfunctions reclaimed: {}, backup rounds coordinated: {}",
+        "\nfunctions reclaimed: {}, backup rounds coordinated: {backup_rounds}",
         w.platform.reclaim_log().len(),
-        infinicache::experiments::proxy_backup_rounds(&w),
     );
     println!(
         "availability (paper's §5.2 metric): {:.1}%",

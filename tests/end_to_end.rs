@@ -11,8 +11,9 @@ use ic_common::{
 use ic_net::bench::pattern_bytes;
 use ic_net::replay::StepOutcome;
 use ic_net::LoopbackCluster;
-use ic_simfaas::reclaim::{HourlyPoisson, NoReclaim};
-use ic_workload::{generate, WorkloadSpec};
+use ic_simfaas::reclaim::NoReclaim;
+use ic_trace::replay::{replay_sim, ChurnProfile, SimReplayConfig};
+use ic_trace::synth::{synthesize, TraceGenConfig};
 use infinicache::event::Op;
 use infinicache::metrics::{OpKind, Outcome};
 use infinicache::params::SimParams;
@@ -117,19 +118,19 @@ fn multi_proxy_deployment_spreads_objects() {
 
 #[test]
 fn trace_replay_hits_reasonable_ratio_and_bills_all_categories() {
-    let trace = generate(&WorkloadSpec::mini(), 9);
-    let cfg = DeploymentConfig {
-        lambdas_per_proxy: 48,
-        lambda_memory_mb: 512,
-        backup_interval: SimDuration::from_mins(3),
-        ..DeploymentConfig::small(48, EcConfig::new(10, 2).unwrap())
+    let trace = synthesize(&TraceGenConfig::mini(), 9);
+    let cfg = SimReplayConfig {
+        deployment: DeploymentConfig {
+            lambdas_per_proxy: 48,
+            lambda_memory_mb: 512,
+            backup_interval: SimDuration::from_mins(3),
+            ..DeploymentConfig::small(48, EcConfig::new(10, 2).unwrap())
+        },
+        seed: SimParams::paper().seed,
+        churn: ChurnProfile::Poisson { per_hour: 20 },
+        ..SimReplayConfig::production(0)
     };
-    let report = infinicache::experiments::trace_replay(
-        &trace,
-        cfg,
-        Box::new(HourlyPoisson::new(20.0, "churn")),
-        SimParams::paper(),
-    );
+    let report = replay_sim(&trace, &cfg);
     assert!(report.hit_ratio > 0.2, "hit ratio {}", report.hit_ratio);
     assert!(report.category_cost[0] > 0.0, "serving must cost something");
     assert!(
