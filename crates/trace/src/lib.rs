@@ -28,17 +28,10 @@
 //! ```
 //! use ic_trace::format::TraceData;
 //! use ic_trace::synth::{synthesize, TraceGenConfig};
-//! use ic_trace::TraceStats;
 //!
 //! let trace = synthesize(&TraceGenConfig::sample(), 7);
 //! let bytes = trace.to_bytes().expect("encodes");
 //! assert_eq!(TraceData::from_bytes(&bytes).expect("decodes"), trace);
-//!
-//! // The scaled-down Dallas-like profile: large objects are a minority
-//! // of objects but the majority of bytes.
-//! let stats = TraceStats::compute(&synthesize(&TraceGenConfig::mini(), 42));
-//! assert!(stats.large_object_fraction < 0.5);
-//! assert!(stats.large_byte_fraction > 0.5);
 //! ```
 
 #![warn(missing_docs)]

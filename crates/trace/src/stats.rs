@@ -10,6 +10,18 @@ use crate::format::TraceData;
 use crate::LARGE_OBJECT_BYTES;
 
 /// Aggregate statistics of a trace.
+///
+/// ```
+/// use ic_trace::synth::{synthesize, TraceGenConfig};
+/// use ic_trace::TraceStats;
+///
+/// // The scaled-down Dallas-like profile: large objects are a minority
+/// // of objects but the majority of bytes.
+/// let stats = TraceStats::compute(&synthesize(&TraceGenConfig::mini(), 42));
+/// assert!(stats.total_accesses > 0);
+/// assert!(stats.large_object_fraction < 0.5);
+/// assert!(stats.large_byte_fraction > 0.5);
+/// ```
 #[derive(Clone, Debug)]
 pub struct TraceStats {
     /// Distinct objects accessed.
