@@ -1,14 +1,14 @@
 //! EC kernel microbenchmark: quantifies the word-parallel GF(2^8) kernels
 //! against the retained scalar reference, the blocked `encode_parity` path
 //! against a reference parity-major encode, and cached vs uncached decode
-//! planning. Emits the `BENCH_ec.json` artifact.
+//! planning, and prints one timing line per point.
 //!
 //! Before timing anything it *asserts* the differential invariants — the
 //! SWAR kernels and the blocked encoder are byte-identical to the scalar
 //! reference, and a cache-served reconstruct is byte-identical to a cold
-//! one — so the speedups in the artifact are measured over code proven to
+//! one — so the speedups it prints are measured over code proven to
 //! agree. Run with `--test` (CI) for a quick pass that checks the
-//! invariants and skips the artifact write.
+//! invariants and times one kernel.
 
 use std::time::Instant;
 
@@ -59,7 +59,7 @@ fn encode_parity_reference(rs: &ReedSolomon, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Asserts every differential invariant the artifact's numbers rest on.
+/// Asserts every differential invariant the printed numbers rest on.
 fn assert_differential_invariants() {
     // Kernels agree, including the awkward tail length.
     let input = pattern(7, 8 * 1024 + 13);
@@ -122,7 +122,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--test");
     assert_differential_invariants();
     if quick {
-        // CI mode: invariants checked, a fast timing smoke, no artifact.
+        // CI mode: invariants checked, then a fast timing smoke.
         let mut c = Criterion::default();
         let input = pattern(1, 64 * 1024);
         let mut out = vec![0u8; input.len()];
@@ -134,7 +134,6 @@ fn main() {
     let target_ms = 300;
 
     // Kernel level: scalar reference vs word-parallel, same coefficient.
-    let mut kernel_rows = Vec::new();
     for &len in KERNEL_SIZES {
         let input = pattern(3, len);
         let mut out = vec![0u8; len];
@@ -151,18 +150,9 @@ fn main() {
             mib_s(len, swar_s),
             ref_s / swar_s
         );
-        kernel_rows.push(format!(
-            "    {{\"len_bytes\": {len}, \"reference_mib_per_sec\": {:.0}, \
-             \"swar_mib_per_sec\": {:.0}, \"speedup\": {:.2}}}",
-            mib_s(len, ref_s),
-            mib_s(len, swar_s),
-            ref_s / swar_s
-        ));
     }
 
     // Stripe level: reference parity-major encode vs blocked input-major.
-    let mut encode_rows = Vec::new();
-    let mut headline_encode_speedup = 0.0;
     for &(d, p) in SHAPES {
         let rs = ReedSolomon::new(d, p).expect("valid shape");
         for &len in STRIPE_SIZES {
@@ -175,30 +165,17 @@ fn main() {
                 black_box(rs.encode_parity(black_box(&data)).expect("encodes"));
             });
             let speedup = ref_s / new_s;
-            if (d, p) == (4, 2) && len == 256 * 1024 {
-                headline_encode_speedup = speedup;
-            }
             println!(
                 "encode ({d:>2}+{p}) {:>5} KiB  reference {:>6.0} MiB/s  blocked-swar {:>6.0} MiB/s  ({speedup:.1}x)",
                 len / 1024,
                 mib_s(logical, ref_s),
                 mib_s(logical, new_s),
             );
-            encode_rows.push(format!(
-                "    {{\"shape\": \"{d}+{p}\", \"shard_bytes\": {len}, \
-                 \"reference_mib_per_sec\": {:.0}, \"blocked_swar_mib_per_sec\": {:.0}, \
-                 \"speedup\": {:.2}}}",
-                mib_s(logical, ref_s),
-                mib_s(logical, new_s),
-                speedup
-            ));
         }
     }
 
     // Decode level: repeated same-pattern reconstructs, cold plan (cache
     // cleared every iteration) vs warm plan.
-    let mut decode_rows = Vec::new();
-    let mut headline_decode_speedup = 0.0;
     for &(d, p) in SHAPES {
         let rs = ReedSolomon::new(d, p).expect("valid shape");
         for &len in DECODE_SIZES {
@@ -226,37 +203,12 @@ fn main() {
                 black_box(&shards);
             });
             let speedup = uncached_s / cached_s;
-            if (d, p) == (12, 3) && len == 4 * 1024 {
-                headline_decode_speedup = speedup;
-            }
             println!(
                 "decode ({d:>2}+{p}) {:>5} KiB  uncached {:>8.1} us  cached {:>8.1} us  ({speedup:.2}x)",
                 len / 1024,
                 uncached_s * 1e6,
                 cached_s * 1e6,
             );
-            decode_rows.push(format!(
-                "    {{\"shape\": \"{d}+{p}\", \"shard_bytes\": {len}, \"data_erasures\": {p}, \
-                 \"uncached_us\": {:.1}, \"cached_us\": {:.1}, \"speedup\": {:.2}}}",
-                uncached_s * 1e6,
-                cached_s * 1e6,
-                speedup
-            ));
         }
     }
-
-    let json = format!(
-        "{{\n  \"bench\": \"ec_kernels\",\n  \
-         \"differential_invariants\": \"swar kernels, blocked encode, and cached decode byte-checked against scalar reference before timing\",\n  \
-         \"codegen\": \"-C target-cpu=native (see .cargo/config.toml)\",\n  \
-         \"encode_parity_speedup_at_256KiB_4p2\": {headline_encode_speedup:.2},\n  \
-         \"cached_decode_speedup_at_4KiB_12p3\": {headline_decode_speedup:.2},\n  \
-         \"kernel\": [\n{}\n  ],\n  \"encode_parity\": [\n{}\n  ],\n  \"decode\": [\n{}\n  ]\n}}\n",
-        kernel_rows.join(",\n"),
-        encode_rows.join(",\n"),
-        decode_rows.join(",\n"),
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ec.json");
-    std::fs::write(&out, json).expect("write BENCH_ec.json");
-    println!("wrote {}", out.display());
 }

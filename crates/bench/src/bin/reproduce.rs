@@ -601,11 +601,11 @@ fn get_ms(metrics: &Metrics, keep: impl Fn(&RequestRecord) -> bool) -> Vec<f64> 
         .collect()
 }
 
-/// Latencies (ms) of the baseline records whose size `keep` accepts.
-fn baseline_ms(records: &[BaselineRecord], keep: impl Fn(u64) -> bool) -> Vec<f64> {
+/// Latencies (ms) of the baseline records that `keep` accepts.
+fn baseline_ms(records: &[BaselineRecord], keep: impl Fn(&BaselineRecord) -> bool) -> Vec<f64> {
     records
         .iter()
-        .filter(|r| keep(r.size))
+        .filter(|r| keep(r))
         .map(|r| r.latency_ms)
         .collect()
 }
@@ -622,9 +622,9 @@ fn fig15_latency_cdf(ctx: &Ctx) {
     let ic_all = ic.get_latencies_ms(0);
     let ic_large = get_ms(ic, |r| large(r.size));
     let ec_all = baseline_ms(&study.ec_all.1, |_| true);
-    let ec_large = baseline_ms(&study.ec_all.1, large);
+    let ec_large = baseline_ms(&study.ec_all.1, |r| large(r.size));
     let s3_all = baseline_ms(&study.s3_all, |_| true);
-    let s3_large = baseline_ms(&study.s3_all, large);
+    let s3_large = baseline_ms(&study.s3_all, |r| large(r.size));
 
     print_table(
         "(a) all objects — latency ms at quantile",
@@ -688,15 +688,15 @@ fn fig16_normalized_latency(ctx: &Ctx) {
     let mut rows = Vec::new();
     for (label, lo, hi) in BUCKETS {
         let in_bucket = |size| (lo..hi).contains(&size);
-        let ec = baseline_ms(&study.ec_all.1, in_bucket);
+        // Cache-vs-cache comparison: the base is ElastiCache's hits (its
+        // misses are timed by S3), set against InfiniCache's hits.
+        let ec_hits = baseline_ms(&study.ec_all.1, |r| r.hit && in_bucket(r.size));
         let icl = get_ms(ic, |r| in_bucket(r.size));
-        // Cache-vs-cache comparison: hits only (the ElastiCache column's
-        // latencies are hits by construction of its replay).
         let ic_hits = get_ms(ic, |r| {
             matches!(r.outcome, Outcome::Hit { .. }) && in_bucket(r.size)
         });
-        let s3 = baseline_ms(&study.s3_all, in_bucket);
-        let base = Summary::from_values(&ec).p50.max(1e-9);
+        let s3 = baseline_ms(&study.s3_all, |r| in_bucket(r.size));
+        let base = Summary::from_values(&ec_hits).p50.max(1e-9);
         let norm = |v: &[f64]| {
             if v.is_empty() {
                 "-".to_string()

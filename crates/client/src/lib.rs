@@ -233,7 +233,7 @@ impl ClientLib {
             puts: HashMap::new(),
             put_seq: 0,
             placements: HashMap::new(),
-            debug_drop_early_answers: cfg!(mc_bug_1),
+            debug_drop_early_answers: false,
             stats: ClientStats::default(),
         }
     }
@@ -241,7 +241,7 @@ impl ClientLib {
     /// Arms (or disarms) the model checker's revert-detection hook: drop
     /// chunk answers that arrive before `GetAccepted` instead of
     /// buffering them, resurrecting a historical bug that stranded GETs
-    /// forever. Compiling with `--cfg mc_bug_1` forces it on. Test-only.
+    /// forever. Test-only.
     pub fn set_debug_drop_early_answers(&mut self, on: bool) {
         self.debug_drop_early_answers = on;
     }

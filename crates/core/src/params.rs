@@ -48,7 +48,7 @@ impl SimParams {
             proxy_nic_bps: 1.25e9,
             // Effective object-level EC throughput of the paper's
             // AVX-accelerated Go library (our scalar ic-ec crate is slower;
-            // `BENCH_ec.json` holds what the `ec_kernels` bench measures).
+            // the `ec_kernels` bench prints what it measures).
             encode_bps: 2.5e9,
             decode_bps: 2.5e9,
             split_bps: 3.0e9,

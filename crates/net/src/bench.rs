@@ -1,14 +1,14 @@
 //! The loopback throughput benchmark: configurable client count, object
-//! size, and op mix against a socket proxy, with latency percentiles and
-//! a `BENCH_net.json` artifact.
+//! size, and op mix against a socket proxy, with latency percentiles.
 //!
-//! Used by the standalone `netbench` binary (which also sets up the
-//! cluster) and by `ic-cli bench` (which targets an already-running
-//! proxy fleet). Each client thread owns its own TCP connection *per
-//! proxy* and its own key namespace, preloads its working set, then
-//! issues a seeded GET/PUT mix ring-routed across the fleet, timing
-//! every blocking operation end to end — encode, socket hops, proxy,
-//! node daemons, decode.
+//! Driven by the `netbench` binary, which either sets up a loopback
+//! cluster or targets an already-running proxy fleet (`--connect`).
+//! Each client thread owns its own TCP connection *per proxy* and its
+//! own key namespace, preloads its working set, then issues a seeded
+//! GET/PUT mix ring-routed across the fleet, timing every blocking
+//! operation end to end — encode, socket hops, proxy, node daemons,
+//! decode. Every GET is verified against the key's deterministic
+//! pattern.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
@@ -21,7 +21,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::client::NetClient;
-use crate::proxy::WireSnapshot;
 
 /// Deterministic content for `key` at write-`version`: any process that
 /// knows the key (and version) can regenerate and verify the bytes, so
@@ -57,8 +56,6 @@ pub struct BenchConfig {
     pub ec: EcConfig,
     /// Seed for the op mix.
     pub seed: u64,
-    /// Verify every GET against the expected deterministic pattern.
-    pub verify: bool,
 }
 
 impl Default for BenchConfig {
@@ -71,7 +68,6 @@ impl Default for BenchConfig {
             key_space: 16,
             ec: EcConfig::new(4, 2).expect("valid code"),
             seed: 42,
-            verify: true,
         }
     }
 }
@@ -81,16 +77,10 @@ impl Default for BenchConfig {
 pub struct LatencySummary {
     /// Operations measured.
     pub count: usize,
-    /// Mean latency.
-    pub mean_us: f64,
     /// Median.
     pub p50_us: u64,
-    /// 90th percentile.
-    pub p90_us: u64,
     /// 99th percentile.
     pub p99_us: u64,
-    /// Worst observed.
-    pub max_us: u64,
 }
 
 impl LatencySummary {
@@ -101,11 +91,8 @@ impl LatencySummary {
         let pct = |p: f64| lat[(((lat.len() - 1) as f64) * p).round() as usize];
         LatencySummary {
             count: lat.len(),
-            mean_us: lat.iter().sum::<u64>() as f64 / lat.len() as f64,
             p50_us: pct(0.50),
-            p90_us: pct(0.90),
             p99_us: pct(0.99),
-            max_us: *lat.last().expect("non-empty"),
         }
     }
 }
@@ -242,23 +229,9 @@ fn threads_named(prefix: &str) -> Option<usize> {
     Some(count)
 }
 
-/// One measured point of the `--clients-sweep` connection-scaling curve.
-pub struct ClientsPoint {
-    /// Concurrent bench clients (= concurrent client connections per
-    /// proxy of the fleet).
-    pub clients: usize,
-    /// The scaled config the point ran with (see [`scaled_for_clients`]).
-    pub cfg: BenchConfig,
-    /// The point's measurements.
-    pub report: BenchReport,
-    /// Proxy substrate threads alive during the point (loopback runs
-    /// only; `None` when the proxies live in other processes).
-    pub proxy_threads: Option<usize>,
-}
-
-/// Explains a pattern mismatch (enabled by `NETBENCH_DEBUG_VERIFY`):
-/// which byte ranges diverge, and whether they match an older write
-/// version of the key — separating stale-read bugs from codec bugs.
+/// Explains a pattern mismatch on stderr: which byte ranges diverge,
+/// and whether they match an older write version of the key —
+/// separating stale-read bugs from codec bugs.
 fn diagnose_verify_failure(key: &str, got: &Bytes, version: u64, len: usize) {
     let expect = pattern_bytes(key, version, len);
     if got.len() != expect.len() {
@@ -364,7 +337,6 @@ fn client_worker(
         bytes_moved: 0,
         verify_failures: 0,
     };
-    let dbg = std::env::var_os("NETBENCH_DEBUG_VERIFY").is_some();
     for _ in 0..cfg.ops_per_client {
         let k = rng.gen_range(0..cfg.key_space);
         let key = &keys[k];
@@ -375,11 +347,9 @@ fn client_worker(
             match got {
                 Some(b) => {
                     res.bytes_moved += b.len() as u64;
-                    if cfg.verify && b != pattern_bytes(key, versions[k], cfg.object_bytes) {
+                    if b != pattern_bytes(key, versions[k], cfg.object_bytes) {
                         res.verify_failures += 1;
-                        if dbg {
-                            diagnose_verify_failure(key, &b, versions[k], cfg.object_bytes);
-                        }
+                        diagnose_verify_failure(key, &b, versions[k], cfg.object_bytes);
                     }
                 }
                 None => res.verify_failures += 1, // preloaded keys must hit
@@ -393,137 +363,7 @@ fn client_worker(
             res.bytes_moved += cfg.object_bytes as u64;
         }
     }
-    if dbg {
-        eprintln!("worker {thread} stats: {:?}", client.stats());
-    }
     Ok(res)
-}
-
-fn lat_json(s: &LatencySummary) -> String {
-    format!(
-        "{{\"count\": {}, \"mean_us\": {:.1}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-        s.count, s.mean_us, s.p50_us, s.p90_us, s.p99_us, s.max_us
-    )
-}
-
-/// Renders the report as the `BENCH_net.json` artifact. `proxies` is the
-/// proxy count the run targeted — embedded in the config block so bench
-/// trajectories over different cluster shapes stay comparable.
-pub fn to_json(label: &str, cfg: &BenchConfig, report: &BenchReport, proxies: usize) -> String {
-    to_json_full(label, cfg, report, proxies, &[], &[], &[], &[], None)
-}
-
-/// Renders one summary line of a sweep entry's metrics.
-fn sweep_metrics(r: &BenchReport) -> String {
-    format!(
-        "\"total_ops\": {}, \"wall_seconds\": {:.4}, \
-         \"ops_per_sec\": {:.1}, \"throughput_mib_per_sec\": {:.1}, \
-         \"verify_failures\": {}, \"get_p50_us\": {}, \"get_p99_us\": {}, \
-         \"put_p50_us\": {}, \"put_p99_us\": {}",
-        r.total_ops(),
-        r.wall.as_secs_f64(),
-        r.ops_per_sec(),
-        r.throughput_mib_s(),
-        r.verify_failures,
-        r.gets.p50_us,
-        r.gets.p99_us,
-        r.puts.p50_us,
-        r.puts.p99_us,
-    )
-}
-
-/// Like [`to_json`], appending a `"sweep"` array (one entry per
-/// object-size run of the `--object-bytes` sweep), a `"proxy_sweep"`
-/// array (one entry per cluster shape of the `--proxies-sweep` run), an
-/// `"ec_sweep"` array (one entry per erasure-code shape of the
-/// `--ec-sweep` run), a `"clients_sweep"` array (one entry per client
-/// count of the `--clients-sweep` connection-scaling run), and — for
-/// loopback runs — a `"wire"` block with the fleet's write-coalescing
-/// counters.
-#[allow(clippy::too_many_arguments)] // a JSON renderer: one arg per artifact section
-pub fn to_json_full(
-    label: &str,
-    cfg: &BenchConfig,
-    report: &BenchReport,
-    proxies: usize,
-    sweep: &[(BenchConfig, BenchReport)],
-    proxy_sweep: &[(u16, BenchReport)],
-    ec_sweep: &[(EcConfig, BenchReport)],
-    clients_sweep: &[ClientsPoint],
-    wire: Option<WireSnapshot>,
-) -> String {
-    let sweep_entries: Vec<String> = sweep
-        .iter()
-        .map(|(c, r)| {
-            format!(
-                "    {{\"object_bytes\": {}, {}}}",
-                c.object_bytes,
-                sweep_metrics(r)
-            )
-        })
-        .collect();
-    let proxy_entries: Vec<String> = proxy_sweep
-        .iter()
-        .map(|(p, r)| format!("    {{\"proxies\": {p}, {}}}", sweep_metrics(r)))
-        .collect();
-    let ec_entries: Vec<String> = ec_sweep
-        .iter()
-        .map(|(ec, r)| format!("    {{\"ec\": \"{ec}\", {}}}", sweep_metrics(r)))
-        .collect();
-    let clients_entries: Vec<String> = clients_sweep
-        .iter()
-        .map(|p| {
-            let threads = match p.proxy_threads {
-                Some(n) => n.to_string(),
-                None => "null".into(),
-            };
-            format!(
-                "    {{\"clients\": {}, \"ops_per_client\": {}, \"proxy_threads\": {threads}, {}}}",
-                p.clients,
-                p.cfg.ops_per_client,
-                sweep_metrics(&p.report)
-            )
-        })
-        .collect();
-    let join = |entries: Vec<String>| {
-        if entries.is_empty() {
-            String::from("[]")
-        } else {
-            format!("[\n{}\n  ]", entries.join(",\n"))
-        }
-    };
-    let wire_json = match wire {
-        Some(w) => format!(
-            "{{\"vectored_writes\": {}, \"frames_written\": {}, \"frames_per_write\": {:.2}}}",
-            w.vectored_writes,
-            w.frames_written,
-            w.frames_per_write()
-        ),
-        None => "null".into(),
-    };
-    let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
-    format!(
-        "{{\n  \"bench\": \"{label}\",\n  \"config\": {{\"clients\": {}, \"ops_per_client\": {}, \"object_bytes\": {}, \"get_fraction\": {}, \"key_space\": {}, \"ec\": \"{}\", \"seed\": {}, \"verify\": {}, \"proxies\": {proxies}, \"host_cores\": {host_cores}, \"release_profile\": \"lto=thin,codegen-units=1\"}},\n  \"wall_seconds\": {:.4},\n  \"total_ops\": {},\n  \"ops_per_sec\": {:.1},\n  \"throughput_mib_per_sec\": {:.1},\n  \"verify_failures\": {},\n  \"get\": {},\n  \"put\": {},\n  \"wire\": {wire_json},\n  \"sweep\": {},\n  \"proxy_sweep\": {},\n  \"ec_sweep\": {},\n  \"clients_sweep\": {}\n}}\n",
-        cfg.clients,
-        cfg.ops_per_client,
-        cfg.object_bytes,
-        cfg.get_fraction,
-        cfg.key_space,
-        cfg.ec,
-        cfg.seed,
-        cfg.verify,
-        report.wall.as_secs_f64(),
-        report.total_ops(),
-        report.ops_per_sec(),
-        report.throughput_mib_s(),
-        report.verify_failures,
-        lat_json(&report.gets),
-        lat_json(&report.puts),
-        join(sweep_entries),
-        join(proxy_entries),
-        join(ec_entries),
-        join(clients_entries),
-    )
 }
 
 /// One-line human summary for stdout.
@@ -562,8 +402,6 @@ mod tests {
         assert_eq!(s.count, 100);
         assert_eq!(s.p50_us, 51);
         assert_eq!(s.p99_us, 99);
-        assert_eq!(s.max_us, 100);
-        assert!((s.mean_us - 50.5).abs() < 1e-9);
         assert_eq!(LatencySummary::from_sorted(&[]).count, 0);
     }
 
@@ -580,62 +418,5 @@ mod tests {
         // Fewer clients than the base never inflate the per-client work.
         let small = scaled_for_clients(&base, 1);
         assert_eq!(small.ops_per_client, base.ops_per_client);
-    }
-
-    #[test]
-    fn json_renders_clients_sweep_and_wire_block() {
-        let cfg = BenchConfig::default();
-        let report = BenchReport {
-            wall: Duration::from_millis(500),
-            gets: LatencySummary::from_sorted(&[10]),
-            puts: LatencySummary::from_sorted(&[20]),
-            bytes_moved: 1024,
-            verify_failures: 0,
-        };
-        let point = ClientsPoint {
-            clients: 1000,
-            cfg: scaled_for_clients(&cfg, 1000),
-            report: report.clone(),
-            proxy_threads: Some(3),
-        };
-        let json = to_json_full(
-            "net_loopback",
-            &cfg,
-            &report,
-            1,
-            &[],
-            &[],
-            &[(EcConfig::new(10, 2).unwrap(), report.clone())],
-            std::slice::from_ref(&point),
-            Some(WireSnapshot {
-                vectored_writes: 10,
-                frames_written: 55,
-            }),
-        );
-        assert!(json.contains("\"clients\": 1000"));
-        assert!(json.contains("\"proxy_threads\": 3"));
-        assert!(json.contains("\"ec_sweep\""));
-        assert!(json.contains("10+2"));
-        assert!(json.contains("\"frames_per_write\": 5.50"));
-        assert!(json.contains("\"host_cores\""));
-        assert!(json.contains("\"release_profile\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn json_is_syntactically_plausible() {
-        let cfg = BenchConfig::default();
-        let report = BenchReport {
-            wall: Duration::from_millis(1234),
-            gets: LatencySummary::from_sorted(&[10, 20, 30]),
-            puts: LatencySummary::from_sorted(&[40]),
-            bytes_moved: 4096,
-            verify_failures: 0,
-        };
-        let json = to_json("net_loopback", &cfg, &report, 2);
-        assert!(json.contains("\"ops_per_sec\""));
-        assert!(json.contains("\"p99_us\""));
-        assert!(json.contains("\"proxies\": 2"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

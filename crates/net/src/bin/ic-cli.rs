@@ -7,7 +7,6 @@
 //!   put KEY (--size BYTES | --file PATH)   store an object
 //!   get KEY [--out PATH] [--verify]        fetch an object
 //!   route KEY                              print the proxy a key maps to
-//!   bench [netbench flags] [--out PATH]    run the throughput benchmark
 //! ```
 //!
 //! Multi-proxy deployments: repeat `--proxy` once per instance, in
@@ -20,6 +19,9 @@
 //! a *different* process can later check byte-identity with
 //! `get KEY --verify` — no shared state, just the key. `get` prints the
 //! object length and a content hash; `--out` writes the bytes to a file.
+//!
+//! Load-testing a running fleet is `netbench --connect ADDR` (one
+//! `--connect` per proxy, in `--proxy-id` order).
 
 use std::net::{SocketAddr, ToSocketAddrs};
 
@@ -27,7 +29,7 @@ use bytes::Bytes;
 use ic_common::hash::fnv1a;
 use ic_common::{EcConfig, Error, Result};
 use ic_net::args::Args;
-use ic_net::bench::{self, pattern_bytes, BenchConfig};
+use ic_net::bench::pattern_bytes;
 use ic_net::client::NetClient;
 
 fn resolve(addr: &str) -> Result<SocketAddr> {
@@ -50,7 +52,7 @@ fn run() -> Result<()> {
     let seed: u64 = args.num("seed", 7)?;
 
     let Some(cmd) = args.positional.first().map(String::as_str) else {
-        return Err(Error::Config("usage: ic-cli <put|get|bench> ...".into()));
+        return Err(Error::Config("usage: ic-cli <put|get|route> ...".into()));
     };
     match cmd {
         "put" => {
@@ -133,33 +135,6 @@ fn run() -> Result<()> {
                     )));
                 }
                 println!("verify OK: byte-identical to the put pattern");
-            }
-        }
-        "bench" => {
-            let cfg = BenchConfig {
-                clients: args.num("clients", 4)?,
-                ops_per_client: args.num("ops", 200)?,
-                object_bytes: args.num("size", 256 * 1024)?,
-                get_fraction: args.num("get-frac", 0.7)?,
-                key_space: args.num("keys", 16)?,
-                ec,
-                seed,
-                verify: !args.has("no-verify"),
-            };
-            let report = bench::run(&addrs, &cfg)?;
-            println!("{}", bench::summary_line(&report));
-            let out = args.get("out", "BENCH_net.json");
-            std::fs::write(
-                &out,
-                bench::to_json("net_external", &cfg, &report, addrs.len()),
-            )
-            .map_err(|e| Error::Config(format!("--out {out}: {e}")))?;
-            println!("wrote {out}");
-            if report.verify_failures > 0 {
-                return Err(Error::Protocol(format!(
-                    "{} GETs failed verification",
-                    report.verify_failures
-                )));
             }
         }
         other => return Err(Error::Config(format!("unknown command {other}"))),

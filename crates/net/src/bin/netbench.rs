@@ -2,60 +2,53 @@
 //!
 //! Spins up a complete socket cluster (proxies + node daemons on
 //! loopback TCP inside this process), drives it with a configurable
-//! GET/PUT mix, and writes `BENCH_net.json` with throughput and latency
-//! percentiles — the repository's real-network bench trajectory. The
-//! JSON embeds the proxy count of every run so points from different
-//! cluster shapes stay comparable.
+//! GET/PUT mix and prints throughput and latency percentiles. Every GET
+//! is verified against the key's deterministic pattern; any mismatch
+//! makes the run exit nonzero.
 //!
 //! ```text
 //! netbench [--clients N] [--ops N] [--size BYTES] [--get-frac F]
 //!          [--keys N] [--ec d+p] [--nodes N] [--proxies N] [--seed N]
-//!          [--no-verify] [--no-warmup] [--connect ADDR]... [--out PATH]
-//!          [--object-bytes LIST] [--proxies-sweep LIST]
-//!          [--clients-sweep LIST] [--ec-sweep LIST]
+//!          [--connect ADDR]... [--object-bytes LIST]
+//!          [--proxies-sweep LIST] [--clients-sweep LIST] [--ec-sweep LIST]
 //! ```
 //!
-//! The headline run is preceded by a short unmeasured warmup pass
-//! (suppressed with `--no-warmup`) so its numbers reflect steady state
-//! rather than allocator/page-cache first-touch costs.
+//! The headline run is preceded by a short unmeasured warmup pass so its
+//! numbers reflect steady state rather than allocator/page-cache
+//! first-touch costs.
 //!
 //! `--proxies N` starts an N-proxy fleet (each proxy owns its own pool
 //! of `--nodes` daemons — node count scales with the fleet) and the
 //! bench clients ring-route keys across it. `--connect ADDR` (repeatable,
 //! in `--proxy-id` order) skips the in-process cluster and targets an
-//! already running `ic-proxy` fleet instead (equivalent to
-//! `ic-cli bench`).
+//! already running `ic-proxy` fleet instead.
 //!
 //! `--object-bytes 65536,262144,1048576,4194304` additionally runs an
 //! object-size sweep (ops scaled down for larger objects so each point
-//! moves a comparable byte volume) and embeds the per-size results as
-//! the `"sweep"` array of the JSON artifact.
+//! moves a comparable byte volume) and prints one line per size.
 //!
 //! `--proxies-sweep 1,2,4` runs the same workload against fresh loopback
-//! clusters of each proxy count (same per-proxy pool size) and embeds
-//! the per-shape results as the `"proxy_sweep"` array — the scaling
+//! clusters of each proxy count (same per-proxy pool size) — the scaling
 //! trajectory past the single-proxy event loop. It always measures
 //! loopback clusters, so it refuses to combine with `--connect`.
 //!
 //! `--clients-sweep 4,64,256,1000` runs the connection-scaling curve:
 //! the same cluster as the main run, re-driven at each client count
 //! (per-client ops and keys scaled down so every point does comparable
-//! work — see [`bench::scaled_for_clients`]). Each point records the
+//! work — see [`bench::scaled_for_clients`]). Each point prints the
 //! proxy substrate's thread count alongside throughput, demonstrating
 //! the readiness event loop's one-thread-per-proxy threading while
-//! connections grow into the thousands; results land in the
-//! `"clients_sweep"` array.
-//! Loopback runs also embed a `"wire"` block: how many vectored write
+//! connections grow into the thousands.
+//! Loopback runs also print a `wire` line: how many vectored write
 //! syscalls the proxies issued and how many frames they coalesced into
-//! them — and print each proxy's protocol counters (GETs admitted
-//! data-first, parity releases by cause, bounces) as its loop exits.
+//! them — and each proxy's protocol counters (GETs admitted data-first,
+//! parity releases by cause, bounces) as its loop exits.
 //!
 //! `--ec-sweep 4+2,10+2,12+3` runs the same workload against a fresh
 //! loopback cluster per erasure-code shape (node pools grown to fit the
-//! stripe width) and embeds the per-code results as the `"ec_sweep"`
-//! array — end-to-end throughput as a function of the EC compute the
-//! client does on every PUT and degraded GET. Like `--proxies-sweep` it
-//! always measures loopback clusters, so it refuses to combine with
+//! stripe width) — end-to-end throughput as a function of the EC compute
+//! the client does on every PUT and degraded GET. Like `--proxies-sweep`
+//! it always measures loopback clusters, so it refuses to combine with
 //! `--connect`.
 
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -121,19 +114,17 @@ fn run() -> Result<()> {
         key_space: args.num("keys", 16)?,
         ec: args.ec("ec", ic_common::EcConfig::new(4, 2).expect("valid code"))?,
         seed: args.num("seed", 42)?,
-        verify: !args.has("no-verify"),
     };
     let nodes: u32 = args.num("nodes", 10)?;
     let proxies: u16 = args.num("proxies", 1)?;
-    let out = args.get("out", "BENCH_net.json");
     let sweep_sizes: Vec<usize> = num_list(&args, "object-bytes")?;
     let proxy_shapes: Vec<u16> = num_list(&args, "proxies-sweep")?;
     let client_counts: Vec<usize> = num_list(&args, "clients-sweep")?;
     let ec_shapes = ec_list(&args, "ec-sweep")?;
     if !proxy_shapes.is_empty() && !args.all("connect").is_empty() {
         // The sweep starts a fresh loopback cluster per shape; mixing
-        // those points into an external run's artifact would silently
-        // compare different clusters.
+        // those points into an external run would silently compare
+        // different clusters.
         return Err(Error::Config(
             "--proxies-sweep runs loopback clusters and cannot be combined with --connect".into(),
         ));
@@ -145,7 +136,7 @@ fn run() -> Result<()> {
         ));
     }
 
-    let (label, addrs, cluster) = match &args.all("connect")[..] {
+    let (addrs, cluster) = match &args.all("connect")[..] {
         [] => {
             println!(
                 "netbench: loopback cluster of {proxies} × {nodes} nodes, {} clients × {} ops, {} B objects, RS{}",
@@ -153,7 +144,7 @@ fn run() -> Result<()> {
             );
             let cluster = LoopbackCluster::start(deployment(nodes, proxies, &cfg))?;
             let addrs = cluster.client_addrs();
-            ("net_loopback", addrs, Some(cluster))
+            (addrs, Some(cluster))
         }
         list => {
             let addrs = list
@@ -168,7 +159,7 @@ fn run() -> Result<()> {
                 })
                 .collect::<Result<Vec<SocketAddr>>>()?;
             println!("netbench: targeting external proxies at {addrs:?}");
-            ("net_external", addrs, None)
+            (addrs, None)
         }
     };
 
@@ -176,20 +167,18 @@ fn run() -> Result<()> {
     // allocator arenas and walks the pool through its cold starts, so
     // the measured run reflects steady state rather than first-touch
     // page faults (worth ~10-15% on the headline otherwise).
-    if !args.has("no-warmup") {
-        let warm = BenchConfig {
-            ops_per_client: cfg.ops_per_client.min(40),
-            ..cfg.clone()
-        };
-        bench::run(&addrs, &warm)?;
-    }
+    let warm = BenchConfig {
+        ops_per_client: cfg.ops_per_client.min(40),
+        ..cfg.clone()
+    };
+    bench::run(&addrs, &warm)?;
 
     let report = bench::run(&addrs, &cfg)?;
     println!("{}", bench::summary_line(&report));
+    let mut failures = report.verify_failures;
 
     // Object-size sweep: same cluster, ops scaled down for large
     // objects so every point moves a comparable byte volume.
-    let mut sweep = Vec::new();
     for size in sweep_sizes {
         let ops = ((cfg.ops_per_client * cfg.object_bytes) / size.max(1)).clamp(30, 2000);
         let point = BenchConfig {
@@ -202,13 +191,12 @@ fn run() -> Result<()> {
             "sweep {size:>8} B × {ops} ops/client: {}",
             bench::summary_line(&r)
         );
-        sweep.push((point, r));
+        failures += r.verify_failures;
     }
 
     // Connection-scaling sweep: the same cluster, re-driven at growing
     // client counts; each point also snapshots the proxy substrate's
     // thread count (loopback runs — one event-loop thread per proxy).
-    let mut clients_sweep = Vec::new();
     for n in client_counts {
         let point = bench::scaled_for_clients(&cfg, n);
         let r = bench::run(&addrs, &point)?;
@@ -219,16 +207,10 @@ fn run() -> Result<()> {
             point.ops_per_client,
             bench::summary_line(&r)
         );
-        clients_sweep.push(bench::ClientsPoint {
-            clients: n,
-            cfg: point,
-            report: r,
-            proxy_threads,
-        });
+        failures += r.verify_failures;
     }
 
-    let wire = cluster.as_ref().map(|c| c.wire_stats());
-    if let Some(w) = &wire {
+    if let Some(w) = cluster.as_ref().map(|c| c.wire_stats()) {
         println!(
             "wire: {} frames over {} vectored writes ({:.2} frames/write)",
             w.frames_written,
@@ -257,58 +239,27 @@ fn run() -> Result<()> {
     // Proxy-count sweep: a fresh loopback fleet per shape (same per-proxy
     // pool size), same workload — how throughput scales past the
     // single-proxy event loop.
-    let mut proxy_sweep = Vec::new();
     for shape in proxy_shapes {
         let c = LoopbackCluster::start(deployment(nodes, shape, &cfg))?;
         let r = bench::run(&c.client_addrs(), &cfg)?;
         println!("proxies {shape}: {}", bench::summary_line(&r));
-        proxy_sweep.push((shape, r));
+        failures += r.verify_failures;
         c.shutdown();
     }
 
     // Erasure-code sweep: a fresh loopback cluster per code (pool grown
     // to at least the stripe width), same workload — end-to-end cost of
     // the client's EC compute across shapes.
-    let mut ec_sweep = Vec::new();
     for ec in ec_shapes {
         let point = BenchConfig { ec, ..cfg.clone() };
         let shard_nodes = nodes.max((ec.data + ec.parity) as u32);
         let c = LoopbackCluster::start(deployment(shard_nodes, proxies, &point))?;
         let r = bench::run(&c.client_addrs(), &point)?;
         println!("ec {ec}: {}", bench::summary_line(&r));
-        ec_sweep.push((ec, r));
+        failures += r.verify_failures;
         c.shutdown();
     }
 
-    // The embedded proxy count describes the fleet the *main run* hit:
-    // one connection address per proxy, in either mode.
-    std::fs::write(
-        &out,
-        bench::to_json_full(
-            label,
-            &cfg,
-            &report,
-            addrs.len(),
-            &sweep,
-            &proxy_sweep,
-            &ec_sweep,
-            &clients_sweep,
-            wire,
-        ),
-    )
-    .map_err(|e| Error::Config(format!("--out {out}: {e}")))?;
-    println!("wrote {out}");
-    let failures = report.verify_failures
-        + sweep.iter().map(|(_, r)| r.verify_failures).sum::<u64>()
-        + proxy_sweep
-            .iter()
-            .map(|(_, r)| r.verify_failures)
-            .sum::<u64>()
-        + ec_sweep.iter().map(|(_, r)| r.verify_failures).sum::<u64>()
-        + clients_sweep
-            .iter()
-            .map(|p| p.report.verify_failures)
-            .sum::<u64>();
     if failures > 0 {
         return Err(Error::Protocol(format!(
             "{failures} GETs failed verification"

@@ -31,7 +31,7 @@
 //!   (any proxy count) on loopback sockets inside one process, for tests
 //!   and benchmarks;
 //! * [`bench`](mod@bench) — the configurable GET/PUT throughput
-//!   benchmark behind the `netbench` binary and `ic-cli bench`;
+//!   benchmark behind the `netbench` binary;
 //! * [`replay`] — the substrate-parity driver: [`replay::run`] pushes
 //!   one schedule through the simulator or the sockets, the workspace
 //!   tests, the trace engine and `dbg_replay` alike.

@@ -233,8 +233,7 @@ fn net_many_objects_across_clients() {
 }
 
 /// The bench driver end to end on a small loopback cluster: it must
-/// complete a mixed GET/PUT run with zero verification failures and emit
-/// plausible JSON.
+/// complete a mixed GET/PUT run with zero verification failures.
 #[test]
 fn netbench_driver_completes_a_verified_mixed_run() {
     let c = cluster(8, 4, 2);
@@ -250,9 +249,6 @@ fn netbench_driver_completes_a_verified_mixed_run() {
     assert_eq!(report.verify_failures, 0);
     assert!(report.gets.count > 0 && report.puts.count > 0, "mixed run");
     assert!(report.gets.p50_us > 0 && report.gets.p99_us >= report.gets.p50_us);
-    let json = bench::to_json("net_loopback", &cfg, &report, 1);
-    assert!(json.contains("\"total_ops\": 50"));
-    assert!(json.contains("\"proxies\": 1"));
     c.shutdown();
 }
 

@@ -3,11 +3,15 @@
 //! process on loopback — round-trips a multi-chunk object
 //! byte-identically and recovers it via EC decode after one node process
 //! is killed. Further fleets split the node ids over two proxies, and
-//! host several ids in one `ic-node` process.
+//! host several ids in one `ic-node` process. `netbench --connect`
+//! load-tests a running cluster from another process.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use ic_common::{DeploymentConfig, EcConfig};
+use ic_net::LoopbackCluster;
 
 /// Kills every child on drop so a failing assertion cannot leak
 /// processes.
@@ -323,4 +327,31 @@ fn one_node_process_hosting_three_ids_dies_as_three_nodes() {
     assert_ok(&get, "ic-cli get (three of five chunks lost)");
     let stdout = String::from_utf8_lossy(&get.stdout);
     assert!(stdout.contains("verify OK"), "{stdout}");
+}
+
+/// `netbench --connect` drives an already running cluster from another
+/// process: every GET verifies (netbench exits 1 on any mismatch) and
+/// the headline summary line covers the whole measured run.
+#[test]
+fn netbench_connect_drives_a_running_cluster_verified() {
+    let cluster = LoopbackCluster::start(DeploymentConfig {
+        backup_enabled: false,
+        ..DeploymentConfig::small(8, EcConfig::new(4, 2).unwrap())
+    })
+    .expect("cluster starts");
+    let out = Command::new(env!("CARGO_BIN_EXE_netbench"))
+        .args(["--connect", &cluster.client_addr().to_string()])
+        .args(["--clients", "2", "--ops", "20"])
+        .args(["--size", "65536", "--keys", "4"])
+        .output()
+        .expect("netbench runs");
+    cluster.shutdown();
+    assert_ok(&out, "netbench --connect");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("40 ops in ") && l.contains(" ops/s, ")),
+        "{stdout}"
+    );
 }

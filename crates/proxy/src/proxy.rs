@@ -354,7 +354,7 @@ impl Proxy {
             next_epoch: 1,
             relays: HashMap::new(),
             next_relay: 1,
-            debug_drop_stale_requery: cfg!(mc_bug_2),
+            debug_drop_stale_requery: false,
             stats: ProxyStats::default(),
         }
     }
@@ -362,7 +362,7 @@ impl Proxy {
     /// Arms (or disarms) the model checker's revert-detection hook: drop
     /// stale chunk answers without re-querying the chunk's current home,
     /// resurrecting a historical bug that stranded in-flight GET waiters
-    /// forever. Compiling with `--cfg mc_bug_2` forces it on. Test-only.
+    /// forever. Test-only.
     pub fn set_debug_drop_stale_requery(&mut self, on: bool) {
         self.debug_drop_stale_requery = on;
     }
@@ -958,7 +958,7 @@ impl Proxy {
         self.stats.stale_chunk_answers += 1;
         if self.debug_drop_stale_requery {
             // Revert-detection hook: swallow the stale answer and never
-            // ask the live home — waiters strand (mc_bug_2).
+            // ask the live home — waiters strand.
             return Vec::new();
         }
         if self.inflight_gets.get(id).is_none_or(Vec::is_empty) {

@@ -9,13 +9,10 @@
 //! * `--mode full` (default) — the paper's §5.2 story: synthesize the
 //!   Dallas-like 50-hour production trace (≥100 k GETs), replay it on
 //!   the sim substrate under production churn with billing on, price the
-//!   same trace on ElastiCache/S3, then replay the committed sample
-//!   trace against a real loopback socket cluster with byte verification
-//!   — and write the combined `BENCH_trace.json` artifact.
+//!   same trace on ElastiCache, then replay the committed sample
+//!   trace against a real loopback socket cluster with byte verification.
 //! * `--mode smoke` — the CI leg: a tiny generated trace through the sim
-//!   replay plus the committed sample through the net replay; writes the
-//!   same artifact shape, validates it against the schema, and exits
-//!   nonzero on any verification failure.
+//!   replay plus the committed sample through the net replay.
 //! * `--mode gen` — synthesize `--profile` under `--seed` and write the
 //!   trace file to `--out`.
 //! * `--mode sim` — replay `--trace` (or a generated `--profile`) on the
@@ -26,9 +23,8 @@
 //! In `full` and `smoke` the sim side is generated, so `--trace` names
 //! the net replay's trace there too.
 //!
-//! Every artifact is validated against the `ic-trace-bench/v1` schema
-//! before it is written; a replay whose byte verification fails exits
-//! nonzero.
+//! Every mode prints its summaries to stdout; a net replay whose byte
+//! verification fails exits nonzero.
 
 use std::time::Duration;
 
@@ -37,7 +33,7 @@ use ic_common::{Error, Result};
 use ic_net::args::Args;
 use ic_trace::replay::{self, ChurnProfile, NetReplayConfig, SimReplayConfig};
 use ic_trace::synth::{synthesize, TraceGenConfig};
-use ic_trace::{report, TraceData};
+use ic_trace::TraceData;
 
 /// Default location of the committed sample trace (repo-root relative).
 const SAMPLE_PATH: &str = "tests/data/sample.ictrace";
@@ -92,7 +88,12 @@ fn sim_config(args: &Args, seed: u64, production: bool) -> Result<SimReplayConfi
     Ok(cfg)
 }
 
-fn sim_summary(r: &ic_trace::SimReplayReport, vs_ec: f64) {
+/// Replays `data` on the sim substrate, prices the same trace on
+/// ElastiCache and prints the headline.
+fn sim_replay(data: &TraceData, cfg: &SimReplayConfig) {
+    let r = replay::replay_sim(data, cfg);
+    let vs_ec = replay::compare_baselines(data, ElastiCacheDeployment::one_node_24xl())
+        .cost_vs_elasticache(r.total_cost);
     println!(
         "sim: {} ops over {} h — hit {:.4}, availability {:.4}, cost ${:.4} \
          ({:.0}× cheaper than ElastiCache)",
@@ -100,17 +101,9 @@ fn sim_summary(r: &ic_trace::SimReplayReport, vs_ec: f64) {
     );
 }
 
-fn net_summary(r: &ic_trace::NetReplayReport) {
-    println!(
-        "net: {} ops in {:.2}s — {} stored, {} hits, {} misses, {} verify failures, \
-         GET p50 {} µs",
-        r.ops, r.wall_seconds, r.stored, r.hits, r.misses, r.verify_failures, r.get_latency_us[0]
-    );
-}
-
 /// Net-replays `--trace` (default: the committed sample) over
 /// `--wall-secs` of wall clock and prints the summary.
-fn net_replay(args: &Args) -> Result<(TraceData, ic_trace::NetReplayReport)> {
+fn net_replay(args: &Args) -> Result<()> {
     let path = args.get("trace", SAMPLE_PATH);
     let data = TraceData::load(&path).map_err(|e| Error::Config(format!("--trace {path}: {e}")))?;
     let cfg = NetReplayConfig {
@@ -122,40 +115,26 @@ fn net_replay(args: &Args) -> Result<(TraceData, ic_trace::NetReplayReport)> {
         data.records.len(),
         cfg.target_wall.as_secs_f64()
     );
-    let net = replay::replay_net(&data, &cfg)?;
-    net_summary(&net);
-    Ok((data, net))
+    let r = replay::replay_net(&data, &cfg)?;
+    println!(
+        "net: {} ops in {:.2}s — {} stored, {} hits, {} misses, {} verify failures, \
+         GET p50 {} µs",
+        r.ops, r.wall_seconds, r.stored, r.hits, r.misses, r.verify_failures, r.get_latency_us[0]
+    );
+    Ok(())
 }
 
-/// The full/smoke artifact flow: sim replay of `data`, baselines, net
-/// replay of the committed sample, schema-validated JSON out.
-fn artifact(args: &Args, data: &TraceData, sim_cfg: &SimReplayConfig, seed: u64) -> Result<()> {
-    let out = args.get("out", "BENCH_trace.json");
+/// The full/smoke flow: the sim replay of `data`, then the net replay of
+/// the committed sample.
+fn sim_then_net(args: &Args, data: &TraceData, sim_cfg: &SimReplayConfig) -> Result<()> {
     println!(
         "tracebench: sim-replaying {} ({} records, {} h horizon)",
         data.name,
         data.records.len(),
         data.hours()
     );
-    let sim = replay::replay_sim(data, sim_cfg);
-    let baselines = replay::compare_baselines(data, ElastiCacheDeployment::one_node_24xl());
-    let vs_ec = baselines.cost_vs_elasticache(sim.total_cost);
-    sim_summary(&sim, vs_ec);
-
-    let (sample, net) = net_replay(args)?;
-
-    let json = report::render(
-        &report::render_sim(sim_cfg, seed, &sim, &baselines),
-        &report::render_net(&sample.name, &net),
-    );
-    if let Err(problems) = report::validate(&json) {
-        return Err(Error::Config(format!(
-            "artifact failed schema validation: {problems:?}"
-        )));
-    }
-    std::fs::write(&out, &json).map_err(|e| Error::Config(format!("--out {out}: {e}")))?;
-    println!("wrote {out}");
-    Ok(())
+    sim_replay(data, sim_cfg);
+    net_replay(args)
 }
 
 fn run() -> Result<()> {
@@ -183,18 +162,14 @@ fn run() -> Result<()> {
         }
         "sim" => {
             let data = load_or_generate(&args, seed)?;
-            let cfg = sim_config(&args, seed, false)?;
-            let sim = replay::replay_sim(&data, &cfg);
-            let baselines =
-                replay::compare_baselines(&data, ElastiCacheDeployment::one_node_24xl());
-            sim_summary(&sim, baselines.cost_vs_elasticache(sim.total_cost));
+            sim_replay(&data, &sim_config(&args, seed, false)?);
             Ok(())
         }
-        "net" => net_replay(&args).map(drop),
+        "net" => net_replay(&args),
         "smoke" => {
             let data = synthesize(&profile("smoke", args.num("tenants", 0)?)?, seed);
             let cfg = sim_config(&args, seed, false)?;
-            artifact(&args, &data, &cfg, seed)
+            sim_then_net(&args, &data, &cfg)
         }
         "full" => {
             let data = synthesize(
@@ -202,7 +177,7 @@ fn run() -> Result<()> {
                 seed,
             );
             let cfg = sim_config(&args, seed, true)?;
-            artifact(&args, &data, &cfg, seed)
+            sim_then_net(&args, &data, &cfg)
         }
         other => Err(Error::Config(format!(
             "--mode {other}: expected full, smoke, gen, sim, or net"

@@ -19,9 +19,7 @@
 //! * [`stats`] — the Fig 1 / Table 1 statistics of a trace;
 //! * [`replay`] — the sim replay (hit/availability/cost curves, baseline
 //!   comparison) and the net replay (paced, byte-verified), plus
-//!   projections into the chaos/parity script languages;
-//! * [`report`] — the deterministic `BENCH_trace.json` rendering and its
-//!   schema validator.
+//!   projections into the chaos/parity script languages.
 //!
 //! # Example
 //!
@@ -39,7 +37,6 @@
 pub mod format;
 pub mod model;
 pub mod replay;
-pub mod report;
 pub mod stats;
 pub mod synth;
 

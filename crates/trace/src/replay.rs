@@ -5,7 +5,7 @@
 //!
 //! The sim replay is the paper's §5.2 evaluation: the full deployment
 //! under production churn, hourly cost / hit-ratio / availability curves,
-//! the cost-vs-ElastiCache/S3 comparison and the baselines' per-GET
+//! the cost-vs-ElastiCache comparison and the baselines' per-GET
 //! latencies. The net replay is the byte-level end of the same story:
 //! [`schedule`] turns the records into the harnesses' one [`Schedule`]
 //! language and `ic_net::replay::run` moves verified bytes through the
@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use ic_baselines::{ElastiCacheDeployment, ElastiCacheModel, LruCache, S3Model, S3Pricing};
+use ic_baselines::{ElastiCacheDeployment, ElastiCacheModel, LruCache, S3Model};
 use ic_common::pricing::CostCategory;
 use ic_common::{
     ClientId, DeploymentConfig, Error, ObjectKey, Payload, Result, SimDuration, SimTime,
@@ -160,27 +160,6 @@ pub struct HourPoint {
     pub reclaims: u64,
 }
 
-impl HourPoint {
-    /// Hit ratio of the hour (1.0 on an idle hour).
-    pub fn hit_ratio(&self) -> f64 {
-        if self.gets == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.gets as f64
-        }
-    }
-
-    /// §5.2 availability of the hour: hits / (hits + resets).
-    pub fn availability(&self) -> f64 {
-        let denom = self.hits + self.resets;
-        if denom == 0 {
-            1.0
-        } else {
-            self.hits as f64 / denom as f64
-        }
-    }
-}
-
 /// What one sim replay produced. Everything here is a pure function of
 /// `(trace bytes, SimReplayConfig)` — byte-identical across runs.
 #[derive(Clone, Debug, PartialEq)]
@@ -318,19 +297,14 @@ pub fn replay_sim(data: &TraceData, cfg: &SimReplayConfig) -> SimReplayReport {
 // Baselines
 // ---------------------------------------------------------------------
 
-/// The cost-vs story: the same trace priced on ElastiCache and S3.
+/// The cost-vs story: the same trace priced on ElastiCache.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BaselineComparison {
-    /// ElastiCache node type the comparison provisions (the paper's
-    /// Table 1 uses one cache.r5.24xlarge).
-    pub elasticache_node: String,
     /// ElastiCache hit ratio on the trace (byte-capacity LRU).
     pub elasticache_hit_ratio: f64,
     /// ElastiCache cost over the horizon (hourly price × hours — the
     /// instance bills whether or not requests arrive).
     pub elasticache_cost: f64,
-    /// Raw-S3 cost of the same workload (requests + prorated storage).
-    pub s3_cost: f64,
 }
 
 impl BaselineComparison {
@@ -369,7 +343,7 @@ fn lru_walk(
     }
 }
 
-/// Prices the trace on the baselines. Fully deterministic: the LRU pass
+/// Prices the trace on ElastiCache. Fully deterministic: the LRU pass
 /// needs no randomness and pricing is arithmetic.
 pub fn compare_baselines(data: &TraceData, node: ElastiCacheDeployment) -> BaselineComparison {
     let mut get_hits = 0u64;
@@ -377,17 +351,13 @@ pub fn compare_baselines(data: &TraceData, node: ElastiCacheDeployment) -> Basel
         get_hits += u64::from(hit)
     });
     let gets = data.gets() as u64;
-    let hours = data.hours() as f64;
-    let s3 = S3Pricing::AWS;
     BaselineComparison {
-        elasticache_node: format!("{}×{}", node.nodes, node.instance.name),
         elasticache_hit_ratio: if gets == 0 {
             1.0
         } else {
             get_hits as f64 / gets as f64
         },
-        elasticache_cost: node.hourly_price() * hours,
-        s3_cost: s3.workload_cost(gets, data.puts() as u64, data.working_set_bytes(), hours),
+        elasticache_cost: node.hourly_price() * data.hours() as f64,
     }
 }
 
@@ -462,8 +432,6 @@ pub struct NetReplayReport {
     /// Hits whose bytes did not match what was stored (zero: a replay
     /// with any fails).
     pub verify_failures: u64,
-    /// Records whose size exceeded [`MAX_OBJECT_BYTES`].
-    pub clamped: u64,
     /// Wall seconds of the replay.
     pub wall_seconds: f64,
     /// GET latency percentiles in microseconds `[p50, p90, p99]`.
@@ -522,11 +490,6 @@ pub fn replay_net(data: &TraceData, cfg: &NetReplayConfig) -> Result<NetReplayRe
         hits,
         misses,
         verify_failures: 0,
-        clamped: data
-            .records
-            .iter()
-            .filter(|r| r.size > MAX_OBJECT_BYTES)
-            .count() as u64,
         wall_seconds: replay.elapsed.as_secs_f64(),
         get_latency_us: [pct(0.50), pct(0.90), pct(0.99)],
         outcomes: replay.outcomes,
@@ -589,7 +552,6 @@ mod tests {
         let b = compare_baselines(&data, ElastiCacheDeployment::one_node_24xl());
         assert_eq!(a, b);
         assert!(a.elasticache_cost > 0.0);
-        assert!(a.s3_cost > 0.0);
         assert!((0.0..=1.0).contains(&a.elasticache_hit_ratio));
         // One cache.r5.24xlarge bills $10.368 per horizon hour.
         let expected = 10.368 * data.hours() as f64;

@@ -1,6 +1,6 @@
 //! Trace-engine integration tests: replay determinism on the sim
 //! substrate, sim-vs-net outcome parity on the committed sample trace,
-//! canonicality of the committed artifacts, and the chaos harness's
+//! canonicality of the committed sample, and the chaos harness's
 //! trace-sourced schedule mode.
 
 use std::time::Duration;
@@ -9,11 +9,11 @@ use ic_common::SimDuration;
 use ic_net::replay::{run, Substrate};
 use ic_trace::replay::{schedule, NetReplayConfig, SimReplayConfig};
 use ic_trace::synth::{synthesize, TraceGenConfig};
-use ic_trace::{compare_baselines, replay_net, replay_sim, report, TraceData};
+use ic_trace::{replay_net, replay_sim, TraceData};
 use infinicache::chaos::{run_chaos, ChaosConfig};
 
 const SAMPLE_PATH: &str = "tests/data/sample.ictrace";
-/// The seed `tracebench` uses for every committed artifact.
+/// The seed `tracebench` defaults to, which generated the committed sample.
 const BENCH_SEED: u64 = 2020;
 
 fn sample() -> TraceData {
@@ -21,8 +21,8 @@ fn sample() -> TraceData {
 }
 
 /// Two sim replays of the same trace under the same config produce
-/// byte-identical reports *and* byte-identical rendered JSON — the
-/// replay path has no wall clocks and no map-iteration order.
+/// identical reports — the replay path has no wall clocks and no
+/// map-iteration order.
 #[test]
 fn sim_replay_is_byte_deterministic() {
     let data = synthesize(&TraceGenConfig::smoke(), BENCH_SEED);
@@ -30,12 +30,6 @@ fn sim_replay_is_byte_deterministic() {
     let a = replay_sim(&data, &cfg);
     let b = replay_sim(&data, &cfg);
     assert_eq!(a, b, "sim replay reports must be identical");
-    let baselines = compare_baselines(&data, ic_baselines::ElastiCacheDeployment::one_node_24xl());
-    assert_eq!(
-        report::render_sim(&cfg, BENCH_SEED, &a, &baselines),
-        report::render_sim(&cfg, BENCH_SEED, &b, &baselines),
-        "rendered sim JSON must be byte-identical"
-    );
 }
 
 /// The committed sample decodes, re-encodes byte-identically (canonical
@@ -73,19 +67,6 @@ fn sim_net_parity_on_committed_sample() {
     assert_eq!(net.verify_failures, 0);
     assert_eq!(net.ops, data.records.len());
     assert_eq!(net.outcomes, sim, "net replay outcomes must match the sim");
-}
-
-/// The committed `BENCH_trace.json` artifact passes the schema validator
-/// and recorded zero byte-verification failures.
-#[test]
-fn committed_bench_artifact_is_valid() {
-    let json = std::fs::read_to_string("BENCH_trace.json").expect("committed BENCH_trace.json");
-    report::validate(&json).unwrap_or_else(|p| panic!("artifact invalid: {p:?}"));
-    assert_eq!(
-        report::verify_failures(&json),
-        Some(0),
-        "committed artifact must record zero verify failures"
-    );
 }
 
 /// Chaos regression: a trace-sourced schedule replays deterministically
